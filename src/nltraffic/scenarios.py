@@ -230,10 +230,6 @@ def _write_overlay(u0: GridFunction, path) -> None:
 
 def run_experiment(exp: Experiment, out_dir) -> ExperimentResult:
     """Execute one recipe and write its bundle under out_dir/<name>/."""
-    root = Path(out_dir) / exp.name
-    root.mkdir(parents=True, exist_ok=True)
-    files: list[str] = []
-
     u0 = exp.datum.sample(exp.n_cells)
     tail_left = exp.datum.left_tail_mass(u0.grid.x_left)
     tail_right = exp.datum.right_tail_mass(u0.grid.x_right)
@@ -242,6 +238,18 @@ def run_experiment(exp: Experiment, out_dir) -> ExperimentResult:
             f"right tail mass {tail_right:.3e} beyond the domain is too large "
             "for a faithful look-ahead average"
         )
+    # built first, so that invalid solver options stop the run before any output
+    configs = [
+        SolverConfig(
+            grid=u0.grid, kernel=kernel, t_end=exp.t_end, cfl=exp.cfl, scheme=exp.scheme,
+            snapshot_times=exp.snapshot_times, stop_on_blowup=exp.stop_on_blowup,
+            mass_correction=tail_left,
+        )
+        for kernel in exp.kernels
+    ]
+    root = Path(out_dir) / exp.name
+    root.mkdir(parents=True, exist_ok=True)
+    files: list[str] = []
     result = classify_initial_data(u0)
 
     write_classification_json(result, root / "classification.json")
@@ -253,17 +261,8 @@ def run_experiment(exp: Experiment, out_dir) -> ExperimentResult:
 
     diagnostics: dict[str, Diagnostics] = {}
     snapshots: dict[str, dict[float, GridFunction]] = {}
-    for kernel in exp.kernels:
-        config = SolverConfig(
-            grid=u0.grid,
-            kernel=kernel,
-            t_end=exp.t_end,
-            cfl=exp.cfl,
-            scheme=exp.scheme,
-            snapshot_times=exp.snapshot_times,
-            stop_on_blowup=exp.stop_on_blowup,
-            mass_correction=tail_left,
-        )
+    for config in configs:
+        kernel = config.kernel
         snaps, diag = evolve(u0, config)
         kdir = root / f"kernel_{kernel.tag}"
         kdir.mkdir(exist_ok=True)

@@ -32,6 +32,25 @@ def test_bad_kernel_exits_2(tmp_path, capsys):
     assert "--kernel" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("t_end", ["nan", "inf"])
+@pytest.mark.parametrize("subcommand", ["evolve", "compare-kernels"])
+def test_non_finite_t_end_exits_2(tmp_path, capsys, subcommand, t_end):
+    out = tmp_path / "bad"
+    code = main([subcommand, "--n-cells", "200", "--t-end", t_end, "--out", str(out)])
+    assert code == 2
+    assert "t_end" in capsys.readouterr().err
+    assert not any(p.is_file() for p in out.rglob("*"))  # nothing written
+
+
+def test_non_finite_snapshot_exits_2(tmp_path, capsys):
+    code = main(
+        ["evolve", "--n-cells", "200", "--t-end", "1", "--snapshots", "0,nan",
+         "--out", str(tmp_path)]
+    )
+    assert code == 2
+    assert "snapshot" in capsys.readouterr().err
+
+
 def test_unknown_subcommand_exits_2(capsys):
     assert main(["render"]) == 2
 

@@ -11,10 +11,12 @@ from nltraffic.kernels import (
     UNIFORM,
     ZERO,
     Kernel,
+    lookahead_average,
     nonlocal_field,
     parse_kernel,
     sk_scaled,
 )
+from nltraffic.scenarios import CATALOG
 
 ALL_KERNELS = (ZERO, SK_UNIT, INFINITE, UNIFORM, LINEAR)
 
@@ -190,3 +192,62 @@ def test_ubar_bounds_property(seed, kind):
     ubar = nonlocal_field(gf, kernel).ubar.values
     assert np.all(ubar >= -1e-14)
     assert np.all(ubar <= kernel.weight_sup * total_mass(gf) + 1e-12)
+
+
+# ------------------------------------------- oracle: explicit window weights
+
+
+def _window_weights(dx, length, primitive):
+    """Per-cell weights for a window [x_i, x_i + length] ahead of cell i.
+
+    primitive is the antiderivative of the kernel weight in the offset
+    variable xi = y - x_i; weight r covers the overlap of the window with
+    cell i + r.  The grid is uniform, so the weights do not depend on i.
+    """
+    n_w = int(np.ceil(length / dx + 0.5)) + 1
+    w = np.zeros(n_w)
+    for r in range(n_w):
+        lo = max(0.0, (r - 0.5) * dx)
+        hi = min(length, (r + 0.5) * dx)
+        if hi > lo:
+            w[r] = primitive(hi) - primitive(lo)
+    nz = np.nonzero(w)[0]
+    return w[: nz[-1] + 1] if len(nz) else w[:1]
+
+
+def correlate_oracle(values, dx, kernel):
+    """ubar as an O(n L/dx) correlation with the explicit window weights."""
+    if kernel.kind == "linear":
+        w = _window_weights(dx, 1.0, lambda xi: 2.0 * xi - xi * xi)
+    else:
+        w = _window_weights(dx, kernel.window, lambda xi: xi)
+    padded = np.concatenate([values, np.zeros(len(w) - 1)])
+    return np.correlate(padded, w, mode="valid")
+
+
+@pytest.mark.parametrize("datum", ["bump", "subinit"])
+@pytest.mark.parametrize("n", [1000, 4000, 16000])
+@pytest.mark.parametrize(
+    "kernel", [SK_UNIT, sk_scaled(1e-3), sk_scaled(0.37), sk_scaled(2.5), LINEAR], ids=str
+)
+def test_primitive_matches_correlation_oracle(datum, n, kernel):
+    u = CATALOG[datum].sample(n)
+    got = lookahead_average(u.values, u.grid.dx, kernel)
+    want = correlate_oracle(u.values, u.grid.dx, kernel)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**31),
+    n=st.integers(4, 300),
+    length=st.floats(1e-4, 20.0),
+    kind=st.sampled_from(["sk_scaled", "linear"]),
+)
+def test_clamped_ubar_nonnegative(seed, n, length, kind):
+    # sparse data: most window differences cancel to (almost) zero
+    rng = np.random.default_rng(seed)
+    values = rng.uniform(0.0, 1.0, n) * (rng.uniform(size=n) < 0.1)
+    kernel = sk_scaled(length) if kind == "sk_scaled" else LINEAR
+    ubar = lookahead_average(values, 5.0 / n, kernel)
+    assert np.all(ubar >= 0.0)

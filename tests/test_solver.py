@@ -8,10 +8,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nltraffic.grid import GridFunction, GridSpec, total_mass
-from nltraffic.kernels import INFINITE, UNIFORM, ZERO, nonlocal_field, sk_scaled
+from nltraffic.grid import (
+    GridFunction,
+    GridSpec,
+    format_float,
+    spatial_derivative,
+    total_mass,
+)
+from nltraffic.kernels import INFINITE, SK_UNIT, UNIFORM, ZERO, nonlocal_field, sk_scaled
 from nltraffic.scenarios import bump_init, random_compact_bump
 from nltraffic.solver import (
+    Diagnostics,
     SolverConfig,
     SolverFailure,
     evolve,
@@ -107,6 +114,39 @@ def test_jam_fixed_point():
     state = make_state(0.0, GridFunction(grid, np.ones(200)), ZERO)
     new = step(state, config)
     np.testing.assert_array_equal(new.u.values, 1.0)
+
+
+@pytest.mark.parametrize(
+    "kernel, ssp2", [(ZERO, False), (SK_UNIT, False), (INFINITE, False), (SK_UNIT, True)]
+)
+def test_evolve_is_iterated_step(kernel, ssp2):
+    """evolve and the public step() share one step path, bit for bit."""
+    grid = scenario_grid(400)
+    u0 = GridFunction.from_callable(grid, bump_init)
+    config = SolverConfig(
+        grid=grid, kernel=kernel, t_end=1.5, snapshot_times=(1.5,), ssp2=ssp2,
+        stop_on_blowup=False,
+    )
+    snaps, diag = evolve(u0, config)
+    state = make_state(0.0, u0, kernel)
+    times, maxima, factor_minima = [state.t], [state.u.values.max()], []
+    while state.t < config.t_end - 1e-12:
+        state = step(state, config)
+        times.append(state.t)
+        maxima.append(state.u.values.max())
+        factor_minima.append(state.nonlocal_field.factor.values.min())
+    assert diag.t == times
+    assert diag.max_u == maxima
+    assert diag.factor_min[1:] == factor_minima
+    np.testing.assert_array_equal(dict(snaps)[1.5].values, state.u.values)
+
+
+def test_gradient_indicator_matches_spatial_derivative():
+    grid = scenario_grid(500)
+    rng = np.random.default_rng(2)
+    u = GridFunction(grid, rng.uniform(0.0, 1.0, 500))
+    slope = float(np.max(np.abs(spatial_derivative(u).values)))
+    assert gradient_indicator(u) == slope / float(u.values.max())
 
 
 def test_stepwise_mass_conservation():
@@ -337,6 +377,15 @@ def test_config_validation():
         SolverConfig(grid=grid, kernel=ZERO, t_end=1.0, snapshot_times=(2.0,))
     with pytest.raises(ValueError):
         SolverConfig(grid=grid, kernel=ZERO, t_end=1.0, blowup_gradient_factor=0.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="t_end"):
+            SolverConfig(grid=grid, kernel=ZERO, t_end=bad)
+        with pytest.raises(ValueError, match="blowup_gradient_factor"):
+            SolverConfig(grid=grid, kernel=ZERO, t_end=1.0, blowup_gradient_factor=bad)
+        with pytest.raises(ValueError, match="mass_correction"):
+            SolverConfig(grid=grid, kernel=ZERO, t_end=1.0, mass_correction=bad)
+        with pytest.raises(ValueError, match="snapshot"):
+            SolverConfig(grid=grid, kernel=ZERO, t_end=1.0, snapshot_times=(0.0, bad))
 
 
 def test_evolve_rejects_bad_initial_data():
@@ -373,13 +422,33 @@ def test_snapshots_cover_requested_times():
 def test_diagnostics_csv_layout(tmp_path):
     grid = scenario_grid(300)
     u0 = GridFunction.from_callable(grid, lambda x: 0.1 * bump_init(x))
-    config = SolverConfig(grid=grid, kernel=ZERO, t_end=0.1)
+    config = SolverConfig(grid=grid, kernel=ZERO, t_end=0.1, stop_on_blowup=False)
     _, diag = evolve(u0, config)
     path = tmp_path / "diag.csv"
     diag.write_csv(path)
     lines = path.read_text().strip().split("\n")
-    assert lines[0] == "t,mass,min_u,max_u,grad_indicator,factor_min,factor_max"
+    assert lines[0] == (
+        "t,mass,min_u,max_u,grad_indicator,factor_min,factor_max,dt,max_speed"
+    )
     assert len(lines) == 1 + len(diag.t)
+    rows = [[float(v) for v in line.split(",")] for line in lines[1:]]
+    assert rows[0][-2:] == [0.0, 0.0]
+    # each row carries the step that produced it: t advances by its dt
+    for prev, row in zip(rows, rows[1:]):
+        assert row[0] == prev[0] + row[7]
+        assert row[7] <= 0.45 * grid.dx / row[8] * (1 + 1e-15)
+    assert rows[1][8] == diag.max_speed[1] > 0
+
+
+def test_diagnostics_csv_values_full_precision(tmp_path):
+    diag = Diagnostics()
+    diag.add_row(0.1, 1 / 3, -0.0, 1.0, 2.5e-300, math.pi, 1e17, 0.0, 0.0)
+    path = tmp_path / "diag.csv"
+    diag.write_csv(path)
+    row = path.read_text().split("\n")[1]
+    assert row == ",".join(
+        format_float(v) for v in (0.1, 1 / 3, -0.0, 1.0, 2.5e-300, math.pi, 1e17, 0.0, 0.0)
+    )
 
 
 def test_ssp2_runs_and_conserves():
