@@ -29,11 +29,18 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
+# scipy.integrate is imported inside the two integrators below: it takes
+# most of a second to import, and only they need it.
 from .threshold import ThresholdCurve, default_curve
 
 BLOWUP_CAP_MIN = 1e6
+
+
+def _require_finite(**values: float) -> None:
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -43,6 +50,7 @@ class CharState:
     t: float = 0.0
 
     def __post_init__(self):
+        _require_finite(d=self.d, u=self.u, t=self.t)
         if not (0.0 <= self.u <= 1.0):
             raise ValueError(f"density {self.u} outside [0, 1]")
 
@@ -128,12 +136,14 @@ def integrate_characteristic(
     time approximates the true blow-up time to within d0/cap relative
     error for Riccati-type growth).
     """
+    _require_finite(t_end=t_end)
     if t_end <= state0.t:
         raise ValueError("t_end must exceed the initial time")
     if blowup_cap < BLOWUP_CAP_MIN:
         raise ValueError(f"blowup_cap below {BLOWUP_CAP_MIN:g}")
     if factor.span < t_end:
         raise ValueError("factor series shorter than the requested time span")
+    from scipy.integrate import solve_ivp
 
     def rhs(t, y):
         return characteristic_rhs(y[0], y[1], factor.at(t))
@@ -195,10 +205,12 @@ def phase_trajectory(
     Degenerate starts u0 in {0, 1} are rejected: there u is stationary and
     d(u) is not a curve.
     """
+    _require_finite(d0=d0, u0=u0, u_end=u_end)
     if not (0.0 < u0 < 1.0):
         raise ValueError("phase trajectories need 0 < u0 < 1")
     if not (0.0 < u_end <= u0):
         raise ValueError("u_end must lie in (0, u0]")
+    from scipy.integrate import solve_ivp
 
     def rhs(u, y):
         d = y[0]
@@ -237,63 +249,12 @@ def time_to_level(u0: float, u1: float, m: float) -> float:
     exp(m) (1/u1 + log((1-u1)/u1) - 1/u0 - log((1-u0)/u0)).  Any path with
     factor >= exp(-m) reaches u1 no later than this.
     """
+    _require_finite(u0=u0, u1=u1, m=m)
     if not (0.0 < u1 < u0 < 1.0):
         raise ValueError("need 0 < u1 < u0 < 1")
     if m < 0:
         raise ValueError("mass must be nonnegative")
     return math.exp(m) * (_level_potential(u1) - _level_potential(u0))
-
-
-def eta_rhs(eta: float, m: float) -> float:
-    """Right-hand side of the comparison equation eta' = -exp(-m) eta^2 (1-eta)."""
-    return -math.exp(-m) * eta * eta * (1.0 - eta)
-
-
-def solve_eta(u0: float, m: float, times) -> np.ndarray:
-    """Integrate the comparison equation from eta(0) = u0; returns eta(times)."""
-    if not (0.0 < u0 < 1.0):
-        raise ValueError("need 0 < u0 < 1")
-    times = np.atleast_1d(np.asarray(times, dtype=float))
-    if times[0] != 0.0 or np.any(np.diff(times) <= 0):
-        raise ValueError("times must increase from 0")
-    sol = solve_ivp(
-        lambda t, y: [eta_rhs(y[0], m)],
-        (0.0, float(times[-1])),
-        [u0],
-        method="RK45",
-        rtol=1e-10,
-        atol=1e-13,
-        t_eval=times,
-        dense_output=True,
-    )
-    if sol.status != 0:  # pragma: no cover
-        raise RuntimeError(f"eta integration failed: {sol.message}")
-    return sol.y[0]
-
-
-def eta_crossing_time(u0: float, u1: float, m: float) -> float:
-    """Time at which the comparison solution crosses u1 (numerical route)."""
-    if not (0.0 < u1 < u0 < 1.0):
-        raise ValueError("need 0 < u1 < u0 < 1")
-    t_guess = 10.0 * (time_to_level(u0, u1, m) + 1.0)
-
-    def cross(t, y):
-        return y[0] - u1
-
-    cross.terminal = True
-    cross.direction = -1
-    sol = solve_ivp(
-        lambda t, y: [eta_rhs(y[0], m)],
-        (0.0, t_guess),
-        [u0],
-        method="RK45",
-        rtol=1e-12,
-        atol=1e-14,
-        events=cross,
-    )
-    if not len(sol.t_events[0]):  # pragma: no cover
-        raise RuntimeError("comparison solution never reached the level")
-    return float(sol.t_events[0][0])
 
 
 @dataclass(frozen=True)
@@ -317,6 +278,7 @@ def blowup_time_bound(
     t1 + 2 exp(m) / (4 u1), valid for the canonical choice u1 = C_*/4.
     Requires d_at_t1 > 2 d_+ so the log stays finite and sharp <= coarse.
     """
+    _require_finite(d_at_t1=d_at_t1, u1=u1, m=m, t1=t1)
     if not (0.0 < u1 < 1.0):
         raise ValueError("need 0 < u1 < 1")
     if m < 0 or t1 < 0:
@@ -341,6 +303,7 @@ def slope_floor(d0: float, u0: float, curve: ThresholdCurve | None = None) -> fl
     C_* = (d0 - sigma(u0)) * u2^3 / u0^3 where u2 is the boost bound of
     the threshold curve; the margin must be strictly positive.
     """
+    _require_finite(d0=d0, u0=u0)
     if not (0.0 < u0 < 1.0):
         raise ValueError("need 0 < u0 < 1")
     curve = curve or default_curve()
@@ -383,6 +346,7 @@ def supercritical_bounds(
     so the result certifies blow-up no later than T_star_sharp for every
     path starting at (d0, u0) with factor >= exp(-m).
     """
+    _require_finite(d0=d0, u0=u0, m=m)
     curve = curve or default_curve()
     c_star = slope_floor(d0, u0, curve)
     u1 = min(c_star / 4.0, u0 / 2.0)

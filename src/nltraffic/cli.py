@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .characteristics import (
@@ -70,7 +71,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", default="out", help="output directory")
     common.add_argument("--config", default=None, help="key = value options file")
-    common.add_argument("--seed", type=int, default=0, help="rng seed (recorded)")
 
     parser = argparse.ArgumentParser(
         prog="nltraffic",
@@ -132,14 +132,55 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _is_negative_number(token: str) -> bool:
+    if not token.startswith("-"):
+        return False
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return True
+
+
+def _attach_negative_values(argv: list[str]) -> list[str]:
+    """Join `--opt -inf` into `--opt=-inf`.
+
+    argparse takes a token such as -inf, -nan or -1e3 for an option of its
+    own, so the option would lose its value and the validation of that value
+    would never run.
+    """
+    out: list[str] = []
+    for tok in argv:
+        prev = out[-1] if out else ""
+        if prev.startswith("--") and "=" not in prev and _is_negative_number(tok):
+            out[-1] = f"{prev}={tok}"
+        else:
+            out.append(tok)
+    return out
+
+
 def parse_args(argv: list[str]):
-    return build_parser().parse_args(_inject_config(list(argv)))
+    return build_parser().parse_args(_attach_negative_values(_inject_config(list(argv))))
 
 
-def _domain(args, datum):
-    lo = args.x_left if args.x_left is not None else datum.domain[0]
-    hi = args.x_right if args.x_right is not None else datum.domain[1]
-    return (lo, hi)
+def _experiment(args, name: str, kernels: tuple, **fields) -> Experiment:
+    """The Experiment that the grid options of args describe.
+
+    --datum picks the profile, --x-left/--x-right replace the ends of its
+    recommended domain and --n-cells sets the resolution; fields set the rest.
+    """
+    datum = get_datum(args.datum)
+    domain = (
+        datum.domain[0] if args.x_left is None else args.x_left,
+        datum.domain[1] if args.x_right is None else args.x_right,
+    )
+    return Experiment(
+        name=name,
+        datum=replace(datum, domain=domain),
+        kernels=kernels,
+        n_cells=args.n_cells,
+        **fields,
+    )
 
 
 def _write_manifest(out: Path, args, files: list[str]) -> None:
@@ -160,37 +201,21 @@ def dispatch(args) -> int:
     files: list[str] = []
 
     if args.subcommand == "classify":
-        datum = get_datum(args.datum)
-        exp = Experiment(
-            name=f"classify-{datum.name}",
-            datum=datum,
-            kernels=(),
-            n_cells=args.n_cells,
-        )
-        if args.x_left is not None or args.x_right is not None:
-            from dataclasses import replace
-
-            exp = replace(exp, datum=replace(datum, domain=_domain(args, datum)))
+        exp = _experiment(args, f"classify-{args.datum}", ())
         result = run_experiment(exp, out)
         files += result.files
         print(result.classification.verdict)
 
     elif args.subcommand == "evolve":
-        datum = get_datum(args.datum)
         kernel = parse_kernel_arg(args.kernel)
         if args.snapshots is not None:
             snaps = tuple(sorted(float(s) for s in args.snapshots.split(",") if s))
         else:
             snaps = _even_snapshots(args.t_end)
-        from dataclasses import replace
-
-        if args.x_left is not None or args.x_right is not None:
-            datum = replace(datum, domain=_domain(args, datum))
-        exp = Experiment(
-            name=f"evolve-{datum.name}",
-            datum=datum,
-            kernels=(kernel,),
-            n_cells=args.n_cells,
+        exp = _experiment(
+            args,
+            f"evolve-{args.datum}",
+            (kernel,),
             t_end=args.t_end,
             snapshot_times=snaps,
             cfl=args.cfl,
@@ -206,20 +231,15 @@ def dispatch(args) -> int:
             print("no breakdown detected")
 
     elif args.subcommand == "compare-kernels":
-        datum = get_datum(args.datum)
-        base = {
+        recipe = {
             "bump": RECIPES["supercritical-compare"],
             "subinit": RECIPES["subcritical-compare"],
-        }[datum.name]
-        from dataclasses import replace
-
-        exp = base
-        if args.x_left is not None or args.x_right is not None:
-            exp = replace(exp, datum=replace(datum, domain=_domain(args, datum)))
-        t_end = args.t_end if args.t_end is not None else exp.t_end
-        exp = replace(
-            exp,
-            n_cells=args.n_cells,
+        }[get_datum(args.datum).name]
+        t_end = args.t_end if args.t_end is not None else recipe.t_end
+        exp = _experiment(
+            args,
+            recipe.name,
+            recipe.kernels,
             t_end=t_end,
             snapshot_times=_even_snapshots(t_end),
             cfl=args.cfl,

@@ -181,14 +181,12 @@ class BlowupReport:
     detected: bool
     t_detect: float | None
     max_gradient: float
-    grid_resolved: bool
 
     def to_json_dict(self) -> dict:
         return {
             "detected": self.detected,
             "t_detect": self.t_detect,
             "max_gradient": self.max_gradient,
-            "grid_resolved": self.grid_resolved,
         }
 
 
@@ -353,8 +351,7 @@ def evolve(u0: GridFunction, config: SolverConfig):
             snapshots.append((tgt, GridFunction(config.grid, pick)))
 
     diag.blowup = BlowupReport(
-        detected=detected, t_detect=t_detect, max_gradient=max_gradient,
-        grid_resolved=detected,
+        detected=detected, t_detect=t_detect, max_gradient=max_gradient
     )
     return snapshots, diag
 

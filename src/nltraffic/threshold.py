@@ -8,14 +8,11 @@ sigma solves the singular ODE
 
     sigma'(x) = [2 sigma^2 - (3x - 5x^2) sigma - x^3 (1 - x)] / [-x^2 (1 - x)]
 
-with sigma(0) = 0, sigma'(0) = 1.  The equation is singular at both
-endpoints; a two-term series sigma = x - x^2 + O(x^4) (coefficients fixed
-by matching powers in the ODE) seeds the integration at x0 = 1e-3.
-
-Integrating the ODE is one route to sigma.  The product x (1 - x) turns
-out to satisfy the ODE identically; the tabulated integration is kept as
-an independent consistency check and the closed form is only adopted for
-evaluation after it passes the residual test below.
+with sigma(0) = 0, sigma'(0) = 1.  The product x (1 - x) satisfies the ODE
+identically, so sigma(u) = u (1 - u) is the implementation.  The tests keep
+an RK4 integration of the ODE from its series seed as an independent
+oracle, and threshold_residual measures how far any candidate curve is
+from solving the ODE.
 """
 
 from __future__ import annotations
@@ -25,12 +22,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .grid import GridFunction, format_float, require_density, spatial_derivative
 
-SEED_X = 1e-3
-N_TABLE = 10001
 # verdict dead band: |margin| <= tau is treated as "on the curve"
 STRICTNESS_TAU = 1e-10
 
@@ -64,74 +58,15 @@ def threshold_residual(candidate, u: float, derivative=None, fd_step: float = 1e
     return dprime - _ode_rhs(u, s)
 
 
-def build_table(n_nodes: int = N_TABLE, seed_x: float = SEED_X):
-    """Tabulate sigma on a uniform grid of [0, 1] by RK4 from the series seed.
-
-    Nodes below the seed use the series directly.  Substeps are capped at
-    0.3 / stiffness with stiffness ~ max(3/x, 2/(1-x)), which keeps the
-    classical RK4 step stable right up to the singular endpoints.  The
-    final node x = 1 gets the limit value 0.
-    """
-    x = np.linspace(0.0, 1.0, n_nodes)
-    sig = np.empty_like(x)
-    below = x <= seed_x
-    sig[below] = x[below] - x[below] ** 2
-    k0 = int(np.searchsorted(x, seed_x, side="right"))
-    xc = seed_x
-    sc = seed_x - seed_x**2
-    for k in range(k0, n_nodes):
-        target = x[k]
-        if target >= 1.0:
-            sig[k] = 0.0
-            continue
-        stiff = max(3.0 / xc, 2.0 / (1.0 - target))
-        m = max(1, int(np.ceil((target - xc) * stiff / 0.3)))
-        h = (target - xc) / m
-        for _ in range(m):
-            k1 = _ode_rhs(xc, sc)
-            k2 = _ode_rhs(xc + 0.5 * h, sc + 0.5 * h * k1)
-            k3 = _ode_rhs(xc + 0.5 * h, sc + 0.5 * h * k2)
-            k4 = _ode_rhs(xc + h, sc + h * k3)
-            sc += h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            xc += h
-        xc = target
-        sig[k] = sc
-    return x, sig
-
-
 class ThresholdCurve:
-    """Tabulated critical-slope curve with cubic interpolation.
+    """The critical-slope curve sigma(u) = u (1 - u).
 
-    closed_form_verified records whether the candidate x (1 - x) passed the
-    residual oracle (and matches the table); if so eval() uses it directly.
-    u_boost is the largest u2 such that sigma(u) >= (3/4) u on [0, u2],
-    needed by the slope-floor estimate in characteristics.py.
+    u_boost is the largest u2 such that sigma(u) >= (3/4) u on [0, u2]
+    (u (1 - u) >= 3u/4 exactly when u <= 1/4), needed by the slope-floor
+    estimate in characteristics.py.
     """
 
-    def __init__(self, n_nodes: int = N_TABLE, seed_x: float = SEED_X):
-        self.u_nodes, self.sigma_nodes = build_table(n_nodes, seed_x)
-        self._spline = CubicSpline(self.u_nodes, self.sigma_nodes)
-        self.closed_form_verified = self._verify_closed_form()
-        self.u_boost = self._boost_bound()
-
-    def _verify_closed_form(self) -> bool:
-        candidate = lambda v: v * (1.0 - v)  # noqa: E731
-        res = max(
-            abs(threshold_residual(candidate, float(v)))
-            for v in np.linspace(0.01, 0.99, 197)
-        )
-        table_gap = float(
-            np.max(np.abs(self.sigma_nodes - self.u_nodes * (1.0 - self.u_nodes)))
-        )
-        return res < 1e-8 and table_gap < 1e-6
-
-    def _boost_bound(self) -> float:
-        above = self.sigma_nodes + 1e-12 >= 0.75 * self.u_nodes
-        bad = np.nonzero(~above)[0]
-        u2 = float(self.u_nodes[bad[0] - 1]) if len(bad) else 1.0
-        if u2 < 0.2:
-            raise RuntimeError(f"threshold boost region unexpectedly small: {u2}")
-        return u2
+    u_boost = 0.25
 
     def eval(self, u):
         """sigma(u) for scalar or array u in [0, 1]."""
@@ -139,10 +74,7 @@ class ThresholdCurve:
         if np.any(arr < -1e-12) or np.any(arr > 1.0 + 1e-12):
             raise ValueError("sigma is only defined for densities in [0, 1]")
         arr = np.clip(arr, 0.0, 1.0)
-        if self.closed_form_verified:
-            out = arr * (1.0 - arr)
-        else:  # pragma: no cover - closed form holds for this model
-            out = self._spline(arr)
+        out = arr * (1.0 - arr)
         return float(out) if np.ndim(u) == 0 else out
 
     def sample(self, n_samples: int) -> np.ndarray:

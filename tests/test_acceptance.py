@@ -11,13 +11,13 @@ import time
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
+from scipy.interpolate import CubicSpline
 
 from conftest import ACCEPTANCE_LINES
 from nltraffic.characteristics import (
     CharState,
     ConstantFactor,
     blowup_time_bound,
-    eta_crossing_time,
     integrate_characteristic,
     phase_trajectory,
     slope_roots,
@@ -28,7 +28,8 @@ from nltraffic.grid import GridFunction, total_mass
 from nltraffic.kernels import UNIFORM, ZERO, sk_scaled
 from nltraffic.scenarios import CATALOG, RECIPES, run_experiment
 from nltraffic.solver import SolverConfig, evolve, front_position
-from nltraffic.threshold import ThresholdCurve, classify_initial_data
+from nltraffic.threshold import classify_initial_data, default_curve
+from oracles import build_table, eta_crossing_time
 
 COMPARE_TAGS = ("zero", "sk", "infinite", "uniform")
 
@@ -58,21 +59,25 @@ def sub_run(tmp_path_factory):
 
 def test_criterion_1_threshold_consistency():
     start = time.perf_counter()
-    fresh = ThresholdCurve()  # uncached: the timing bound covers integration
+    u_nodes, sigma_nodes = build_table()  # the timing bound covers integration
+    spline = CubicSpline(u_nodes, sigma_nodes)
     us = np.linspace(0.01, 0.99, 4901)
-    gap = float(np.max(np.abs(fresh._spline(us) - us * (1.0 - us))))
-    ends = (fresh.sigma_nodes[0], fresh.sigma_nodes[-1])
-    h = fresh.u_nodes[1] - fresh.u_nodes[0]
-    slope0 = (fresh.sigma_nodes[1] - fresh.sigma_nodes[0]) / h
+    gap = float(np.max(np.abs(spline(us) - us * (1.0 - us))))
+    ends = (sigma_nodes[0], sigma_nodes[-1])
+    h = u_nodes[1] - u_nodes[0]
+    slope0 = (sigma_nodes[1] - sigma_nodes[0]) / h
     elapsed = time.perf_counter() - start
+    curve_gap = float(np.max(np.abs(default_curve().eval(us) - spline(us))))
     ok = (
         gap <= 1e-6
+        and curve_gap <= 1e-6
         and ends == (0.0, 0.0)
         and abs(slope0 - 1.0) <= 2e-4
         and elapsed < 1.0
     )
     record(1, "threshold curve consistency", ok,
-           f"gap={gap:.2e} slope0={slope0:.6f} elapsed={elapsed:.2f}s")
+           f"gap={gap:.2e} curve_gap={curve_gap:.2e} slope0={slope0:.6f} "
+           f"elapsed={elapsed:.2f}s")
 
 
 def test_criterion_2_classifier_verdicts():

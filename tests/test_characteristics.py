@@ -10,15 +10,16 @@ from nltraffic.characteristics import (
     SampledFactor,
     blowup_time_bound,
     characteristic_rhs,
-    eta_crossing_time,
     integrate_characteristic,
     phase_trajectory,
     slope_floor,
     slope_roots,
-    solve_eta,
     supercritical_bounds,
     time_to_level,
 )
+from oracles import eta_crossing_time, solve_eta
+
+NON_FINITE = (math.nan, math.inf, -math.inf)
 
 
 def test_rhs_hand_value():
@@ -208,6 +209,11 @@ def test_phase_trajectory_validation():
         phase_trajectory(0.2, 0.0, 0.0)
     with pytest.raises(ValueError):
         phase_trajectory(0.2, 0.5, 0.9)  # u_end above u0
+    for bad in NON_FINITE:
+        with pytest.raises(ValueError, match="d0 must be finite"):
+            phase_trajectory(bad, 0.5, 0.1)
+        with pytest.raises(ValueError, match="u_end must be finite"):
+            phase_trajectory(0.2, 0.5, bad)
 
 
 def test_supercritical_phase_path_blows_up():
@@ -237,7 +243,7 @@ def test_slope_floor_bounds_phase_path(curve):
     u0 = 0.5
     d0 = curve.eval(u0) + 0.005
     c_star = slope_floor(d0, u0, curve)
-    boost = curve._boost_bound()
+    boost = curve.u_boost
     path = phase_trajectory(d0, u0, boost / 2.0)
     us = np.linspace(u0, boost / 2.0, 40)
     d_path = path.at(us)
@@ -272,6 +278,11 @@ def test_supercritical_bounds_actually_bound(curve):
 def test_char_state_validation():
     with pytest.raises(ValueError):
         CharState(d=0.0, u=1.5)
+    for bad in NON_FINITE:
+        with pytest.raises(ValueError, match="d must be finite"):
+            CharState(d=bad, u=0.5)
+        with pytest.raises(ValueError, match="u must be finite"):
+            CharState(d=0.0, u=bad)
     with pytest.raises(ValueError):
         ConstantFactor(0.0)
     with pytest.raises(ValueError):
@@ -284,3 +295,26 @@ def test_integrate_validation():
         integrate_characteristic(s, ConstantFactor(1.0), t_end=0.0)
     with pytest.raises(ValueError):
         integrate_characteristic(s, ConstantFactor(1.0), t_end=1.0, blowup_cap=10.0)
+    for bad in NON_FINITE:
+        with pytest.raises(ValueError, match="t_end must be finite"):
+            integrate_characteristic(s, ConstantFactor(1.0), t_end=bad)
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+@pytest.mark.parametrize(
+    "bound, kwargs",
+    [
+        pytest.param(bound, kwargs, id=bound.__name__)
+        for bound, kwargs in (
+            (slope_floor, {"d0": 0.4, "u0": 0.5}),
+            (time_to_level, {"u0": 0.5, "u1": 0.25, "m": 0.0}),
+            (blowup_time_bound, {"d_at_t1": 1.0, "u1": 0.2, "m": 0.0, "t1": 0.0}),
+            (supercritical_bounds, {"d0": 0.4, "u0": 0.5, "m": 0.0}),
+        )
+    ],
+)
+def test_bounds_reject_non_finite(bound, kwargs, bad):
+    bound(**kwargs)  # the finite arguments are valid
+    for name in kwargs:
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            bound(**{**kwargs, name: bad})

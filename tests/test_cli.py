@@ -1,9 +1,14 @@
 """Command-line interface: parsing, bundles, determinism, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import nltraffic
 from nltraffic.cli import main, parse_args, parse_kernel_arg
 from nltraffic.kernels import sk_scaled
 from nltraffic.solver import SolverFailure
@@ -15,7 +20,6 @@ def test_parse_defaults():
     assert args.datum == "bump"
     assert args.n_cells == 4000
     assert args.out == "out"
-    assert args.seed == 0
 
 
 def test_parse_kernel_round_trip():
@@ -32,7 +36,7 @@ def test_bad_kernel_exits_2(tmp_path, capsys):
     assert "--kernel" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("t_end", ["nan", "inf"])
+@pytest.mark.parametrize("t_end", ["nan", "inf", "-inf", "-nan"])
 @pytest.mark.parametrize("subcommand", ["evolve", "compare-kernels"])
 def test_non_finite_t_end_exits_2(tmp_path, capsys, subcommand, t_end):
     out = tmp_path / "bad"
@@ -95,6 +99,17 @@ def test_bounds_rejects_subcritical_seed(tmp_path, capsys):
         ["bounds", "--d0", "0.1", "--u0", "0.5", "--out", str(tmp_path)]
     )
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "option, value",
+    [("m", "nan"), ("m", "inf"), ("m", "-inf"), ("d0", "nan"), ("u0", "nan")],
+)
+def test_bounds_non_finite_exits_2(tmp_path, capsys, option, value):
+    argv = ["bounds", "--d0", "0.4", "--u0", "0.5", "--m", "0"]
+    code = main(argv + [f"--{option}", value, "--out", str(tmp_path)])
+    assert code == 2
+    assert f"error: {option} must be finite" in capsys.readouterr().err
 
 
 def test_classify_prints_verdict(tmp_path, capsys):
@@ -201,6 +216,64 @@ def test_phase_portrait_supercritical_phase_mode_fails(tmp_path, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+def run_python(args, timeout):
+    """Run the interpreter on args in a fresh process that imports this nltraffic."""
+    src = str(Path(nltraffic.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, timeout=timeout,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+
+
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        pytest.param(["--factor", "1", "--t-end", "nan"], "t_end must be", id="t_end-nan"),
+        pytest.param(["--factor", "1", "--t-end", "inf"], "t_end must be", id="t_end-inf"),
+        pytest.param(["--factor", "1", "--t-end", "-inf"], "t_end must be", id="t_end--inf"),
+        pytest.param(["--factor", "1", "--d0", "nan"], "d must be", id="time-d0-nan"),
+        pytest.param(["--factor", "1", "--u0", "nan"], "u must be", id="time-u0-nan"),
+        pytest.param(["--d0", "nan"], "d0 must be", id="phase-d0-nan"),
+    ],
+)
+def test_phase_portrait_non_finite_exits_2(tmp_path, extra, message):
+    """Rejected by name in a process that is killed if it hangs."""
+    argv = ["phase-portrait", "--d0", "0.4", "--u0", "0.5", *extra]
+    proc = run_python(["-m", "nltraffic.cli", *argv, "--out", str(tmp_path)], timeout=60)
+    assert proc.returncode == 2
+    assert f"error: {message} finite" in proc.stderr
+
+
+def test_cli_paths_load_no_scipy(tmp_path):
+    """Only phase-portrait integrates an ODE, so only it may import scipy."""
+    script = f"""
+import json, sys
+import nltraffic
+nltraffic.default_curve()
+from nltraffic.cli import main
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+loaded = {{"import": scipy_modules()}}
+for argv in (
+    ["classify", "--n-cells", "300"],
+    ["bounds", "--d0", "0.4", "--u0", "0.5"],
+    ["threshold-curve", "--samples", "11"],
+    ["evolve", "--n-cells", "200", "--t-end", "0.1"],
+):
+    assert main(argv + ["--out", {str(tmp_path)!r}]) == 0, argv
+    loaded[argv[0]] = scipy_modules()
+print(json.dumps(loaded))
+"""
+    proc = run_python(["-c", script], timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout.strip().splitlines()[-1])
+    stages = ("import", "classify", "bounds", "threshold-curve", "evolve")
+    assert loaded == {stage: [] for stage in stages}
+
+
 def test_solver_failure_writes_dump(tmp_path, capsys, monkeypatch):
     def boom(exp, out_dir):
         raise SolverFailure("synthetic failure", dump={"t": 0.5})
@@ -272,8 +345,10 @@ def test_config_rejects_malformed_line(tmp_path, capsys):
 
 def test_manifest_records_options_and_files(tmp_path):
     out = tmp_path / "m"
-    assert main(["threshold-curve", "--seed", "5", "--out", str(out)]) == 0
+    assert main(["threshold-curve", "--samples", "5", "--out", str(out)]) == 0
     manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["options"]["seed"] == 5
+    assert manifest["options"] == {
+        "config": None, "out": str(out), "samples": 5, "subcommand": "threshold-curve",
+    }
     for rel in manifest["files"]:
         assert (out / rel).is_file()

@@ -211,7 +211,7 @@ def test_box_detected_immediately():
     config = SolverConfig(grid=grid, kernel=ZERO, t_end=1.0, snapshot_times=(0.0,))
     snaps, diag = evolve(box(grid, 0.0, 1.0), config)
     report = diag.blowup
-    assert report.detected and report.grid_resolved
+    assert report.detected
     assert report.t_detect == 0.0
     assert len(diag.t) == 1  # stop_on_blowup halts before the first step
     assert snaps[0][0] == 0.0
@@ -246,7 +246,7 @@ def test_blowup_report_json(tmp_path):
     path = tmp_path / "blowup.json"
     write_blowup_json(diag.blowup, path)
     data = json.loads(path.read_text())
-    assert set(data) == {"detected", "t_detect", "max_gradient", "grid_resolved"}
+    assert set(data) == {"detected", "t_detect", "max_gradient"}
     assert data["detected"] is True and data["t_detect"] == 0.0
 
 

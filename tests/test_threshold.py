@@ -7,10 +7,8 @@ from hypothesis import strategies as st
 
 from nltraffic.grid import GridFunction, GridSpec
 from nltraffic.threshold import (
-    SEED_X,
     SUBCRITICAL,
     SUPERCRITICAL,
-    build_table,
     classify_initial_data,
     critical_slope,
     default_curve,
@@ -18,6 +16,7 @@ from nltraffic.threshold import (
     write_classification_json,
     write_threshold_csv,
 )
+from oracles import SEED_X, boost_bound, build_table
 
 
 def closed_form(u):
@@ -91,7 +90,8 @@ def test_sample_three_nodes(curve):
 
 def test_boost_bound(curve):
     # largest u with sigma(u) >= 0.75 u; for u(1-u) that is exactly 0.25
-    assert curve._boost_bound() == pytest.approx(0.25, abs=1e-6)
+    assert curve.u_boost == 0.25
+    assert boost_bound(*build_table()) == pytest.approx(0.25, abs=1e-6)
 
 
 def ramp_data(slope, center=0.5, width=0.2, n=2000):
