@@ -38,7 +38,7 @@ def main(argv):
             )
             sharp = ""
             if shift > 0:
-                bounds = supercritical_bounds(d0, u0, m=0.0, curve=curve)
+                bounds = supercritical_bounds(d0, u0, m=0.0)
                 sharp = format_float(bounds.T_star_sharp)
                 np.savetxt(
                     out / f"traj_u{u0:g}_shift{shift:g}.csv",

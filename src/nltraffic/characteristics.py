@@ -26,13 +26,13 @@ Quantities derived from the phase plane:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 # scipy.integrate is imported inside the two integrators below: it takes
 # most of a second to import, and only they need it.
-from .threshold import ThresholdCurve, default_curve
+from .threshold import default_curve
 
 BLOWUP_CAP_MIN = 1e6
 
@@ -41,6 +41,19 @@ def _require_finite(**values: float) -> None:
     for name, value in values.items():
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
+
+
+def _exp_of_mass(m: float) -> float:
+    try:
+        return math.exp(m)
+    except OverflowError:
+        raise ValueError(f"m = {m} is too large: exp(m) overflows") from None
+
+
+def _require_finite_bound(m: float, **values: float) -> None:
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} overflows at m = {m}")
 
 
 @dataclass(frozen=True)
@@ -254,7 +267,9 @@ def time_to_level(u0: float, u1: float, m: float) -> float:
         raise ValueError("need 0 < u1 < u0 < 1")
     if m < 0:
         raise ValueError("mass must be nonnegative")
-    return math.exp(m) * (_level_potential(u1) - _level_potential(u0))
+    t1 = _exp_of_mass(m) * (_level_potential(u1) - _level_potential(u0))
+    _require_finite_bound(m, t1=t1)
+    return t1
 
 
 @dataclass(frozen=True)
@@ -291,13 +306,16 @@ def blowup_time_bound(
             f"slope {d_at_t1:.6g} too small: bound needs d > 2 d_+ = {2 * d_plus:.6g}"
         )
     rate = 2.0 * math.exp(-m) * (d_plus - d_minus)
-    sharp = t1 + math.log((d_at_t1 - d_minus) / (d_at_t1 - d_plus)) / rate
-    coarse = t1 + 2.0 * math.exp(m) / (4.0 * u1)
+    coarse = t1 + 2.0 * _exp_of_mass(m) / (4.0 * u1)
+    log_ratio = math.log((d_at_t1 - d_minus) / (d_at_t1 - d_plus))
+    # for a small enough u1 the rate underflows to 0 while exp(m) is still finite
+    sharp = t1 + log_ratio / rate if rate > 0.0 else math.inf
+    _require_finite_bound(m, sharp=sharp, coarse=coarse)
     assert sharp <= coarse + 1e-12, "sharp bound exceeded the coarse bound"
     return BlowupBound(d_minus=d_minus, d_plus=d_plus, sharp=sharp, coarse=coarse)
 
 
-def slope_floor(d0: float, u0: float, curve: ThresholdCurve | None = None) -> float:
+def slope_floor(d0: float, u0: float) -> float:
     """Uniform lower bound C_* on the slope of a supercritical path.
 
     C_* = (d0 - sigma(u0)) * u2^3 / u0^3 where u2 is the boost bound of
@@ -306,11 +324,15 @@ def slope_floor(d0: float, u0: float, curve: ThresholdCurve | None = None) -> fl
     _require_finite(d0=d0, u0=u0)
     if not (0.0 < u0 < 1.0):
         raise ValueError("need 0 < u0 < 1")
-    curve = curve or default_curve()
+    curve = default_curve()
     margin = d0 - curve.eval(u0)
     if margin <= 0.0:
         raise ValueError("slope floor needs a strictly supercritical start")
-    return margin * curve.u_boost**3 / u0**3
+    cube = u0**3
+    c_star = margin * curve.u_boost**3 / cube if cube > 0.0 else math.inf
+    if not math.isfinite(c_star):
+        raise ValueError(f"u0 = {u0} is too small: the slope floor overflows")
+    return c_star
 
 
 @dataclass(frozen=True)
@@ -325,19 +347,10 @@ class AnalyticBounds:
     C_star: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "t1": self.t1,
-            "d_minus": self.d_minus,
-            "d_plus": self.d_plus,
-            "T_star_sharp": self.T_star_sharp,
-            "T_star_coarse": self.T_star_coarse,
-            "C_star": self.C_star,
-        }
+        return asdict(self)
 
 
-def supercritical_bounds(
-    d0: float, u0: float, m: float, curve: ThresholdCurve | None = None
-) -> AnalyticBounds:
+def supercritical_bounds(d0: float, u0: float, m: float) -> AnalyticBounds:
     """Chain slope_floor -> time_to_level -> blowup_time_bound.
 
     Uses the canonical level u1 = C_*/4, clamped to u0/2 when the floor is
@@ -347,8 +360,7 @@ def supercritical_bounds(
     path starting at (d0, u0) with factor >= exp(-m).
     """
     _require_finite(d0=d0, u0=u0, m=m)
-    curve = curve or default_curve()
-    c_star = slope_floor(d0, u0, curve)
+    c_star = slope_floor(d0, u0)
     u1 = min(c_star / 4.0, u0 / 2.0)
     t1 = time_to_level(u0, u1, m)
     bound = blowup_time_bound(c_star, u1, m, t1)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -86,7 +87,6 @@ def build_parser() -> argparse.ArgumentParser:
         if with_kernel:
             p.add_argument("--kernel", default="infinite", help="look-ahead kernel")
             p.add_argument("--cfl", type=float, default=0.45)
-            p.add_argument("--scheme", choices=("godunov", "llf"), default="godunov")
 
     p = sub.add_parser("classify", parents=[common], help="threshold verdict for a datum")
     add_grid_opts(p)
@@ -95,7 +95,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_grid_opts(p, with_kernel=True)
     p.add_argument("--t-end", type=float, default=4.0)
     p.add_argument("--snapshots", default=None, help="comma list of times")
-    p.add_argument("--ssp2", action="store_true", help="two-stage SSP stepping")
     p.add_argument(
         "--run-past-blowup",
         action="store_true",
@@ -108,7 +107,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_grid_opts(p)
     p.add_argument("--t-end", type=float, default=None)
     p.add_argument("--cfl", type=float, default=0.45)
-    p.add_argument("--scheme", choices=("godunov", "llf"), default="godunov")
 
     p = sub.add_parser(
         "phase-portrait", parents=[common], help="one characteristic trajectory"
@@ -184,7 +182,9 @@ def _experiment(args, name: str, kernels: tuple, **fields) -> Experiment:
 
 
 def _write_manifest(out: Path, args, files: list[str]) -> None:
-    options = {k: v for k, v in sorted(vars(args).items())}
+    # an option that a mode ignores may be non-finite; JSON has no nan or inf
+    options = {k: repr(v) if isinstance(v, float) and not math.isfinite(v) else v
+               for k, v in sorted(vars(args).items())}
     manifest = {"command": args.subcommand, "options": options, "files": sorted(files)}
     with open(out / "manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True, default=str)
@@ -219,7 +219,6 @@ def dispatch(args) -> int:
             t_end=args.t_end,
             snapshot_times=snaps,
             cfl=args.cfl,
-            scheme=args.scheme,
             stop_on_blowup=not args.run_past_blowup,
         )
         result = run_experiment(exp, out)
@@ -243,7 +242,6 @@ def dispatch(args) -> int:
             t_end=t_end,
             snapshot_times=_even_snapshots(t_end),
             cfl=args.cfl,
-            scheme=args.scheme,
         )
         result = run_experiment(exp, out)
         files += result.files

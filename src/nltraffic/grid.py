@@ -7,6 +7,7 @@ attached to the cell center x_i = x_left + (i + 1/2)*dx.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,10 +25,18 @@ class GridSpec:
     n_cells: int
 
     def __post_init__(self):
+        for name in ("x_left", "x_right"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.x_left < self.x_right:
             raise ValueError(f"empty domain [{self.x_left}, {self.x_right}]")
         if self.n_cells < 4:
             raise ValueError(f"need at least 4 cells, got {self.n_cells}")
+        if not (0.0 < self.dx < math.inf):
+            raise ValueError(
+                f"[x_left, x_right] = [{self.x_left}, {self.x_right}] gives cell "
+                f"width {self.dx}; need 0 < dx < inf"
+            )
 
     @property
     def dx(self) -> float:

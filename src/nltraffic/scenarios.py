@@ -175,7 +175,6 @@ class Experiment:
     t_end: float = 4.0
     snapshot_times: tuple = ()
     cfl: float = 0.45
-    scheme: str = "godunov"
     stop_on_blowup: bool = False  # bundles keep evolving to t_end for figures
 
 
@@ -241,7 +240,7 @@ def run_experiment(exp: Experiment, out_dir) -> ExperimentResult:
     # built first, so that invalid solver options stop the run before any output
     configs = [
         SolverConfig(
-            grid=u0.grid, kernel=kernel, t_end=exp.t_end, cfl=exp.cfl, scheme=exp.scheme,
+            grid=u0.grid, kernel=kernel, t_end=exp.t_end, cfl=exp.cfl,
             snapshot_times=exp.snapshot_times, stop_on_blowup=exp.stop_on_blowup,
             mass_correction=tail_left,
         )
@@ -285,7 +284,6 @@ def run_experiment(exp: Experiment, out_dir) -> ExperimentResult:
         "t_end": exp.t_end,
         "snapshot_times": list(exp.snapshot_times),
         "cfl": exp.cfl,
-        "scheme": exp.scheme,
         "kernels": [str(k) for k in exp.kernels],
         "left_tail_mass": tail_left,
     }

@@ -4,18 +4,14 @@
 
 The nonlocal factor exp(-ubar) is frozen over each update (explicit, lagged
 coupling); the flux through an interface uses the arithmetic mean of the
-adjacent cells' factors.  Two monotone numerical fluxes are available:
-
-* godunov   exact Riemann flux for the concave local flux g(u) = u(1-u) f:
-            min over [uL, uR] when uL <= uR, else g at the sonic point 1/2
-            clamped to [uR, uL].
-* llf       local Lax-Friedrichs, 1/2 (g(uL) + g(uR)) - 1/2 alpha (uR - uL)
-            with alpha = max(|1 - 2 uL|, |1 - 2 uR|) f.
+adjacent cells' factors.  The interface flux is Godunov's, the exact Riemann
+flux for the concave local flux g(u) = u(1-u) f: the min over [uL, uR] when
+uL <= uR, else g at the sonic point 1/2 clamped to [uR, uL].
 
 Boundaries are zero-gradient outflow.  Time stepping is forward Euler under
-dt = cfl dx / max wave speed (optionally a two-stage SSP update), which
-makes either scheme monotone, hence mass-conservative up to boundary flux
-and maximum-principle preserving to roundoff.
+dt = cfl dx / max wave speed, which makes the scheme monotone, hence
+mass-conservative up to boundary flux and maximum-principle preserving to
+roundoff.
 
 Smooth solutions of this model can still lose regularity: the slope blows
 up in finite time while u stays bounded.  A shock-capturing scheme never
@@ -23,13 +19,13 @@ produces an infinite gradient, so "wave breakdown" must be detected from
 the captured profile.  Breakdown is declared once the normalized gradient
 indicator reaches grid scale,
 
-    max_i |central diff u|_i / ||u||_inf  >=  blowup_gradient_factor / dx.
+    max_i |central diff u|_i / ||u||_inf  >=  BLOWUP_GRADIENT_FACTOR / dx.
 
 The left side is capped by how sharply a monotone scheme captures a shock:
 a full-amplitude jump resolved over a single cell gives exactly 0.5/dx and
 anything smeared over the usual 2-4 cells lands in 0.1-0.35/dx, while
-smooth transport keeps the indicator O(1), independent of dx.  The default
-factor 0.08 sits inside that gap (measured on the bundled scenarios at
+smooth transport keeps the indicator O(1), independent of dx.  The factor
+0.08 sits inside that gap (measured on the bundled scenarios at
 n = 4000: forming shocks exceed 0.10/dx, the globally smooth run stays
 below 0.06/dx), so refusing to fire means genuinely smooth evolution
 rather than an unreachable threshold.
@@ -39,15 +35,16 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .grid import GridFunction, GridSpec, total_mass  # noqa: F401  (traced by perfbench)
-from .kernels import Kernel, NonlocalField, lookahead_average, nonlocal_field
+from .kernels import Kernel, lookahead_average, nonlocal_field  # noqa: F401  (traced)
 
 SPEED_FLOOR = 1e-12
-SCHEMES = ("godunov", "llf")
+BLOWUP_GRADIENT_FACTOR = 0.08
+MAX_STEPS = 2_000_000
 
 
 class SolverFailure(RuntimeError):
@@ -64,25 +61,17 @@ class SolverConfig:
     kernel: Kernel
     t_end: float
     cfl: float = 0.45
-    scheme: str = "godunov"
     snapshot_times: tuple = ()
-    ssp2: bool = False
-    blowup_gradient_factor: float = 0.08
     stop_on_blowup: bool = True
     # analytic mass sitting outside the domain (slow left tails); only the
     # mass diagnostic and the factor lower bound see it
     mass_correction: float = 0.0
-    max_steps: int = 2_000_000
 
     def __post_init__(self):
         if not (0.0 < self.cfl <= 1.0):
             raise ValueError(f"cfl must lie in (0, 1], got {self.cfl}")
-        if self.scheme not in SCHEMES:
-            raise ValueError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
         if not (0.0 < self.t_end < math.inf):
             raise ValueError(f"t_end must be positive and finite, got {self.t_end}")
-        if not (0.0 < self.blowup_gradient_factor < math.inf):
-            raise ValueError("blowup_gradient_factor must be positive and finite")
         if not math.isfinite(self.mass_correction):
             raise ValueError(f"mass_correction must be finite, got {self.mass_correction}")
         times = tuple(float(t) for t in self.snapshot_times)
@@ -93,87 +82,43 @@ class SolverConfig:
         object.__setattr__(self, "snapshot_times", times)
 
 
-@dataclass(frozen=True)
-class SolverState:
-    t: float
-    u: GridFunction
-    nonlocal_field: NonlocalField
-
-
-def make_state(t: float, u: GridFunction, kernel: Kernel) -> SolverState:
-    return SolverState(t=t, u=u, nonlocal_field=nonlocal_field(u, kernel))
-
-
-def numerical_flux(u_left, u_right, factor, scheme: str = "godunov"):
-    """Monotone interface flux for local flux g(u) = u (1 - u) * factor."""
+def numerical_flux(u_left, u_right, factor):
+    """Godunov interface flux for local flux g(u) = u (1 - u) * factor."""
     uL = np.asarray(u_left, dtype=float)
     uR = np.asarray(u_right, dtype=float)
     f = np.asarray(factor, dtype=float)
     gL = uL * (1.0 - uL) * f
     gR = uR * (1.0 - uR) * f
-    if scheme == "llf":
-        alpha = np.maximum(np.abs(1.0 - 2.0 * uL), np.abs(1.0 - 2.0 * uR)) * f
-        out = 0.5 * (gL + gR) - 0.5 * alpha * (uR - uL)
-    elif scheme == "godunov":
-        # concave g with sonic point 1/2: rarefaction side takes the smaller
-        # endpoint flux, compression side the max over [uR, uL]
-        u_star = np.minimum(np.maximum(uR, 0.5), uL)  # 1/2 clamped to [uR, uL]
-        out = np.where(uL <= uR, np.minimum(gL, gR), u_star * (1.0 - u_star) * f)
-    else:
-        raise ValueError(f"unknown scheme {scheme!r}")
+    # concave g with sonic point 1/2: rarefaction side takes the smaller
+    # endpoint flux, compression side the max over [uR, uL]
+    u_star = np.minimum(np.maximum(uR, 0.5), uL)  # 1/2 clamped to [uR, uL]
+    out = np.where(uL <= uR, np.minimum(gL, gR), u_star * (1.0 - u_star) * f)
     return float(out) if out.ndim == 0 else out
 
 
-def _stage(u, factor, config: SolverConfig, dt=None, dt_max=math.inf):
-    """One conservative forward-Euler stage with zero-gradient ghost cells.
+def _advance(u: np.ndarray, factor: np.ndarray, t: float, config: SolverConfig):
+    """One CFL step of forward Euler with zero-gradient ghost cells.
 
-    Without dt, takes the CFL step of the stage's own wave speed, capped at
-    dt_max.  Returns (u_new, fluxes, dt, speed), speed None when dt is given.
+    factor is the lagged slow-down factor of the cells u.  Returns (u_new,
+    dt, speed, boundary_flux); the boundary fluxes are the step's left and
+    right outflow rates.
     """
     # interface factors: the mean of the two neighbours, one-sided at the edges
     fi = np.concatenate([factor[:1], 0.5 * (factor[:-1] + factor[1:]), factor[-1:]])
     uL = np.concatenate([u[:1], u])
     uR = np.concatenate([u, u[-1:]])
     dx = config.grid.dx
-    speed = None
-    if dt is None:
-        alpha = np.maximum(np.abs(1.0 - 2.0 * uL), np.abs(1.0 - 2.0 * uR)) * fi
-        speed = float(alpha.max())
-        dt = min(config.cfl * dx / max(speed, SPEED_FLOOR), dt_max)
-    flux = numerical_flux(uL, uR, fi, config.scheme)
-    return u - (dt / dx) * (flux[1:] - flux[:-1]), flux, dt, speed
-
-
-def _advance(u: np.ndarray, factor: np.ndarray, t: float, config: SolverConfig):
-    """One CFL step from cell values u and their lagged slow-down factor.
-
-    Returns (u_new, dt, speed, boundary_flux); the boundary fluxes are the
-    step's effective left and right outflow rates.
-    """
-    u1, flux, dt, speed = _stage(u, factor, config, dt_max=config.t_end - t)
-    if config.ssp2:
-        factor1 = np.exp(-lookahead_average(u1, config.grid.dx, config.kernel))
-        u2, flux2, _, _ = _stage(u1, factor1, config, dt=dt)
-        u_new = 0.5 * (u + u2)
-        boundary_flux = (0.5 * (flux[0] + flux2[0]), 0.5 * (flux[-1] + flux2[-1]))
-    else:
-        u_new = u1
-        boundary_flux = (float(flux[0]), float(flux[-1]))
-
+    alpha = np.maximum(np.abs(1.0 - 2.0 * uL), np.abs(1.0 - 2.0 * uR)) * fi
+    speed = float(alpha.max())
+    dt = min(config.cfl * dx / max(speed, SPEED_FLOOR), config.t_end - t)
+    flux = numerical_flux(uL, uR, fi)
+    u_new = u - (dt / dx) * (flux[1:] - flux[:-1])
     if not np.isfinite(u_new).all():
         raise SolverFailure(
             "non-finite state during update",
             dump={"t": t, "dt": dt, "max_speed": speed},
         )
-    return u_new, dt, speed, boundary_flux
-
-
-def step(state: SolverState, config: SolverConfig) -> SolverState:
-    """Public single-step entry point (CFL-limited, explicit coupling)."""
-    u_new, dt, _, _ = _advance(
-        state.u.values, state.nonlocal_field.factor.values, state.t, config
-    )
-    return make_state(state.t + dt, GridFunction(config.grid, u_new), config.kernel)
+    return u_new, dt, speed, (float(flux[0]), float(flux[-1]))
 
 
 @dataclass(frozen=True)
@@ -181,13 +126,6 @@ class BlowupReport:
     detected: bool
     t_detect: float | None
     max_gradient: float
-
-    def to_json_dict(self) -> dict:
-        return {
-            "detected": self.detected,
-            "t_detect": self.t_detect,
-            "max_gradient": self.max_gradient,
-        }
 
 
 @dataclass
@@ -235,23 +173,21 @@ def _max_slope(u: np.ndarray, dx: float) -> float:
     return float(max(inner, abs(left), abs(right)))
 
 
-def gradient_indicator(state) -> float:
+def gradient_indicator(u: GridFunction) -> float:
     """max |central difference of u| / max |u|; errors on a vacuum state."""
-    u = state.u if isinstance(state, SolverState) else state
     amp = float(np.max(np.abs(u.values)))
     if amp <= 1e-14:
         raise ValueError("gradient indicator undefined for vacuum data")
     return _max_slope(u.values, u.grid.dx) / amp
 
 
-def front_position(state, level: float) -> float:
+def front_position(u: GridFunction, level: float) -> float:
     """Rightmost downcrossing of the given density level, interpolated.
 
     Errors when the level is never attained.  If the last cell still sits
     above the level the front has left the domain; the right edge is
     returned.
     """
-    u = state.u if isinstance(state, SolverState) else state
     values = u.values
     if float(values.max()) < level:
         raise ValueError(f"level {level} never attained (max {values.max():.3e})")
@@ -323,13 +259,13 @@ def evolve(u0: GridFunction, config: SolverConfig):
     while pending and pending[0] <= t + 1e-12:
         snapshots.append((pending.pop(0), u0))
 
-    grid_scale = config.blowup_gradient_factor / config.grid.dx
+    grid_scale = BLOWUP_GRADIENT_FACTOR / config.grid.dx
     gi = row[3]
     detected = gi >= grid_scale
     t_detect = 0.0 if detected else None
     max_gradient = gi * amp
     while t < config.t_end - 1e-12 and not (detected and config.stop_on_blowup):
-        if len(diag.t) > config.max_steps:
+        if len(diag.t) > MAX_STEPS:
             raise SolverFailure("step budget exhausted", dump={"t": t})
         t_prev, u_prev, mass_prev = t, u, mass
         u, dt, speed, (f_left, f_right) = _advance(u_prev, factor, t_prev, config)
@@ -358,19 +294,16 @@ def evolve(u0: GridFunction, config: SolverConfig):
 
 def write_blowup_json(report: BlowupReport, path) -> None:
     with open(path, "w") as fh:
-        json.dump(report.to_json_dict(), fh, indent=2, sort_keys=True)
+        json.dump(asdict(report), fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
 __all__ = [
     "SolverConfig",
-    "SolverState",
     "SolverFailure",
     "BlowupReport",
     "Diagnostics",
     "numerical_flux",
-    "make_state",
-    "step",
     "evolve",
     "gradient_indicator",
     "front_position",

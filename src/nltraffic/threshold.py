@@ -18,7 +18,7 @@ from solving the ODE.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -111,22 +111,13 @@ class Classification:
     u0_at_x0: float
     d0_at_x0: float
     margin: float
-    min_margin: float | None
     borderline: bool
 
     def to_json_dict(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "x0": self.x0,
-            "u0_at_x0": self.u0_at_x0,
-            "d0_at_x0": self.d0_at_x0,
-            "margin": self.margin,
-        }
+        return {k: v for k, v in asdict(self).items() if k != "borderline"}
 
 
-def classify_initial_data(
-    u0: GridFunction, curve: ThresholdCurve | None = None
-) -> Classification:
+def classify_initial_data(u0: GridFunction) -> Classification:
     """Decide whether any point of u0 starts above the threshold curve.
 
     The slope is the second-order grid derivative of the sampled values, so
@@ -136,17 +127,14 @@ def classify_initial_data(
     values = u0.values
     if len(values) > 1 and float(np.max(np.abs(np.diff(values)))) > 0.5:
         raise ValueError("initial profile under-resolved: adjacent jump > 0.5")
-    curve = curve or default_curve()
     d = spatial_derivative(u0).values
-    margins = d - curve.eval(np.clip(values, 0.0, 1.0))
+    margins = d - default_curve().eval(np.clip(values, 0.0, 1.0))
     i = int(np.argmax(margins))
     top = float(margins[i])
     witness = (float(u0.x[i]), float(values[i]), float(d[i]))
     if top > STRICTNESS_TAU:
-        return Classification(SUPERCRITICAL, *witness, top, None, False)
-    return Classification(
-        SUBCRITICAL, *witness, -top, min_margin=-top, borderline=top > 0.0
-    )
+        return Classification(SUPERCRITICAL, *witness, top, False)
+    return Classification(SUBCRITICAL, *witness, -top, borderline=top > 0.0)
 
 
 def write_threshold_csv(curve: ThresholdCurve, path, n_samples: int = 1001) -> None:

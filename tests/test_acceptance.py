@@ -115,7 +115,7 @@ def test_criterion_3_invariant_region_and_blowup(curve):
     for _ in range(50):
         u0 = float(rng.uniform(0.1, 0.9))
         d0 = curve.eval(u0) + float(rng.uniform(0.01, 0.5))
-        b = supercritical_bounds(d0, u0, m=0.0, curve=curve)
+        b = supercritical_bounds(d0, u0, m=0.0)
         traj = integrate_characteristic(
             CharState(d=d0, u=u0),
             ConstantFactor(1.0),

@@ -224,14 +224,14 @@ def test_supercritical_phase_path_blows_up():
 def test_slope_floor_homogeneity(curve):
     u0 = 0.5
     base = curve.eval(u0)
-    c1 = slope_floor(base + 0.02, u0, curve)
-    c2 = slope_floor(base + 0.04, u0, curve)
+    c1 = slope_floor(base + 0.02, u0)
+    c2 = slope_floor(base + 0.04, u0)
     assert c2 == pytest.approx(2 * c1, rel=1e-9)
 
 
-def test_slope_floor_rejects_subcritical(curve):
+def test_slope_floor_rejects_subcritical():
     with pytest.raises(ValueError):
-        slope_floor(0.1, 0.5, curve)
+        slope_floor(0.1, 0.5)
 
 
 def test_slope_floor_bounds_phase_path(curve):
@@ -242,7 +242,7 @@ def test_slope_floor_bounds_phase_path(curve):
     """
     u0 = 0.5
     d0 = curve.eval(u0) + 0.005
-    c_star = slope_floor(d0, u0, curve)
+    c_star = slope_floor(d0, u0)
     boost = curve.u_boost
     path = phase_trajectory(d0, u0, boost / 2.0)
     us = np.linspace(u0, boost / 2.0, 40)
@@ -253,8 +253,8 @@ def test_slope_floor_bounds_phase_path(curve):
     assert np.all(excess >= floor - 1e-9)
 
 
-def test_supercritical_bounds_fields(curve):
-    b = supercritical_bounds(0.4, 0.5, m=0.0, curve=curve)
+def test_supercritical_bounds_fields():
+    b = supercritical_bounds(0.4, 0.5, m=0.0)
     assert b.C_star > 0
     assert b.t1 > 0
     assert b.T_star_sharp > b.t1
@@ -263,10 +263,10 @@ def test_supercritical_bounds_fields(curve):
     assert set(d) == {"t1", "d_minus", "d_plus", "T_star_sharp", "T_star_coarse", "C_star"}
 
 
-def test_supercritical_bounds_actually_bound(curve):
+def test_supercritical_bounds_actually_bound():
     """Blow-up happens before the composite certificate time."""
     for d0, u0 in ((0.4, 0.5), (0.3, 0.3), (0.9, 0.7)):
-        b = supercritical_bounds(d0, u0, m=0.0, curve=curve)
+        b = supercritical_bounds(d0, u0, m=0.0)
         traj = integrate_characteristic(
             CharState(d=d0, u=u0), ConstantFactor(1.0), t_end=1.5 * b.T_star_sharp,
             blowup_cap=1e8,
@@ -318,3 +318,23 @@ def test_bounds_reject_non_finite(bound, kwargs, bad):
     for name in kwargs:
         with pytest.raises(ValueError, match=f"^{name} must be finite"):
             bound(**{**kwargs, name: bad})
+
+
+@pytest.mark.parametrize(
+    "bound, args",
+    [
+        (time_to_level, (0.5, 0.0046875, 705.0)),  # exp(m) is finite, t1 is not
+        (time_to_level, (0.5, 0.0046875, 710.0)),  # exp(m) overflows
+        (blowup_time_bound, (10.0, 0.1, 800.0)),  # exp(-m) underflows to 0
+        (blowup_time_bound, (10.0, 0.1, 709.0)),  # the coarse bound overflows
+        (supercritical_bounds, (0.4, 0.5, 1000.0)),
+    ],
+)
+def test_bounds_reject_overflowing_m(bound, args):
+    with pytest.raises(ValueError, match=f"at m = {args[2]}|^m = {args[2]} is too large"):
+        bound(*args)
+
+
+def test_slope_floor_rejects_underflowing_u0():
+    with pytest.raises(ValueError, match="u0 = 1e-120 is too small"):
+        slope_floor(1.0, 1e-120)

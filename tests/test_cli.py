@@ -1,12 +1,17 @@
 """Command-line interface: parsing, bundles, determinism, exit codes."""
 
 import json
+import math
 import os
 import subprocess
 import sys
+import tempfile
+import time
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import nltraffic
 from nltraffic.cli import main, parse_args, parse_kernel_arg
@@ -352,3 +357,122 @@ def test_manifest_records_options_and_files(tmp_path):
     }
     for rel in manifest["files"]:
         assert (out / rel).is_file()
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["classify", "--x-right", "inf"], "x_right"),
+        (["evolve", "--x-left", "-inf", "--t-end", "0.5"], "x_left"),
+        (["classify", "--x-left", "-1e308", "--x-right", "1e308"], "x_left, x_right"),
+    ],
+)
+def test_non_finite_domain_exits_2(tmp_path, capsys, argv, name):
+    out = tmp_path / "bad"
+    assert main(argv + ["--n-cells", "200", "--out", str(out)]) == 2
+    assert name in capsys.readouterr().err
+    assert not any(p.is_file() for p in out.rglob("*"))
+
+
+@pytest.mark.parametrize(
+    "m, message",
+    [
+        ("705", "t1 overflows at m = 705.0"),
+        ("710", "m = 710.0 is too large: exp(m) overflows"),
+        ("1000", "m = 1000.0 is too large: exp(m) overflows"),
+    ],
+)
+def test_bounds_overflowing_m_exits_2(tmp_path, capsys, m, message):
+    argv = ["bounds", "--d0", "0.4", "--u0", "0.5", "--m", m, "--out", str(tmp_path)]
+    assert main(argv) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["evolve", "--ssp2"],
+        ["evolve", "--scheme", "llf"],
+        ["compare-kernels", "--scheme", "godunov"],
+    ],
+    ids=["evolve-ssp2", "evolve-scheme", "compare-kernels-scheme"],
+)
+def test_removed_options_exit_2(tmp_path, argv):
+    out = tmp_path / "gone"
+    assert main(argv + ["--n-cells", "200", "--t-end", "0.1", "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+def test_removed_option_in_config_file_exits_2(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("ssp2 = true\nn_cells = 200\nt_end = 0.1\n")
+    assert main(["evolve", "--config", str(cfg), "--out", str(tmp_path / "gone")]) == 2
+
+
+# ------------------------------------------------------------------ fuzzing
+
+# values that broke input validation before, plus ordinary ones
+SPECIAL = (math.nan, math.inf, -math.inf, 0.0, -1.0, 705.0, 1e308)
+NUMBER = st.sampled_from(SPECIAL) | st.floats(-2.0, 2.0)
+# whole-number ends keep dx >= 1/200 on the drawn grids, so no run takes
+# more than a few thousand steps
+DOMAIN_END = st.sampled_from(SPECIAL) | st.integers(-8, 12).map(float)
+T_END = st.sampled_from(SPECIAL[:5]) | st.floats(0.0, 2.0)
+CFL = st.sampled_from(SPECIAL) | st.floats(0.05, 1.0)
+KERNELS = ("zero", "sk", "infinite", "uniform", "linear", "sk:L=0.5")
+
+
+@st.composite
+def command_lines(draw):
+    sub = draw(st.sampled_from(
+        ["classify", "evolve", "bounds", "phase-portrait", "threshold-curve"]
+    ))
+    argv = [sub]
+
+    def option(name, values, required=True):
+        if required or draw(st.booleans()):
+            argv.extend([f"--{name}", repr(float(draw(values)))])
+
+    if sub in ("classify", "evolve"):
+        argv += ["--datum", draw(st.sampled_from(["bump", "subinit"]))]
+        argv += ["--n-cells", str(draw(st.integers(4, 200)))]
+        option("x-left", DOMAIN_END, required=False)
+        option("x-right", DOMAIN_END, required=False)
+    if sub == "evolve":
+        argv += ["--kernel", draw(st.sampled_from(KERNELS))]
+        option("t-end", T_END)
+        option("cfl", CFL, required=False)
+        if draw(st.booleans()):
+            argv.append("--run-past-blowup")
+    elif sub == "bounds":
+        option("d0", NUMBER)
+        option("u0", NUMBER)
+        option("m", NUMBER, required=False)
+    elif sub == "phase-portrait":
+        option("d0", NUMBER)
+        option("u0", NUMBER)
+        option("factor", NUMBER, required=False)
+        option("t-end", T_END, required=False)
+        option("u-end", NUMBER, required=False)
+    elif sub == "threshold-curve":
+        argv += ["--samples", str(draw(st.integers(-1, 50)))]
+    return argv
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+@given(argv=command_lines())
+@example(argv=["classify", "--n-cells", "200", "--x-right", "inf"])
+@example(argv=["bounds", "--d0", "0.4", "--u0", "0.5", "--m", "1000.0"])
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_cli_fuzz_exit_codes_and_json(argv):
+    """Any option values give exit 0, 2 or 3, and only standard JSON."""
+    with tempfile.TemporaryDirectory() as tmp:
+        start = time.perf_counter()
+        code = main(argv + ["--out", tmp])
+        assert time.perf_counter() - start < 10.0, argv
+        assert code in (0, 2, 3), argv
+        for path in Path(tmp).rglob("*.json"):
+            json.loads(path.read_text(), parse_constant=_reject_constant)

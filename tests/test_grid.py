@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -30,6 +32,22 @@ def test_grid_spec_validation():
         GridSpec(1.0, -1.0, 100)
     with pytest.raises(ValueError):
         GridSpec(0.0, 1.0, 3)
+
+
+@pytest.mark.parametrize(
+    "ends, name",
+    [
+        ((0.0, math.inf), "x_right"),
+        ((-math.inf, 0.0), "x_left"),
+        ((math.nan, 1.0), "x_left"),
+        ((0.0, math.nan), "x_right"),
+        ((-1e308, 1e308), "x_left, x_right"),  # the width overflows
+        ((0.0, 5e-324), "x_left, x_right"),  # the cell width underflows to 0
+    ],
+)
+def test_grid_spec_rejects_non_finite_ends(ends, name):
+    with pytest.raises(ValueError, match=name):
+        GridSpec(*ends, 100)
 
 
 def test_grid_function_shape_mismatch():

@@ -24,9 +24,7 @@ from nltraffic.solver import (
     evolve,
     front_position,
     gradient_indicator,
-    make_state,
     numerical_flux,
-    step,
     write_blowup_json,
 )
 
@@ -52,35 +50,28 @@ def box(grid, lo, hi, height=1.0):
 @settings(max_examples=60, deadline=None)
 def test_flux_consistency(v, f):
     exact = v * (1.0 - v) * f
-    for scheme in ("godunov", "llf"):
-        assert numerical_flux(v, v, f, scheme) == pytest.approx(exact, abs=1e-15)
+    assert numerical_flux(v, v, f) == pytest.approx(exact, abs=1e-15)
 
 
 def test_godunov_hand_values():
     # transonic rarefaction: min of g over [0, 1] is 0 at either endpoint
-    assert numerical_flux(0.0, 1.0, 1.0, "godunov") == pytest.approx(0.0, abs=1e-15)
+    assert numerical_flux(0.0, 1.0, 1.0) == pytest.approx(0.0, abs=1e-15)
     # compression spanning the sonic point: max g = g(1/2) = 1/4
-    assert numerical_flux(1.0, 0.0, 1.0, "godunov") == pytest.approx(0.25)
+    assert numerical_flux(1.0, 0.0, 1.0) == pytest.approx(0.25)
     # one-sided intervals never reach the sonic point
-    assert numerical_flux(0.4, 0.1, 0.5, "godunov") == pytest.approx(0.4 * 0.6 * 0.5)
-    assert numerical_flux(0.9, 0.6, 1.0, "godunov") == pytest.approx(0.6 * 0.4)
-
-
-def test_llf_hand_values():
-    assert numerical_flux(1.0, 0.0, 1.0, "llf") == pytest.approx(0.5)
-    assert numerical_flux(0.0, 1.0, 1.0, "llf") == pytest.approx(-0.5)
+    assert numerical_flux(0.4, 0.1, 0.5) == pytest.approx(0.4 * 0.6 * 0.5)
+    assert numerical_flux(0.9, 0.6, 1.0) == pytest.approx(0.6 * 0.4)
 
 
 def test_flux_monotone_in_both_arguments():
     # nondecreasing in the left state, nonincreasing in the right one
     us = np.linspace(0.0, 1.0, 11)
-    for scheme in ("godunov", "llf"):
-        for uR in us:
-            vals = numerical_flux(us, np.full_like(us, uR), 0.7, scheme)
-            assert np.all(np.diff(vals) >= -1e-12)
-        for uL in us:
-            vals = numerical_flux(np.full_like(us, uL), us, 0.7, scheme)
-            assert np.all(np.diff(vals) <= 1e-12)
+    for uR in us:
+        vals = numerical_flux(us, np.full_like(us, uR), 0.7)
+        assert np.all(np.diff(vals) >= -1e-12)
+    for uL in us:
+        vals = numerical_flux(np.full_like(us, uL), us, 0.7)
+        assert np.all(np.diff(vals) <= 1e-12)
 
 
 def test_flux_scalar_and_vector_forms():
@@ -90,55 +81,24 @@ def test_flux_scalar_and_vector_forms():
     assert arr.shape == (2,)
 
 
-def test_flux_rejects_unknown_scheme():
-    with pytest.raises(ValueError):
-        numerical_flux(0.3, 0.3, 1.0, scheme="weno")
-
-
 # ---------------------------------------------------------------- stepping
 
 
 def test_vacuum_fixed_point_and_cfl_step():
     grid = scenario_grid(200)
-    config = SolverConfig(grid=grid, kernel=ZERO, t_end=100.0)
-    state = make_state(0.0, GridFunction(grid, np.zeros(200)), ZERO)
-    new = step(state, config)
-    np.testing.assert_array_equal(new.u.values, 0.0)
+    config = SolverConfig(grid=grid, kernel=ZERO, t_end=1.0, snapshot_times=(1.0,))
+    snaps, diag = evolve(GridFunction(grid, np.zeros(200)), config)
+    np.testing.assert_array_equal(dict(snaps)[1.0].values, 0.0)
     # vacuum wave speed is |1 - 0| * 1, so dt is exactly cfl * dx
-    assert new.t == pytest.approx(0.45 * grid.dx, rel=1e-14)
+    assert diag.t[1] == pytest.approx(0.45 * grid.dx, rel=1e-14)
 
 
 def test_jam_fixed_point():
     grid = scenario_grid(200)
-    config = SolverConfig(grid=grid, kernel=ZERO, t_end=100.0)
-    state = make_state(0.0, GridFunction(grid, np.ones(200)), ZERO)
-    new = step(state, config)
-    np.testing.assert_array_equal(new.u.values, 1.0)
-
-
-@pytest.mark.parametrize(
-    "kernel, ssp2", [(ZERO, False), (SK_UNIT, False), (INFINITE, False), (SK_UNIT, True)]
-)
-def test_evolve_is_iterated_step(kernel, ssp2):
-    """evolve and the public step() share one step path, bit for bit."""
-    grid = scenario_grid(400)
-    u0 = GridFunction.from_callable(grid, bump_init)
-    config = SolverConfig(
-        grid=grid, kernel=kernel, t_end=1.5, snapshot_times=(1.5,), ssp2=ssp2,
-        stop_on_blowup=False,
-    )
-    snaps, diag = evolve(u0, config)
-    state = make_state(0.0, u0, kernel)
-    times, maxima, factor_minima = [state.t], [state.u.values.max()], []
-    while state.t < config.t_end - 1e-12:
-        state = step(state, config)
-        times.append(state.t)
-        maxima.append(state.u.values.max())
-        factor_minima.append(state.nonlocal_field.factor.values.min())
-    assert diag.t == times
-    assert diag.max_u == maxima
-    assert diag.factor_min[1:] == factor_minima
-    np.testing.assert_array_equal(dict(snaps)[1.5].values, state.u.values)
+    config = SolverConfig(grid=grid, kernel=ZERO, t_end=1.0, snapshot_times=(1.0,))
+    snaps, diag = evolve(GridFunction(grid, np.ones(200)), config)
+    assert len(diag.t) > 2
+    np.testing.assert_array_equal(dict(snaps)[1.0].values, 1.0)
 
 
 def test_gradient_indicator_matches_spatial_derivative():
@@ -152,17 +112,17 @@ def test_gradient_indicator_matches_spatial_derivative():
 def test_stepwise_mass_conservation():
     grid = scenario_grid(400)
     u = GridFunction.from_callable(grid, random_compact_bump(7))
-    config = SolverConfig(grid=grid, kernel=ZERO, t_end=100.0)
-    state = make_state(0.0, u, ZERO)
-    mass = total_mass(state.u)
-    for _ in range(60):
-        state = step(state, config)
-        new_mass = total_mass(state.u)
-        assert abs(new_mass - mass) <= 1e-12 * grid.n_cells
-        mass = new_mass
+    config = SolverConfig(
+        grid=grid, kernel=ZERO, t_end=1.5, snapshot_times=(1.5,), stop_on_blowup=False
+    )
+    snaps, diag = evolve(u, config)
+    assert len(diag.mass) > 60
+    assert diag.mass[0] == total_mass(u)
+    assert max(np.abs(np.diff(diag.mass))) <= 1e-12 * grid.n_cells
     # support must not have reached the outflow boundaries
-    assert state.u.values[:5].max() == 0.0
-    assert state.u.values[-5:].max() == 0.0
+    final = dict(snaps)[1.5].values
+    assert final[:5].max() == 0.0
+    assert final[-5:].max() == 0.0
 
 
 def test_max_principle_through_shock():
@@ -368,20 +328,14 @@ def test_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(grid=grid, kernel=ZERO, t_end=1.0, cfl=1.5)
     with pytest.raises(ValueError):
-        SolverConfig(grid=grid, kernel=ZERO, t_end=1.0, scheme="weno")
-    with pytest.raises(ValueError):
         SolverConfig(grid=grid, kernel=ZERO, t_end=-1.0)
     with pytest.raises(ValueError):
         SolverConfig(grid=grid, kernel=ZERO, t_end=1.0, snapshot_times=(0.5, 0.2))
     with pytest.raises(ValueError):
         SolverConfig(grid=grid, kernel=ZERO, t_end=1.0, snapshot_times=(2.0,))
-    with pytest.raises(ValueError):
-        SolverConfig(grid=grid, kernel=ZERO, t_end=1.0, blowup_gradient_factor=0.0)
     for bad in (math.nan, math.inf):
         with pytest.raises(ValueError, match="t_end"):
             SolverConfig(grid=grid, kernel=ZERO, t_end=bad)
-        with pytest.raises(ValueError, match="blowup_gradient_factor"):
-            SolverConfig(grid=grid, kernel=ZERO, t_end=1.0, blowup_gradient_factor=bad)
         with pytest.raises(ValueError, match="mass_correction"):
             SolverConfig(grid=grid, kernel=ZERO, t_end=1.0, mass_correction=bad)
         with pytest.raises(ValueError, match="snapshot"):
@@ -450,11 +404,3 @@ def test_diagnostics_csv_values_full_precision(tmp_path):
         format_float(v) for v in (0.1, 1 / 3, -0.0, 1.0, 2.5e-300, math.pi, 1e17, 0.0, 0.0)
     )
 
-
-def test_ssp2_runs_and_conserves():
-    grid = scenario_grid(400)
-    u0 = GridFunction.from_callable(grid, lambda x: 0.3 * bump_init(x))
-    config = SolverConfig(grid=grid, kernel=UNIFORM, t_end=0.5, ssp2=True)
-    _, diag = evolve(u0, config)
-    assert diag.max_mass_drift <= 1e-12 * grid.n_cells
-    assert min(diag.min_u) >= -1e-8 and max(diag.max_u) <= 1.0 + 1e-8

@@ -103,9 +103,9 @@ def ramp_data(slope, center=0.5, width=0.2, n=2000):
     return GridFunction(grid, center + width * np.tanh(slope * x / width))
 
 
-def test_classify_supercritical(curve):
+def test_classify_supercritical():
     u0 = ramp_data(slope=0.6)
-    res = classify_initial_data(u0, curve)
+    res = classify_initial_data(u0)
     assert res.verdict == SUPERCRITICAL
     # margin = 0.6 - sigma(0.5) at the apex
     assert res.margin == pytest.approx(0.35, abs=0.01)
@@ -113,10 +113,10 @@ def test_classify_supercritical(curve):
     assert res.d0_at_x0 == pytest.approx(0.6, abs=0.01)
 
 
-def test_classify_subcritical(curve):
+def test_classify_subcritical():
     # max slope 0.05 < min sigma = sigma(0.3) = 0.21 on the value range
     u0 = ramp_data(slope=0.05)
-    res = classify_initial_data(u0, curve)
+    res = classify_initial_data(u0)
     assert res.verdict == SUBCRITICAL
     assert not res.borderline
     assert res.margin > 0.1  # distance below the curve
@@ -133,30 +133,30 @@ def spike_data(offset, n=100):
     return GridFunction(grid, values)
 
 
-def test_classify_borderline_flag(curve):
-    res = classify_initial_data(spike_data(5e-11), curve)
+def test_classify_borderline_flag():
+    res = classify_initial_data(spike_data(5e-11))
     assert res.verdict == SUBCRITICAL
     assert res.borderline
-    res = classify_initial_data(spike_data(2e-10), curve)
+    res = classify_initial_data(spike_data(2e-10))
     assert res.verdict == SUPERCRITICAL
 
 
-def test_classify_rejects_bad_density(curve):
+def test_classify_rejects_bad_density():
     grid = GridSpec(0.0, 1.0, 100)
     with pytest.raises(ValueError):
-        classify_initial_data(GridFunction(grid, np.full(100, 1.2)), curve)
+        classify_initial_data(GridFunction(grid, np.full(100, 1.2)))
 
 
-def test_classify_rejects_jumps(curve):
+def test_classify_rejects_jumps():
     grid = GridSpec(0.0, 1.0, 100)
     values = np.zeros(100)
     values[50:] = 0.9
     with pytest.raises(ValueError):
-        classify_initial_data(GridFunction(grid, values), curve)
+        classify_initial_data(GridFunction(grid, values))
 
 
-def test_classification_json_keys(curve, tmp_path):
-    res = classify_initial_data(ramp_data(0.6), curve)
+def test_classification_json_keys(tmp_path):
+    res = classify_initial_data(ramp_data(0.6))
     path = tmp_path / "c.json"
     write_classification_json(res, path)
     data = json.loads(path.read_text())
