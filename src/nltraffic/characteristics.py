@@ -21,6 +21,10 @@ Quantities derived from the phase plane:
   sqrt(9 + 8 u1))/4 * u1, which gives an explicit blow-up time.
 * slope_floor: supercritical paths keep d >= C_* = (d0 - sigma(u0)) *
   u2^3 / u0^3 with u2 the boost bound from the threshold curve.
+
+Both integrators step with one explicit Dormand-Prince 5(4) pair on plain
+floats (the state has one or two components, so arrays would only add
+overhead), with its quartic dense output for sampling and event location.
 """
 
 from __future__ import annotations
@@ -30,11 +34,34 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-# scipy.integrate is imported inside the two integrators below: it takes
-# most of a second to import, and only they need it.
 from .threshold import default_curve
 
 BLOWUP_CAP_MIN = 1e6
+
+# Dormand & Prince (1980) 5(4) tableau; _DP_Q holds the coefficients of
+# Shampine's (1986) quartic dense output, one column per power of x.
+_DP_C = (1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0)
+_DP_A = (
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+)
+_DP_B = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
+_DP_E = (-71 / 57600, 0.0, 71 / 16695, -71 / 1920, 17253 / 339200, -22 / 525, 1 / 40)
+_DP_Q = (
+    (1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0),
+    (-8048581381 / 2820520608, 0.0, 131558114200 / 32700410799,
+     -1754552775 / 470086768, 127303824393 / 49829197408,
+     -282668133 / 205662961, 40617522 / 29380423),
+    (8663915743 / 2820520608, 0.0, -68118460800 / 10900136933,
+     14199869525 / 1410260304, -318862633887 / 49829197408,
+     2019193451 / 616988883, -110615467 / 29380423),
+    (-12715105075 / 11282082432, 0.0, 87487479700 / 32700410799,
+     -10690763975 / 1880347072, 701980252875 / 199316789632,
+     -1453857185 / 822651844, 69997945 / 29380423),
+)
 
 
 def _require_finite(**values: float) -> None:
@@ -123,6 +150,90 @@ def characteristic_rhs(d: float, u: float, factor: float):
     return poly * factor, -(uu * uu) * (1.0 - uu) * factor
 
 
+def _dormand_prince(fun, t, y, t_end, rtol, atol):
+    """Accepted steps of the adaptive Dormand-Prince 5(4) method from (t, y) to t_end.
+
+    y and fun(t, y) are tuples of floats; t_end may lie on either side of t.
+    Yields (t_old, t_new, y_old, y_new, q) per step, where q[i] holds the
+    dense coefficients of component i (see _interpolate).  The first step
+    follows Hairer, Norsett & Wanner (II.4) for an order-4 error estimate;
+    the error is the RMS of err_i / (atol + rtol max(|y_i|, |y_new_i|)), and
+    a step is accepted below 1 and rescaled by 0.9 err^(-1/5), clamped to
+    [0.2, 10] and not grown right after a rejection.  A non-finite stage is
+    rejected like an infinite error.  Raises RuntimeError once the step
+    falls below ten float spacings at t.
+    """
+    n, sign = len(y), 1.0 if t_end > t else -1.0
+
+    def rms(v, scale):
+        return math.sqrt(sum((a / s) * (a / s) for a, s in zip(v, scale))) / math.sqrt(n)
+
+    f = fun(t, y)
+    span = abs(t_end - t)
+    scale = [atol + abs(v) * rtol for v in y]
+    d0, d1 = rms(y, scale), rms(f, scale)
+    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, span)
+    f1 = fun(t + h0 * sign, tuple(v + h0 * sign * g for v, g in zip(y, f)))
+    d2 = rms([a - b for a, b in zip(f1, f)], scale) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** 0.2
+    h_abs = min(100 * h0, h1, span)
+
+    while sign * (t - t_end) < 0:
+        min_step = 10 * abs(math.nextafter(t, sign * math.inf) - t)
+        h_abs, rejected = max(h_abs, min_step), False
+        while True:
+            if h_abs < min_step:
+                raise RuntimeError(f"the step size fell below the float spacing at {t!r}")
+            t_new = t + h_abs * sign
+            if sign * (t_new - t_end) > 0:
+                t_new = t_end
+            h = t_new - t
+            h_abs = abs(h)
+            K = [f]
+            for c, a in zip(_DP_C, _DP_A):
+                stage = tuple(v + sum(w * k[i] for w, k in zip(a, K)) * h for i, v in enumerate(y))
+                K.append(fun(t + c * h, stage))
+            y_new = tuple(v + h * sum(b * k[i] for b, k in zip(_DP_B, K)) for i, v in enumerate(y))
+            f_new = fun(t + h, y_new)
+            K.append(f_new)
+            scale = [atol + max(abs(a), abs(b)) * rtol for a, b in zip(y, y_new)]
+            err = rms([sum(e * k[i] for e, k in zip(_DP_E, K)) * h for i in range(n)], scale)
+            if err < 1:
+                factor = 10.0 if err == 0 else min(10.0, 0.9 * err**-0.2)
+                h_abs *= min(1.0, factor) if rejected else factor
+                break
+            h_abs *= max(0.2, 0.9 * err**-0.2)  # a NaN error shrinks by 0.2
+            rejected = True
+        q = [[sum(k[i] * p for k, p in zip(K, col)) for col in _DP_Q] for i in range(n)]
+        yield t, t_new, y, y_new, q
+        t, y, f = t_new, y_new, f_new
+
+
+def _interpolate(x, h, y_old, q):
+    """Dense output y_old + h (q0 x + q1 x^2 + q2 x^3 + q3 x^4) of one step.
+
+    x = (s - t_old) / h; works on floats and elementwise on arrays.
+    """
+    q0, q1, q2, q3 = q
+    return y_old + h * (x * (q0 + x * (q1 + x * (q2 + x * q3))))
+
+
+def _upcrossing(g, lo, hi):
+    """Bisect [lo, hi], where g(lo) <= 0 <= g(hi), down to adjacent floats.
+
+    Returns the upper one, the first float found at which g >= 0.
+    """
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if g(mid) < 0:
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
 @dataclass(frozen=True)
 class Trajectory:
     """Time samples of one integrated characteristic."""
@@ -145,9 +256,11 @@ def integrate_characteristic(
 ) -> Trajectory:
     """Integrate (d, u) forward with adaptive RK45 until t_end or blow-up.
 
-    Blow-up is declared when d crosses blowup_cap (>= 1e6 so the crossing
-    time approximates the true blow-up time to within d0/cap relative
-    error for Riccati-type growth).
+    Rows are the accepted steps, or the times of t_eval read off the dense
+    output.  Blow-up is declared when d crosses blowup_cap upward (>= 1e6
+    so the crossing time approximates the true blow-up time to within
+    d0/cap relative error for Riccati-type growth); the crossing, located on
+    the dense output, ends the run and is the last row without t_eval.
     """
     _require_finite(t_end=t_end)
     if t_end <= state0.t:
@@ -156,53 +269,66 @@ def integrate_characteristic(
         raise ValueError(f"blowup_cap below {BLOWUP_CAP_MIN:g}")
     if factor.span < t_end:
         raise ValueError("factor series shorter than the requested time span")
-    from scipy.integrate import solve_ivp
+    if t_eval is not None:
+        t_eval = np.asarray(t_eval, dtype=float)
+        if not (np.all(np.diff(t_eval) > 0) and state0.t <= t_eval[0] and t_eval[-1] <= t_end):
+            raise ValueError("t_eval must increase within [t0, t_end]")
 
     def rhs(t, y):
         return characteristic_rhs(y[0], y[1], factor.at(t))
 
-    def hit_cap(t, y):
-        return y[0] - blowup_cap
+    rows = [(state0.t, state0.d, state0.u)] if t_eval is None else []
+    blowup_time = None
+    below_cap = state0.d <= blowup_cap
+    steps = _dormand_prince(rhs, state0.t, (state0.d, state0.u), t_end, rtol, atol)
+    for t_old, t, y_old, y, q in steps:
+        h = t - t_old
 
-    hit_cap.terminal = True
-    hit_cap.direction = 1
+        def dense(s):
+            x = (s - t_old) / h
+            return tuple(_interpolate(x, h, v, c) for v, c in zip(y_old, q))
 
-    sol = solve_ivp(
-        rhs,
-        (state0.t, t_end),
-        [state0.d, state0.u],
-        method="RK45",
-        rtol=rtol,
-        atol=atol,
-        events=hit_cap,
-        t_eval=t_eval,
-    )
-    if sol.status < 0:  # pragma: no cover
-        raise RuntimeError(f"characteristic integration failed: {sol.message}")
-    u = sol.y[1]
+        if below_cap and y[0] >= blowup_cap:
+            t = blowup_time = _upcrossing(lambda s: dense(s)[0] - blowup_cap, t_old, t)
+            y = dense(t)
+        below_cap = y[0] <= blowup_cap
+        if t_eval is None:
+            rows.append((t, *y))
+        else:
+            done = int(np.searchsorted(t_eval, t, side="right"))  # rows so far: t_eval[:len(rows)]
+            rows += [(s, *dense(s)) for s in t_eval[len(rows):done]]
+        if blowup_time is not None:
+            break
+    t, d, u = np.array(rows, dtype=float).reshape(-1, 3).T
     if float(u.min()) < -1e-9 or float(u.max()) > 1.0 + 1e-9:
         raise RuntimeError("density left [0, 1] beyond tolerance along the path")
-    blown = len(sol.t_events[0]) > 0
     return Trajectory(
-        t=sol.t,
-        d=sol.y[0],
+        t=t,
+        d=d,
         u=np.clip(u, 0.0, 1.0),
-        blown_up=blown,
-        blowup_time=float(sol.t_events[0][0]) if blown else None,
+        blown_up=blowup_time is not None,
+        blowup_time=blowup_time,
     )
 
 
 @dataclass(frozen=True)
 class PhaseTrajectory:
-    """Solution d(u) of the phase-plane ODE, sampled with u decreasing."""
+    """Solution d(u) of the phase-plane ODE, sampled with u decreasing.
+
+    Row k of _dense holds the dense coefficients of the step from u[k] to
+    u[k + 1]; at() evaluates them, so d(u) is known between the samples.
+    """
 
     u: np.ndarray
     d: np.ndarray
     origin: tuple[float, float]  # (d0, u0)
-    _sol: object
+    _dense: np.ndarray
 
     def at(self, u):
-        return self._sol.sol(u)[0]
+        u = np.asarray(u, dtype=float)
+        k = np.clip(np.searchsorted(-self.u, -u) - 1, 0, len(self._dense) - 1)
+        h = self.u[k + 1] - self.u[k]
+        return _interpolate((u - self.u[k]) / h, h, self.d[k], self._dense[k].T)
 
 
 def phase_trajectory(
@@ -221,21 +347,25 @@ def phase_trajectory(
     _require_finite(d0=d0, u0=u0, u_end=u_end)
     if not (0.0 < u0 < 1.0):
         raise ValueError("phase trajectories need 0 < u0 < 1")
-    if not (0.0 < u_end <= u0):
-        raise ValueError("u_end must lie in (0, u0]")
-    from scipy.integrate import solve_ivp
+    if not (0.0 < u_end < u0):
+        raise ValueError("u_end must lie in (0, u0)")
 
     def rhs(u, y):
         d = y[0]
         poly = 2.0 * d * d - (3.0 * u - 5.0 * u * u) * d - u**3 * (1.0 - u)
-        return [poly / (-(u * u) * (1.0 - u))]
+        slow = -(u * u) * (1.0 - u)
+        return (poly / slow if slow else math.inf,)  # u * u underflows below 1e-162
 
-    sol = solve_ivp(
-        rhs, (u0, u_end), [d0], method="RK45", rtol=rtol, atol=atol, dense_output=True
-    )
-    if sol.status != 0:
-        raise RuntimeError(f"phase trajectory left the resolvable region: {sol.message}")
-    return PhaseTrajectory(u=sol.t, d=sol.y[0], origin=(d0, u0), _sol=sol)
+    us, ds, dense = [u0], [d0], []
+    try:
+        for _, u, _, y, q in _dormand_prince(rhs, u0, (d0,), u_end, rtol, atol):
+            us.append(u)
+            ds.append(y[0])
+            dense.append(q[0])
+    except RuntimeError as exc:
+        raise RuntimeError(f"phase trajectory left the resolvable region: {exc}") from None
+    return PhaseTrajectory(u=np.array(us), d=np.array(ds), origin=(d0, u0),
+                           _dense=np.array(dense))
 
 
 def slope_roots(u: float):

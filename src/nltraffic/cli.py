@@ -191,6 +191,15 @@ def _write_manifest(out: Path, args, files: list[str]) -> None:
         fh.write("\n")
 
 
+def _warn_boundary_contact(tag: str, report) -> None:
+    if report.boundary_contact_t is not None:
+        print(
+            f"warning: kernel {tag}: density leaves through the right edge from "
+            f"t = {report.boundary_contact_t:g}",
+            file=sys.stderr,
+        )
+
+
 def _even_snapshots(t_end: float, k: int = 5) -> tuple:
     return tuple(i * t_end / (k - 1) for i in range(k))
 
@@ -224,6 +233,7 @@ def dispatch(args) -> int:
         result = run_experiment(exp, out)
         files += result.files
         report = result.diagnostics[kernel.tag].blowup
+        _warn_boundary_contact(kernel.tag, report)
         if report.detected:
             print(f"breakdown detected at t = {report.t_detect:g}")
         else:
@@ -247,6 +257,7 @@ def dispatch(args) -> int:
         files += result.files
         for tag, diag in result.diagnostics.items():
             rep = diag.blowup
+            _warn_boundary_contact(tag, rep)
             status = f"breakdown at t = {rep.t_detect:g}" if rep.detected else "smooth"
             print(f"{tag}: {status}")
 

@@ -45,6 +45,7 @@ from .kernels import Kernel, lookahead_average, nonlocal_field  # noqa: F401  (t
 SPEED_FLOOR = 1e-12
 BLOWUP_GRADIENT_FACTOR = 0.08
 MAX_STEPS = 2_000_000
+BOUNDARY_CONTACT_MASS = 1e-8
 
 
 class SolverFailure(RuntimeError):
@@ -126,6 +127,9 @@ class BlowupReport:
     detected: bool
     t_detect: float | None
     max_gradient: float
+    # first t at which the mass that left through the right edge exceeds
+    # BOUNDARY_CONTACT_MASS: the run has left the model's domain of validity
+    boundary_contact_t: float | None
 
 
 @dataclass
@@ -264,6 +268,7 @@ def evolve(u0: GridFunction, config: SolverConfig):
     detected = gi >= grid_scale
     t_detect = 0.0 if detected else None
     max_gradient = gi * amp
+    outflow, contact_t = 0.0, None
     while t < config.t_end - 1e-12 and not (detected and config.stop_on_blowup):
         if len(diag.t) > MAX_STEPS:
             raise SolverFailure("step budget exhausted", dump={"t": t})
@@ -275,6 +280,10 @@ def evolve(u0: GridFunction, config: SolverConfig):
 
         drift = abs(mass - mass_prev + dt * (f_right - f_left))
         diag.max_mass_drift = max(diag.max_mass_drift, drift)
+        if contact_t is None:
+            outflow += dt * f_right
+            if outflow > BOUNDARY_CONTACT_MASS:
+                contact_t = t
         gi = row[3]
         max_gradient = max(max_gradient, gi * amp)
         if not detected and gi >= grid_scale:
@@ -287,7 +296,10 @@ def evolve(u0: GridFunction, config: SolverConfig):
             snapshots.append((tgt, GridFunction(config.grid, pick)))
 
     diag.blowup = BlowupReport(
-        detected=detected, t_detect=t_detect, max_gradient=max_gradient
+        detected=detected,
+        t_detect=t_detect,
+        max_gradient=max_gradient,
+        boundary_contact_t=contact_t,
     )
     return snapshots, diag
 

@@ -206,6 +206,13 @@ def test_criterion_7_supercritical_breakdown_and_fronts(sup_run):
            f"fronts={fronts_seen}")
 
 
+def test_compare_recipes_keep_density_inside(sup_run, sub_run):
+    """No reference run loses density through the right edge."""
+    for result, _ in (sup_run, sub_run):
+        contact = {tag: d.blowup.boundary_contact_t for tag, d in result.diagnostics.items()}
+        assert contact == dict.fromkeys(COMPARE_TAGS), result.name
+
+
 def test_criterion_8_reduction_limits():
     datum = CATALOG["bump"]
     n = 1000

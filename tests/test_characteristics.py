@@ -209,6 +209,8 @@ def test_phase_trajectory_validation():
         phase_trajectory(0.2, 0.0, 0.0)
     with pytest.raises(ValueError):
         phase_trajectory(0.2, 0.5, 0.9)  # u_end above u0
+    with pytest.raises(ValueError, match="u_end must lie in"):
+        phase_trajectory(0.2, 0.5, 0.5)  # an empty path
     for bad in NON_FINITE:
         with pytest.raises(ValueError, match="d0 must be finite"):
             phase_trajectory(bad, 0.5, 0.1)
@@ -338,3 +340,110 @@ def test_bounds_reject_overflowing_m(bound, args):
 def test_slope_floor_rejects_underflowing_u0():
     with pytest.raises(ValueError, match="u0 = 1e-120 is too small"):
         slope_floor(1.0, 1e-120)
+
+
+# ------------------------------------------- oracle: the RK45 of scipy.integrate
+
+
+def _rk45_time_mode(state0, factor, t_end, t_eval=None, cap=1e8):
+    """integrate_characteristic's problem solved by solve_ivp at the same tolerances."""
+
+    def rhs(t, y):
+        return characteristic_rhs(y[0], y[1], factor.at(t))
+
+    def hit_cap(t, y):
+        return y[0] - cap
+
+    hit_cap.terminal = True
+    hit_cap.direction = 1
+    return solve_ivp(rhs, (state0.t, t_end), [state0.d, state0.u], method="RK45",
+                     rtol=1e-8, atol=1e-11, events=hit_cap, t_eval=t_eval)
+
+
+def _seeded_starts(seed, count, shifts):
+    """(d0, u0, factor) with d0 - sigma(u0) drawn from shifts, factor from [0.2, 1]."""
+    rng = np.random.default_rng(seed)
+    starts = []
+    for _ in range(count):
+        u0 = rng.uniform(0.1, 0.9)
+        shift = rng.uniform(*shifts)
+        starts.append((u0 * (1.0 - u0) + shift, u0, rng.uniform(0.2, 1.0)))
+    return starts
+
+
+def test_time_mode_matches_rk45_on_t_eval():
+    """Subcritical paths, and supercritical ones up to half their blow-up time."""
+    for d0, u0, f in _seeded_starts(11, 12, (-0.2, 0.2)):
+        state, factor = CharState(d=d0, u=u0), ConstantFactor(f)
+        free = _rk45_time_mode(state, factor, 40.0)
+        t_end = free.t_events[0][0] / 2.0 if free.t_events[0].size else 40.0
+        t_eval = np.linspace(0.0, t_end, 81)
+        ref = _rk45_time_mode(state, factor, t_end, t_eval=t_eval)
+        traj = integrate_characteristic(state, factor, t_end, t_eval=t_eval)
+        np.testing.assert_array_equal(traj.t, t_eval)
+        assert np.max(np.abs(traj.d - ref.y[0])) <= 1e-10
+        assert np.max(np.abs(traj.u - ref.y[1])) <= 1e-10
+
+
+def test_time_mode_matches_rk45_steps_and_blowup_times():
+    """Same accepted steps and the same verdict on every start; equal blow-up times."""
+    blown = 0
+    for d0, u0, f in _seeded_starts(12, 16, (-0.2, 0.2)):
+        state, factor = CharState(d=d0, u=u0), ConstantFactor(f)
+        ref = _rk45_time_mode(state, factor, 60.0)
+        traj = integrate_characteristic(state, factor, 60.0)
+        assert traj.blown_up == (ref.t_events[0].size > 0), (d0, u0, f)
+        assert len(traj.t) == len(ref.t)
+        # rounding in the error estimate moves the accepted steps by ~1e-9
+        rows = np.stack([traj.t, traj.d, traj.u])
+        ref_rows = np.stack([ref.t, ref.y[0], np.clip(ref.y[1], 0.0, 1.0)])
+        assert np.all(np.abs(rows - ref_rows) <= 1e-6 * np.maximum(1.0, np.abs(ref_rows)))
+        if traj.blown_up:
+            blown += 1
+            t_ref = ref.t_events[0][0]
+            assert abs(traj.blowup_time - t_ref) <= 1e-10 * t_ref
+            assert traj.t[-1] == traj.blowup_time
+            assert traj.d[-1] == pytest.approx(1e8, rel=1e-6)
+    assert 0 < blown < 16  # both sides of the curve are covered
+
+
+def test_time_mode_matches_rk45_with_sampled_factor():
+    # one linear segment: a kink between samples would make both integrators'
+    # results depend on where their steps fall at the tolerance level
+    factor = SampledFactor([0.0, 20.0], [1.0, 0.4])
+    for d0, u0 in ((0.1, 0.6), (0.2, 0.3)):
+        state = CharState(d=d0, u=u0)
+        t_eval = np.linspace(0.0, 20.0, 41)
+        ref = _rk45_time_mode(state, factor, 20.0, t_eval=t_eval)
+        traj = integrate_characteristic(state, factor, 20.0, t_eval=t_eval)
+        assert np.max(np.abs(traj.d - ref.y[0])) <= 1e-10
+        assert np.max(np.abs(traj.u - ref.y[1])) <= 1e-10
+    free = integrate_characteristic(CharState(d=0.6, u=0.5), factor, 20.0)
+    ref = _rk45_time_mode(CharState(d=0.6, u=0.5), factor, 20.0)
+    assert free.blown_up and ref.t_events[0].size == 1
+    assert free.blowup_time == pytest.approx(ref.t_events[0][0], rel=1e-10)
+
+
+def test_phase_trajectory_matches_rk45_dense_output():
+    """at() against solve_ivp's dense output; both fail on the same starts."""
+
+    def rhs(u, y):
+        d = y[0]
+        return [(2.0 * d * d - (3.0 * u - 5.0 * u * u) * d - u**3 * (1.0 - u))
+                / (-(u * u) * (1.0 - u))]
+
+    failed = 0
+    for d0, u0, stop in _seeded_starts(13, 16, (-0.1, 0.05)):
+        u_end = stop * u0
+        ref = solve_ivp(rhs, (u0, u_end), [d0], method="RK45", rtol=1e-10,
+                        atol=1e-13, dense_output=True)
+        if ref.status != 0:
+            failed += 1
+            with pytest.raises(RuntimeError, match="left the resolvable region"):
+                phase_trajectory(d0, u0, u_end)
+            continue
+        path = phase_trajectory(d0, u0, u_end)
+        assert len(path.u) == len(ref.t)
+        us = np.linspace(u0, u_end, 57)
+        assert np.max(np.abs(path.at(us) - ref.sol(us)[0])) <= 1e-10
+    assert 0 < failed < 16

@@ -163,6 +163,42 @@ def test_evolve_stops_at_detection_by_default(tmp_path):
     assert not (kdir / "snap_t1.5.csv").exists()
 
 
+def test_evolve_reports_right_edge_contact(tmp_path, capsys):
+    """A windowed kernel lets all density leave on the right; the run says so."""
+    out = tmp_path / "edge"
+    code = main(
+        [
+            "evolve", "--kernel", "sk", "--n-cells", "400", "--t-end", "30",
+            "--run-past-blowup", "--out", str(out),
+        ]
+    )
+    assert code == 0
+    kdir = out / "evolve-bump" / "kernel_sk"
+    report = json.loads((kdir / "blowup.json").read_text())
+    assert report["boundary_contact_t"] == pytest.approx(7.326, abs=1e-3)
+    last_mass = float((kdir / "diagnostics.csv").read_text().split("\n")[-2].split(",")[1])
+    assert last_mass < 1e-100
+    warning = "warning: kernel sk: density leaves through the right edge from t = 7.326\n"
+    assert capsys.readouterr().err == warning
+
+
+def test_compare_kernels_reports_right_edge_contact(tmp_path, capsys):
+    code = main(
+        [
+            "compare-kernels", "--datum", "bump", "--n-cells", "200",
+            "--t-end", "30", "--out", str(tmp_path),
+        ]
+    )
+    assert code == 0
+    err = capsys.readouterr().err.strip().split("\n")
+    for tag, line in zip(("zero", "sk", "infinite", "uniform"), err, strict=True):
+        kdir = tmp_path / "supercritical-compare" / f"kernel_{tag}"
+        contact = json.loads((kdir / "blowup.json").read_text())["boundary_contact_t"]
+        assert line == (
+            f"warning: kernel {tag}: density leaves through the right edge from t = {contact:g}"
+        )
+
+
 def test_compare_kernels_bundle(tmp_path, capsys):
     out = tmp_path / "cmp"
     code = main(
@@ -172,8 +208,10 @@ def test_compare_kernels_bundle(tmp_path, capsys):
         ]
     )
     assert code == 0
-    lines = capsys.readouterr().out.strip().split("\n")
+    captured = capsys.readouterr()
+    lines = captured.out.strip().split("\n")
     assert len(lines) == 4
+    assert captured.err == ""
     root = out / "supercritical-compare"
     for tag in ("zero", "sk", "infinite", "uniform"):
         assert (root / f"kernel_{tag}" / "snap_t0.2.csv").is_file()
@@ -251,32 +289,39 @@ def test_phase_portrait_non_finite_exits_2(tmp_path, extra, message):
 
 
 def test_cli_paths_load_no_scipy(tmp_path):
-    """Only phase-portrait integrates an ODE, so only it may import scipy."""
+    """No subcommand needs scipy: with its import blocked every one still runs.
+
+    sys.modules["scipy"] = None makes any `import scipy...` raise ImportError,
+    so a scipy import anywhere on these paths fails its command outright.
+    """
     script = f"""
 import json, sys
+sys.modules["scipy"] = None
 import nltraffic
 nltraffic.default_curve()
 from nltraffic.cli import main
 
-def scipy_modules():
-    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
-
-loaded = {{"import": scipy_modules()}}
+codes = []
 for argv in (
     ["classify", "--n-cells", "300"],
     ["bounds", "--d0", "0.4", "--u0", "0.5"],
     ["threshold-curve", "--samples", "11"],
     ["evolve", "--n-cells", "200", "--t-end", "0.1"],
+    ["phase-portrait", "--d0", "0.4", "--u0", "0.5", "--factor", "1", "--t-end", "30"],
+    ["phase-portrait", "--d0", "0.1", "--u0", "0.5"],
+    ["phase-portrait", "--d0", "0.3", "--u0", "0.5", "--u-end", "1e-300"],
 ):
-    assert main(argv + ["--out", {str(tmp_path)!r}]) == 0, argv
-    loaded[argv[0]] = scipy_modules()
-print(json.dumps(loaded))
+    codes.append(main(argv + ["--out", {str(tmp_path)!r} + "/" + str(len(codes))]))
+print(json.dumps(codes))
 """
     proc = run_python(["-c", script], timeout=120)
     assert proc.returncode == 0, proc.stderr
-    loaded = json.loads(proc.stdout.strip().splitlines()[-1])
-    stages = ("import", "classify", "bounds", "threshold-curve", "evolve")
-    assert loaded == {stage: [] for stage in stages}
+    codes = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert codes == [0, 0, 0, 0, 0, 0, 3], proc.stderr
+    # the step size falls below the float spacing before u reaches 1e-300
+    dump = json.loads((tmp_path / "6" / "failure_dump.json").read_text())
+    assert dump["error"].startswith("phase trajectory left the resolvable region")
+    assert "slope blow-up at t = 1.81483" in proc.stdout
 
 
 def test_solver_failure_writes_dump(tmp_path, capsys, monkeypatch):

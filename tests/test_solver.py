@@ -206,8 +206,9 @@ def test_blowup_report_json(tmp_path):
     path = tmp_path / "blowup.json"
     write_blowup_json(diag.blowup, path)
     data = json.loads(path.read_text())
-    assert set(data) == {"detected", "t_detect", "max_gradient"}
+    assert set(data) == {"detected", "t_detect", "max_gradient", "boundary_contact_t"}
     assert data["detected"] is True and data["t_detect"] == 0.0
+    assert data["boundary_contact_t"] is None
 
 
 # ------------------------------------------------------------- indicators
