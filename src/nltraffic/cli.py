@@ -26,7 +26,7 @@ from .characteristics import (
     phase_trajectory,
     supercritical_bounds,
 )
-from .grid import format_float
+from .grid import write_csv
 from .kernels import parse_kernel
 from .scenarios import RECIPES, Experiment, get_datum, run_experiment
 from .solver import SolverFailure
@@ -268,21 +268,13 @@ def dispatch(args) -> int:
                 ConstantFactor(args.factor),
                 t_end=args.t_end,
             )
-            path = out / "trajectory.csv"
-            with open(path, "w") as fh:
-                fh.write("t,d,u\n")
-                for row in zip(traj.t, traj.d, traj.u):
-                    fh.write(",".join(format_float(v) for v in row) + "\n")
+            write_csv(out / "trajectory.csv", "t,d,u", (traj.t, traj.d, traj.u))
             if traj.blown_up:
                 print(f"slope blow-up at t = {traj.blowup_time:g}")
         else:
             u_end = args.u_end if args.u_end is not None else args.u0 / 100.0
             traj = phase_trajectory(args.d0, args.u0, u_end)
-            path = out / "trajectory.csv"
-            with open(path, "w") as fh:
-                fh.write("u,d\n")
-                for row in zip(traj.u, traj.d):
-                    fh.write(",".join(format_float(v) for v in row) + "\n")
+            write_csv(out / "trajectory.csv", "u,d", (traj.u, traj.d))
         files.append("trajectory.csv")
 
     elif args.subcommand == "threshold-curve":

@@ -93,18 +93,24 @@ def spatial_derivative(u: GridFunction) -> GridFunction:
 
 
 # ---------------------------------------------------------------------------
-# serialization: two-column CSV, header "x,u", full double precision
+# serialization: CSV of numeric columns in full double precision
 
 
 def format_float(v: float) -> str:
     return f"{v:.17g}"
 
 
-def write_profile_csv(u: GridFunction, path) -> None:
+def write_csv(path, header: str, columns) -> None:
+    """Write header, then row i of columns with each field as format_float's text."""
+    line = ",".join(["%.17g"] * len(columns)) + "\n"
+    rows = zip(*(np.asarray(c).tolist() for c in columns))
     with open(path, "w") as fh:
-        fh.write("x,u\n")
-        for x, v in zip(u.x, u.values):
-            fh.write(f"{format_float(x)},{format_float(v)}\n")
+        fh.write(header + "\n")
+        fh.writelines(line % row for row in rows)
+
+
+def write_profile_csv(u: GridFunction, path) -> None:
+    write_csv(path, "x,u", (u.x, u.values))
 
 
 def read_profile_csv(path) -> GridFunction:

@@ -27,8 +27,8 @@ import numpy as np
 from .grid import (
     GridFunction,
     GridSpec,
-    format_float,
     spatial_derivative,
+    write_csv,
     write_profile_csv,
 )
 from .kernels import INFINITE, SK_UNIT, UNIFORM, ZERO, Kernel
@@ -221,10 +221,7 @@ def _write_overlay(u0: GridFunction, path) -> None:
     curve = default_curve()
     d = spatial_derivative(u0).values
     sig = curve.eval(np.clip(u0.values, 0.0, 1.0))
-    with open(path, "w") as fh:
-        fh.write("x,u,d,sigma\n")
-        for row in zip(u0.x, u0.values, d, sig):
-            fh.write(",".join(format_float(v) for v in row) + "\n")
+    write_csv(path, "x,u,d,sigma", (u0.x, u0.values, d, sig))
 
 
 def run_experiment(exp: Experiment, out_dir) -> ExperimentResult:

@@ -5,8 +5,17 @@
 The nonlocal factor exp(-ubar) is frozen over each update (explicit, lagged
 coupling); the flux through an interface uses the arithmetic mean of the
 adjacent cells' factors.  The interface flux is Godunov's, the exact Riemann
-flux for the concave local flux g(u) = u(1-u) f: the min over [uL, uR] when
-uL <= uR, else g at the sonic point 1/2 clamped to [uR, uL].
+flux for the concave local flux g(u) = u(1-u) f with sonic point 1/2.  It is
+taken in the demand/supply form of the cell transmission model (Daganzo,
+Transp. Res. B 1994; Lebacque, ISTTT 1996),
+
+    F(uL, uR) = min(D(uL), S(uR)) f,   D(u) = g(min(u, 1/2)),  S(u) = g(max(u, 1/2)),
+
+which is the min of g over [uL, uR] when uL <= uR and its max over [uR, uL]
+otherwise.  evolve() allocates its work arrays (two ghost-padded states, the
+interface factors, wave speeds and fluxes) once per call, so a step
+allocates no array of the grid's length; the snapshots it returns are
+copies and never alias them.
 
 Boundaries are zero-gradient outflow.  Time stepping is forward Euler under
 dt = cfl dx / max wave speed, which makes the scheme monotone, hence
@@ -39,7 +48,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .grid import GridFunction, GridSpec, total_mass  # noqa: F401  (traced by perfbench)
+from .grid import GridFunction, GridSpec, total_mass, write_csv  # noqa: F401  (total_mass: traced)
 from .kernels import Kernel, lookahead_average, nonlocal_field  # noqa: F401  (traced)
 
 SPEED_FLOOR = 1e-12
@@ -83,43 +92,76 @@ class SolverConfig:
         object.__setattr__(self, "snapshot_times", times)
 
 
-def numerical_flux(u_left, u_right, factor):
-    """Godunov interface flux for local flux g(u) = u (1 - u) * factor."""
-    uL = np.asarray(u_left, dtype=float)
-    uR = np.asarray(u_right, dtype=float)
-    f = np.asarray(factor, dtype=float)
-    gL = uL * (1.0 - uL) * f
-    gR = uR * (1.0 - uR) * f
-    # concave g with sonic point 1/2: rarefaction side takes the smaller
-    # endpoint flux, compression side the max over [uR, uL]
-    u_star = np.minimum(np.maximum(uR, 0.5), uL)  # 1/2 clamped to [uR, uL]
-    out = np.where(uL <= uR, np.minimum(gL, gR), u_star * (1.0 - u_star) * f)
+def numerical_flux(u_left, u_right, factor, out=None, work=None):
+    """Godunov interface flux for local flux g(u) = u (1 - u) * factor.
+
+    Returns min(D(u_left), S(u_right)) * factor with the demand D(u) =
+    m (1 - m), m = min(u, 1/2), and the supply S(u) = m (1 - m), m = max(u,
+    1/2); a float for scalar inputs.  out receives the flux and work is
+    scratch of the same shape; neither may overlap the inputs.  With both
+    given, nothing is allocated.
+    """
+    if out is None or work is None:
+        shape = np.broadcast_shapes(np.shape(u_left), np.shape(u_right), np.shape(factor))
+        out = np.empty(shape) if out is None else out
+        work = np.empty(shape) if work is None else work
+    # supply: 1 - max(u, 1/2) is min(1 - u, 1/2), as 1 - u is exact for u >= 1/2
+    np.subtract(1.0, u_right, out=work)
+    np.minimum(work, 0.5, out=work)
+    np.maximum(u_right, 0.5, out=out)
+    out *= work
+    # u (1 - min(u, 1/2)) is the demand for u <= 1/2 and exceeds 1/4, the
+    # demand and a bound on every supply, for u > 1/2: the min is unchanged
+    np.minimum(u_left, 0.5, out=work)
+    np.subtract(1.0, work, out=work)
+    work *= u_left
+    np.minimum(out, work, out=out)
+    out *= factor
     return float(out) if out.ndim == 0 else out
 
 
-def _advance(u: np.ndarray, factor: np.ndarray, t: float, config: SolverConfig):
-    """One CFL step of forward Euler with zero-gradient ghost cells.
+def _advance(pad, new, factor, t: float, config: SolverConfig, work):
+    """One CFL step of forward Euler from pad[1:-1] into new[1:-1].
 
-    factor is the lagged slow-down factor of the cells u.  Returns (u_new,
-    dt, speed, boundary_flux); the boundary fluxes are the step's left and
-    right outflow rates.
+    pad and new hold a state between two ghost cells; pad's are set here
+    (zero-gradient outflow).  factor is the lagged slow-down factor of the
+    cells and work the arrays (fi, c, alpha, flux, finite) from _buffers().
+    Returns (dt, speed, boundary_flux); the boundary fluxes are
+    the step's left and right outflow rates.
     """
+    fi, c, alpha, flux, finite = work
+    pad[0], pad[-1] = pad[1], pad[-2]
     # interface factors: the mean of the two neighbours, one-sided at the edges
-    fi = np.concatenate([factor[:1], 0.5 * (factor[:-1] + factor[1:]), factor[-1:]])
-    uL = np.concatenate([u[:1], u])
-    uR = np.concatenate([u, u[-1:]])
-    dx = config.grid.dx
-    alpha = np.maximum(np.abs(1.0 - 2.0 * uL), np.abs(1.0 - 2.0 * uR)) * fi
+    np.add(factor[:-1], factor[1:], out=fi[1:-1])
+    fi[1:-1] *= 0.5
+    fi[0], fi[-1] = factor[0], factor[-1]
+    # wave speed: the larger neighbouring |1 - 2u| times the interface factor
+    np.multiply(pad, 2.0, out=c)
+    np.subtract(1.0, c, out=c)
+    np.abs(c, out=c)
+    np.maximum(c[:-1], c[1:], out=alpha)
+    alpha *= fi
     speed = float(alpha.max())
+    dx = config.grid.dx
     dt = min(config.cfl * dx / max(speed, SPEED_FLOOR), config.t_end - t)
-    flux = numerical_flux(uL, uR, fi)
-    u_new = u - (dt / dx) * (flux[1:] - flux[:-1])
-    if not np.isfinite(u_new).all():
+    numerical_flux(pad[:-1], pad[1:], fi, out=flux, work=alpha)  # alpha is read: scratch
+    u_new = new[1:-1]
+    np.subtract(flux[1:], flux[:-1], out=u_new)
+    u_new *= dt / dx
+    np.subtract(pad[1:-1], u_new, out=u_new)
+    if not np.isfinite(u_new, out=finite).all():
         raise SolverFailure(
             "non-finite state during update",
             dump={"t": t, "dt": dt, "max_speed": speed},
         )
-    return u_new, dt, speed, (float(flux[0]), float(flux[-1]))
+    return dt, speed, (float(flux[0]), float(flux[-1]))
+
+
+def _buffers(n: int):
+    """Two ghost-padded states of n cells and the work arrays of _advance."""
+    pad, new = np.empty((2, n + 2))
+    fi, alpha, flux = np.empty((3, n + 1))
+    return pad, new, (fi, np.empty(n + 2), alpha, flux, np.empty(n, dtype=bool))
 
 
 @dataclass(frozen=True)
@@ -160,11 +202,7 @@ class Diagnostics:
             getattr(self, name).append(value)
 
     def write_csv(self, path) -> None:
-        line = ",".join(["%.17g"] * len(self.COLUMNS)) + "\n"  # grid.format_float's text
-        columns = [getattr(self, name) for name in self.COLUMNS]
-        with open(path, "w") as fh:
-            fh.write(",".join(self.COLUMNS) + "\n")
-            fh.writelines(line % row for row in zip(*columns))
+        write_csv(path, ",".join(self.COLUMNS), [getattr(self, c) for c in self.COLUMNS])
 
 
 def _max_slope(u: np.ndarray, dx: float) -> float:
@@ -254,8 +292,10 @@ def evolve(u0: GridFunction, config: SolverConfig):
                 "infinite kernel truncates whatever lies beyond it"
             )
 
-    t, u = 0.0, u0.values
-    factor, mass, amp, row = _checked_measure(u, t, config)
+    pad, new, work = _buffers(config.grid.n_cells)
+    pad[1:-1] = u0.values
+    t = 0.0
+    factor, mass, amp, row = _checked_measure(u0.values, t, config)
     diag = Diagnostics()
     diag.add_row(t, *row, 0.0, 0.0)
     pending = list(config.snapshot_times)
@@ -272,8 +312,18 @@ def evolve(u0: GridFunction, config: SolverConfig):
     while t < config.t_end - 1e-12 and not (detected and config.stop_on_blowup):
         if len(diag.t) > MAX_STEPS:
             raise SolverFailure("step budget exhausted", dump={"t": t})
-        t_prev, u_prev, mass_prev = t, u, mass
-        u, dt, speed, (f_left, f_right) = _advance(u_prev, factor, t_prev, config)
+        t_prev, mass_prev = t, mass
+        dt, speed, (f_left, f_right) = _advance(pad, new, factor, t_prev, config, work)
+        if len(diag.t) == 1 and config.t_end / dt > MAX_STEPS:
+            raise ValueError(
+                f"the first CFL step dt = {dt:.3g} projects about "
+                f"{config.t_end / dt:.3g} steps to t_end = {config.t_end:g}, over "
+                f"the budget of {MAX_STEPS}; widen --x-left/--x-right or lower "
+                f"--n-cells (dx = {config.grid.dx:.3g})"
+            )
+        # the next step overwrites u_prev, after this one has taken its snapshots
+        pad, new = new, pad
+        u_prev, u = new[1:-1], pad[1:-1]
         t = t_prev + dt
         factor, mass, amp, row = _checked_measure(u, t, config)
         diag.add_row(t, *row, dt, speed)

@@ -23,7 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .grid import GridFunction, format_float, require_density, spatial_derivative
+from .grid import GridFunction, require_density, spatial_derivative, write_csv
 
 # verdict dead band: |margin| <= tau is treated as "on the curve"
 STRICTNESS_TAU = 1e-10
@@ -138,11 +138,7 @@ def classify_initial_data(u0: GridFunction) -> Classification:
 
 
 def write_threshold_csv(curve: ThresholdCurve, path, n_samples: int = 1001) -> None:
-    rows = curve.sample(n_samples)
-    with open(path, "w") as fh:
-        fh.write("u,sigma\n")
-        for u, s in rows:
-            fh.write(f"{format_float(u)},{format_float(s)}\n")
+    write_csv(path, "u,sigma", curve.sample(n_samples).T)
 
 
 def write_classification_json(result: Classification, path) -> None:

@@ -4,6 +4,9 @@ build_table integrates the threshold ODE by RK4 from its series seed, so
 the closed form sigma(u) = u (1 - u) used by nltraffic.threshold is checked
 against a route that never assumes it.  solve_eta and eta_crossing_time
 integrate the comparison equation behind characteristics.time_to_level.
+godunov_flux is the case-split Godunov flux that solver.numerical_flux
+replaced, and reference_evolve a step loop on it that allocates every array
+afresh, against which the solver's reused work buffers are checked.
 """
 
 import math
@@ -12,6 +15,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from nltraffic.characteristics import time_to_level
+from nltraffic.solver import Diagnostics, _checked_measure
 from nltraffic.threshold import _ode_rhs
 
 SEED_X = 1e-3
@@ -112,3 +116,58 @@ def eta_crossing_time(u0: float, u1: float, m: float) -> float:
     if not len(sol.t_events[0]):  # pragma: no cover
         raise RuntimeError("comparison solution never reached the level")
     return float(sol.t_events[0][0])
+
+
+def godunov_flux(u_left, u_right, factor):
+    """Godunov flux for g(u) = u (1 - u) factor, split by the Riemann case.
+
+    The min of g over [uL, uR] when uL <= uR (g is concave, so one endpoint
+    attains it), else g at the sonic point 1/2 clamped to [uR, uL].  It
+    equals the demand/supply form bit for bit except where rounding makes
+    the computed g decrease between two states a few ulps apart below 1/2:
+    there this form takes g(uR) and the demand g(uL), 1-2 ulps apart.
+    """
+    uL = np.asarray(u_left, dtype=float)
+    uR = np.asarray(u_right, dtype=float)
+    f = np.asarray(factor, dtype=float)
+    gL = uL * (1.0 - uL) * f
+    gR = uR * (1.0 - uR) * f
+    u_star = np.minimum(np.maximum(uR, 0.5), uL)
+    out = np.where(uL <= uR, np.minimum(gL, gR), u_star * (1.0 - u_star) * f)
+    return float(out) if out.ndim == 0 else out
+
+
+def reference_evolve(u0, config):
+    """evolve() for stop_on_blowup=False, with fresh arrays in every step.
+
+    Returns (snapshots, diagnostics) like evolve() except that the blow-up
+    report is left out.  Each state is a new array, so no snapshot can alias
+    a later state.
+    """
+    dx = config.grid.dx
+    t, u = 0.0, u0.values
+    factor, mass, _, row = _checked_measure(u, t, config)
+    diag = Diagnostics()
+    diag.add_row(t, *row, 0.0, 0.0)
+    pending = list(config.snapshot_times)
+    snapshots = []
+    t_prev, u_prev = t, u
+    while True:
+        while pending and pending[0] <= t + 1e-12:
+            tgt = pending.pop(0)
+            snapshots.append((tgt, u_prev if abs(t_prev - tgt) < abs(t - tgt) else u))
+        if t >= config.t_end - 1e-12:
+            return snapshots, diag
+        fi = np.concatenate([factor[:1], 0.5 * (factor[:-1] + factor[1:]), factor[-1:]])
+        uL = np.concatenate([u[:1], u])
+        uR = np.concatenate([u, u[-1:]])
+        speed = float((np.maximum(np.abs(1.0 - 2.0 * uL), np.abs(1.0 - 2.0 * uR)) * fi).max())
+        dt = min(config.cfl * dx / max(speed, 1e-12), config.t_end - t)
+        flux = godunov_flux(uL, uR, fi)
+        t_prev, u_prev, mass_prev = t, u, mass
+        u = u - (dt / dx) * (flux[1:] - flux[:-1])
+        t = t + dt
+        factor, mass, _, row = _checked_measure(u, t, config)
+        diag.add_row(t, *row, dt, speed)
+        drift = abs(mass - mass_prev + dt * (flux[-1] - flux[0]))
+        diag.max_mass_drift = max(diag.max_mass_drift, drift)

@@ -288,6 +288,17 @@ def test_phase_portrait_non_finite_exits_2(tmp_path, extra, message):
     assert f"error: {message} finite" in proc.stderr
 
 
+def test_hopeless_step_count_exits_2_at_once(tmp_path):
+    """dx = 2.5e-7 would need ~1.8e7 steps: refused after the first, in a process killed if it runs on."""
+    argv = ["evolve", "--datum", "bump", "--x-left", "-1", "--x-right", "-0.999999",
+            "--n-cells", "4", "--t-end", "2", "--kernel", "zero"]
+    proc = run_python(["-m", "nltraffic.cli", *argv, "--out", str(tmp_path)], timeout=30)
+    assert proc.returncode == 2, proc.stderr
+    assert "1.78e+07 steps" in proc.stderr
+    assert "--x-left/--x-right" in proc.stderr and "--n-cells" in proc.stderr
+    assert not (tmp_path / "manifest.json").exists()
+
+
 def test_cli_paths_load_no_scipy(tmp_path):
     """No subcommand needs scipy: with its import blocked every one still runs.
 

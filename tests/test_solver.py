@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,12 +22,15 @@ from nltraffic.solver import (
     Diagnostics,
     SolverConfig,
     SolverFailure,
+    _advance,
+    _buffers,
     evolve,
     front_position,
     gradient_indicator,
     numerical_flux,
     write_blowup_json,
 )
+from oracles import godunov_flux, reference_evolve
 
 DOMAIN = (-6.0, 10.0)
 
@@ -61,6 +65,10 @@ def test_godunov_hand_values():
     # one-sided intervals never reach the sonic point
     assert numerical_flux(0.4, 0.1, 0.5) == pytest.approx(0.4 * 0.6 * 0.5)
     assert numerical_flux(0.9, 0.6, 1.0) == pytest.approx(0.6 * 0.4)
+    # and each is the case-split oracle's value, bit for bit, also through out=
+    for args in [(0.0, 1.0, 1.0), (1.0, 0.0, 1.0), (0.4, 0.1, 0.5), (0.9, 0.6, 1.0)]:
+        out = np.empty(())
+        assert numerical_flux(*args) == float(numerical_flux(*args, out=out)) == godunov_flux(*args)
 
 
 def test_flux_monotone_in_both_arguments():
@@ -74,6 +82,41 @@ def test_flux_monotone_in_both_arguments():
         assert np.all(np.diff(vals) <= 1e-12)
 
 
+def _random_interfaces(n, seed):
+    """Uniform states with equal, sonic, 0, 1 and slightly out-of-range ones mixed in."""
+    rng = np.random.default_rng(seed)
+    uL, uR = rng.uniform(0.0, 1.0, (2, n))
+    special = np.array([0.0, 0.5, 1.0, -1e-9, 1.0 + 1e-9])
+    for u in (uL, uR):
+        pick = rng.random(n) < 0.2
+        u[pick] = rng.choice(special, pick.sum())
+    same = rng.random(n) < 0.1
+    uR[same] = uL[same]
+    return uL, uR, rng.uniform(0.05, 1.0, n)
+
+
+@pytest.mark.parametrize("n", [4001, 16001])
+def test_flux_matches_case_split_oracle(n):
+    uL, uR, f = _random_interfaces(n, seed=n)
+    expected = godunov_flux(uL, uR, f)
+    np.testing.assert_array_equal(numerical_flux(uL, uR, f), expected)
+    out, work = np.full((2, n), np.nan)
+    assert numerical_flux(uL, uR, f, out=out) is out
+    np.testing.assert_array_equal(out, expected)
+    out[:] = np.nan
+    numerical_flux(uL, uR, f, out=out, work=work)
+    np.testing.assert_array_equal(out, expected)
+
+
+def test_flux_within_two_ulps_of_oracle_on_nearby_states():
+    # rounding makes the computed g dip between states a few ulps apart below
+    # 1/2; there the two exact forms may pick different endpoints
+    rng = np.random.default_rng(5)
+    uL = rng.uniform(0.0, 0.5, 100_000)
+    uR = np.nextafter(np.nextafter(uL, 1.0), 1.0)
+    np.testing.assert_allclose(numerical_flux(uL, uR, 1.0), godunov_flux(uL, uR, 1.0), rtol=5e-16)
+
+
 def test_flux_scalar_and_vector_forms():
     out = numerical_flux(0.3, 0.3, 1.0)
     assert isinstance(out, float)
@@ -82,6 +125,52 @@ def test_flux_scalar_and_vector_forms():
 
 
 # ---------------------------------------------------------------- stepping
+
+
+@pytest.mark.parametrize("kernel", [ZERO, SK_UNIT, INFINITE], ids=lambda k: k.tag)
+def test_evolve_matches_allocating_reference(kernel):
+    """The two reused state buffers give what fresh arrays per step give."""
+    grid = scenario_grid(400)
+    u0 = GridFunction.from_callable(grid, bump_init)
+    before = u0.values.copy()
+    config = SolverConfig(
+        grid=grid, kernel=kernel, t_end=2.0, stop_on_blowup=False,
+        snapshot_times=tuple(np.linspace(0.0, 2.0, 41)),
+    )
+    ref_snaps, ref_diag = reference_evolve(u0, config)
+    t = np.array(ref_diag.t)
+    # snapshot times fall both nearer the step before and nearer the step after
+    inner = np.array(config.snapshot_times[1:-1])
+    k = np.searchsorted(t, inner)
+    nearer_prev = np.abs(t[k - 1] - inner) < np.abs(t[k] - inner)
+    assert nearer_prev.any() and not nearer_prev.all()
+    runs = [evolve(u0, config), evolve(u0, config)]
+    for snaps, diag in runs:
+        assert [s for s, _ in snaps] == [s for s, _ in ref_snaps]
+        for (_, snap), (_, ref) in zip(snaps, ref_snaps):
+            np.testing.assert_array_equal(snap.values, ref)
+        for name in Diagnostics.COLUMNS:
+            assert getattr(diag, name) == getattr(ref_diag, name), name
+        assert diag.max_mass_drift == ref_diag.max_mass_drift
+    assert runs[0][1].blowup == runs[1][1].blowup
+    np.testing.assert_array_equal(u0.values, before)
+
+
+def test_step_allocates_no_grid_sized_array():
+    n = 4000
+    grid = scenario_grid(n)
+    config = SolverConfig(grid=grid, kernel=ZERO, t_end=1.0)
+    pad, new, work = _buffers(n)
+    pad[1:-1] = GridFunction.from_callable(grid, bump_init).values
+    factor = np.ones(n)
+    _advance(pad, new, factor, 0.0, config, work)
+    tracemalloc.start()
+    try:
+        _advance(pad, new, factor, 0.0, config, work)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n  # fewer bytes than one boolean per cell
 
 
 def test_vacuum_fixed_point_and_cfl_step():
