@@ -6,127 +6,16 @@ provides the threshold curve separating globally smooth from blowing-up
 initial data, characteristic-based slope dynamics with analytic blow-up
 bounds, a finite-volume solver for several look-ahead kernels, and a small
 catalog of reference scenarios plus a CLI.
+
+The top level carries the names of the README's library example and
+default_curve; every other name is imported from its own module.
 """
 
-from .grid import (
-    GridFunction,
-    GridSpec,
-    read_profile_csv,
-    spatial_derivative,
-    total_mass,
-    write_profile_csv,
-)
-from .kernels import (
-    INFINITE,
-    LINEAR,
-    SK_UNIT,
-    UNIFORM,
-    ZERO,
-    Kernel,
-    NonlocalField,
-    nonlocal_field,
-    parse_kernel,
-    sk_scaled,
-)
-from .threshold import (
-    Classification,
-    ThresholdCurve,
-    classify_initial_data,
-    critical_slope,
-    default_curve,
-    threshold_residual,
-)
-from .characteristics import (
-    AnalyticBounds,
-    BlowupBound,
-    CharState,
-    ConstantFactor,
-    SampledFactor,
-    Trajectory,
-    blowup_time_bound,
-    integrate_characteristic,
-    phase_trajectory,
-    slope_floor,
-    slope_roots,
-    supercritical_bounds,
-    time_to_level,
-)
-from .solver import (
-    BlowupReport,
-    Diagnostics,
-    SolverConfig,
-    SolverFailure,
-    evolve,
-    front_position,
-    gradient_indicator,
-    numerical_flux,
-)
-from .scenarios import (
-    CATALOG,
-    RECIPES,
-    Experiment,
-    InitialDatum,
-    bump_init,
-    get_datum,
-    random_compact_bump,
-    run_experiment,
-    subcritical_init,
-)
+from .characteristics import supercritical_bounds
+from .grid import GridFunction, GridSpec
+from .kernels import INFINITE
+from .scenarios import bump_init
+from .solver import SolverConfig, evolve
+from .threshold import classify_initial_data, default_curve
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "GridFunction",
-    "GridSpec",
-    "read_profile_csv",
-    "spatial_derivative",
-    "total_mass",
-    "write_profile_csv",
-    "INFINITE",
-    "LINEAR",
-    "SK_UNIT",
-    "UNIFORM",
-    "ZERO",
-    "Kernel",
-    "NonlocalField",
-    "nonlocal_field",
-    "parse_kernel",
-    "sk_scaled",
-    "Classification",
-    "ThresholdCurve",
-    "classify_initial_data",
-    "critical_slope",
-    "default_curve",
-    "threshold_residual",
-    "AnalyticBounds",
-    "BlowupBound",
-    "CharState",
-    "ConstantFactor",
-    "SampledFactor",
-    "Trajectory",
-    "blowup_time_bound",
-    "integrate_characteristic",
-    "phase_trajectory",
-    "slope_floor",
-    "slope_roots",
-    "supercritical_bounds",
-    "time_to_level",
-    "BlowupReport",
-    "Diagnostics",
-    "SolverConfig",
-    "SolverFailure",
-    "evolve",
-    "front_position",
-    "gradient_indicator",
-    "numerical_flux",
-    "CATALOG",
-    "RECIPES",
-    "Experiment",
-    "InitialDatum",
-    "bump_init",
-    "get_datum",
-    "random_compact_bump",
-    "run_experiment",
-    "subcritical_init",
-    "__version__",
-]

@@ -30,7 +30,7 @@ overhead), with its quartic dense output for sampling and event location.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -321,7 +321,6 @@ class PhaseTrajectory:
 
     u: np.ndarray
     d: np.ndarray
-    origin: tuple[float, float]  # (d0, u0)
     _dense: np.ndarray
 
     def at(self, u):
@@ -351,10 +350,8 @@ def phase_trajectory(
         raise ValueError("u_end must lie in (0, u0)")
 
     def rhs(u, y):
-        d = y[0]
-        poly = 2.0 * d * d - (3.0 * u - 5.0 * u * u) * d - u**3 * (1.0 - u)
-        slow = -(u * u) * (1.0 - u)
-        return (poly / slow if slow else math.inf,)  # u * u underflows below 1e-162
+        slope, slow = characteristic_rhs(y[0], u, 1.0)
+        return (slope / slow if slow else math.inf,)  # u * u underflows below 1e-162
 
     us, ds, dense = [u0], [d0], []
     try:
@@ -364,8 +361,7 @@ def phase_trajectory(
             dense.append(q[0])
     except RuntimeError as exc:
         raise RuntimeError(f"phase trajectory left the resolvable region: {exc}") from None
-    return PhaseTrajectory(u=np.array(us), d=np.array(ds), origin=(d0, u0),
-                           _dense=np.array(dense))
+    return PhaseTrajectory(u=np.array(us), d=np.array(ds), _dense=np.array(dense))
 
 
 def slope_roots(u: float):
@@ -475,9 +471,6 @@ class AnalyticBounds:
     T_star_sharp: float
     T_star_coarse: float
     C_star: float
-
-    def to_json_dict(self) -> dict:
-        return asdict(self)
 
 
 def supercritical_bounds(d0: float, u0: float, m: float) -> AnalyticBounds:

@@ -13,10 +13,9 @@ error, 3 numerical failure (a diagnostic dump is written).
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 from .characteristics import (
@@ -26,7 +25,7 @@ from .characteristics import (
     phase_trajectory,
     supercritical_bounds,
 )
-from .grid import write_csv
+from .grid import write_csv, write_json
 from .kernels import parse_kernel
 from .scenarios import RECIPES, Experiment, get_datum, run_experiment
 from .solver import SolverFailure
@@ -186,9 +185,7 @@ def _write_manifest(out: Path, args, files: list[str]) -> None:
     options = {k: repr(v) if isinstance(v, float) and not math.isfinite(v) else v
                for k, v in sorted(vars(args).items())}
     manifest = {"command": args.subcommand, "options": options, "files": sorted(files)}
-    with open(out / "manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True, default=str)
-        fh.write("\n")
+    write_json(out / "manifest.json", manifest)
 
 
 def _warn_boundary_contact(tag: str, report) -> None:
@@ -285,9 +282,7 @@ def dispatch(args) -> int:
 
     elif args.subcommand == "bounds":
         bounds = supercritical_bounds(args.d0, args.u0, args.m)
-        with open(out / "bounds.json", "w") as fh:
-            json.dump(bounds.to_json_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(out / "bounds.json", asdict(bounds))
         files.append("bounds.json")
         print(f"T_star_sharp = {bounds.T_star_sharp:g}")
 
@@ -320,11 +315,9 @@ def main(argv=None) -> int:
         dump = exc.dump if isinstance(exc, SolverFailure) else {}
         out = Path(getattr(args, "out", "out"))
         out.mkdir(parents=True, exist_ok=True)
-        dump_path = out / "failure_dump.json"
-        with open(dump_path, "w") as fh:
-            json.dump({"error": str(exc), **dump}, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"numerical failure: {exc} (dump: {dump_path})", file=sys.stderr)
+        path = out / "failure_dump.json"
+        write_json(path, {"error": str(exc), **dump})
+        print(f"numerical failure: {exc} (dump: {path})", file=sys.stderr)
         return 3
 
 

@@ -7,6 +7,7 @@ attached to the cell center x_i = x_left + (i + 1/2)*dx.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 
@@ -93,7 +94,7 @@ def spatial_derivative(u: GridFunction) -> GridFunction:
 
 
 # ---------------------------------------------------------------------------
-# serialization: CSV of numeric columns in full double precision
+# serialization: CSV of numeric columns in full double precision, and JSON
 
 
 def format_float(v: float) -> str:
@@ -113,14 +114,8 @@ def write_profile_csv(u: GridFunction, path) -> None:
     write_csv(path, "x,u", (u.x, u.values))
 
 
-def read_profile_csv(path) -> GridFunction:
-    """Rebuild a GridFunction from a profile CSV (uniform spacing required)."""
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    x, v = data[:, 0], data[:, 1]
-    if len(x) < 4:
-        raise ValueError("profile too short")
-    dx = x[1] - x[0]
-    if not np.allclose(np.diff(x), dx, rtol=1e-12, atol=1e-12 * abs(dx)):
-        raise ValueError("non-uniform grid in profile CSV")
-    grid = GridSpec(float(x[0] - dx / 2), float(x[-1] + dx / 2), len(x))
-    return GridFunction(grid, v)
+def write_json(path, obj) -> None:
+    """Write obj as JSON indented by 2 with sorted keys and a final newline."""
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")

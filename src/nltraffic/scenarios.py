@@ -18,8 +18,7 @@ density to the right, so the tail never enters ubar.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -29,15 +28,15 @@ from .grid import (
     GridSpec,
     spatial_derivative,
     write_csv,
+    write_json,
     write_profile_csv,
 )
 from .kernels import INFINITE, SK_UNIT, UNIFORM, ZERO, Kernel
-from .solver import Diagnostics, SolverConfig, evolve, write_blowup_json
+from .solver import Diagnostics, SolverConfig, evolve
 from .threshold import (
     Classification,
     classify_initial_data,
     default_curve,
-    write_classification_json,
     write_threshold_csv,
 )
 
@@ -130,40 +129,6 @@ def get_datum(name: str) -> InitialDatum:
         ) from None
 
 
-def random_compact_bump(seed: int, radius: float = 3.0):
-    """Random smooth compactly supported bump: gaussians under a mollifier cap.
-
-    Returns a vectorized callable supported on (-radius, radius) with peak
-    height in [0.3, 0.9].  Smooth nonnegative compact data of this kind
-    always have a supercritical upslope somewhere.
-    """
-    rng = np.random.default_rng(seed)
-    k = rng.integers(1, 4)
-    centers = rng.uniform(-radius / 2, radius / 2, size=k)
-    widths = rng.uniform(0.3, 1.0, size=k)
-    amps = rng.uniform(0.2, 1.0, size=k)
-    peak = rng.uniform(0.3, 0.9)
-
-    def raw(x):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x)
-        for c, w, a in zip(centers, widths, amps):
-            out += a * np.exp(-((x - c) ** 2) / (2.0 * w * w))
-        inside = np.abs(x) < radius
-        cap = np.zeros_like(x)
-        xi = x[inside] / radius
-        cap[inside] = np.exp(1.0 - 1.0 / (1.0 - xi * xi))
-        return out * cap
-
-    ref = np.linspace(-radius, radius, 4001)
-    scale = peak / float(np.max(raw(ref)))
-
-    def profile(x):
-        return scale * raw(x)
-
-    return profile
-
-
 @dataclass(frozen=True)
 class Experiment:
     """A named, reproducible run bundle."""
@@ -210,7 +175,6 @@ RECIPES = experiment_recipes()
 
 @dataclass
 class ExperimentResult:
-    name: str
     classification: Classification
     diagnostics: dict[str, Diagnostics]
     snapshots: dict[str, dict[float, GridFunction]]
@@ -225,7 +189,11 @@ def _write_overlay(u0: GridFunction, path) -> None:
 
 
 def run_experiment(exp: Experiment, out_dir) -> ExperimentResult:
-    """Execute one recipe and write its bundle under out_dir/<name>/."""
+    """Execute one recipe and write its bundle under out_dir/<name>/.
+
+    Every kernel is evolved before the first file is written, so a run that
+    is refused or fails leaves no partial bundle.
+    """
     u0 = exp.datum.sample(exp.n_cells)
     tail_left = exp.datum.left_tail_mass(u0.grid.x_left)
     tail_right = exp.datum.right_tail_mass(u0.grid.x_right)
@@ -234,7 +202,7 @@ def run_experiment(exp: Experiment, out_dir) -> ExperimentResult:
             f"right tail mass {tail_right:.3e} beyond the domain is too large "
             "for a faithful look-ahead average"
         )
-    # built first, so that invalid solver options stop the run before any output
+    # built first, so that invalid solver options stop the run before any evolve
     configs = [
         SolverConfig(
             grid=u0.grid, kernel=kernel, t_end=exp.t_end, cfl=exp.cfl,
@@ -243,23 +211,21 @@ def run_experiment(exp: Experiment, out_dir) -> ExperimentResult:
         )
         for kernel in exp.kernels
     ]
+    result = classify_initial_data(u0)
+    runs = [(config.kernel, *evolve(u0, config)) for config in configs]
+
     root = Path(out_dir) / exp.name
     root.mkdir(parents=True, exist_ok=True)
     files: list[str] = []
-    result = classify_initial_data(u0)
-
-    write_classification_json(result, root / "classification.json")
+    classification = {k: v for k, v in asdict(result).items() if k != "borderline"}
+    write_json(root / "classification.json", classification)
     files.append(f"{exp.name}/classification.json")
     _write_overlay(u0, root / "threshold_overlay.csv")
     files.append(f"{exp.name}/threshold_overlay.csv")
     write_threshold_csv(default_curve(), root / "threshold_curve.csv")
     files.append(f"{exp.name}/threshold_curve.csv")
 
-    diagnostics: dict[str, Diagnostics] = {}
-    snapshots: dict[str, dict[float, GridFunction]] = {}
-    for config in configs:
-        kernel = config.kernel
-        snaps, diag = evolve(u0, config)
+    for kernel, snaps, diag in runs:
         kdir = root / f"kernel_{kernel.tag}"
         kdir.mkdir(exist_ok=True)
         for t_req, snap in snaps:
@@ -268,10 +234,8 @@ def run_experiment(exp: Experiment, out_dir) -> ExperimentResult:
             files.append(f"{exp.name}/kernel_{kernel.tag}/{fname}")
         diag.write_csv(kdir / "diagnostics.csv")
         files.append(f"{exp.name}/kernel_{kernel.tag}/diagnostics.csv")
-        write_blowup_json(diag.blowup, kdir / "blowup.json")
+        write_json(kdir / "blowup.json", asdict(diag.blowup))
         files.append(f"{exp.name}/kernel_{kernel.tag}/blowup.json")
-        diagnostics[kernel.tag] = diag
-        snapshots[kernel.tag] = {t_req: snap for t_req, snap in snaps}
 
     meta = {
         "name": exp.name,
@@ -284,16 +248,13 @@ def run_experiment(exp: Experiment, out_dir) -> ExperimentResult:
         "kernels": [str(k) for k in exp.kernels],
         "left_tail_mass": tail_left,
     }
-    with open(root / "metadata.json", "w") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(root / "metadata.json", meta)
     files.append(f"{exp.name}/metadata.json")
 
     return ExperimentResult(
-        name=exp.name,
         classification=result,
-        diagnostics=diagnostics,
-        snapshots=snapshots,
+        diagnostics={kernel.tag: diag for kernel, _, diag in runs},
+        snapshots={kernel.tag: dict(snaps) for kernel, snaps, _ in runs},
         files=files,
     )
 

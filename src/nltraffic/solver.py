@@ -42,13 +42,14 @@ rather than an unreachable threshold.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import GridFunction, GridSpec, total_mass, write_csv  # noqa: F401  (total_mass: traced)
+from .grid import (  # noqa: F401  (total_mass: traced)
+    DENSITY_TOL, GridFunction, GridSpec, require_density, total_mass, write_csv,
+)
 from .kernels import Kernel, lookahead_average, nonlocal_field  # noqa: F401  (traced)
 
 SPEED_FLOOR = 1e-12
@@ -223,26 +224,6 @@ def gradient_indicator(u: GridFunction) -> float:
     return _max_slope(u.values, u.grid.dx) / amp
 
 
-def front_position(u: GridFunction, level: float) -> float:
-    """Rightmost downcrossing of the given density level, interpolated.
-
-    Errors when the level is never attained.  If the last cell still sits
-    above the level the front has left the domain; the right edge is
-    returned.
-    """
-    values = u.values
-    if float(values.max()) < level:
-        raise ValueError(f"level {level} never attained (max {values.max():.3e})")
-    above = np.nonzero(values >= level)[0]
-    i = int(above[-1])
-    if i == len(values) - 1:
-        return float(u.grid.x_right)
-    x_i = u.x[i]
-    drop = values[i] - values[i + 1]
-    frac = (values[i] - level) / drop if drop > 0 else 0.0
-    return float(x_i + frac * u.grid.dx)
-
-
 def _checked_measure(u: np.ndarray, t: float, config: SolverConfig):
     """Check a new state and measure everything the step loop needs, once.
 
@@ -250,7 +231,7 @@ def _checked_measure(u: np.ndarray, t: float, config: SolverConfig):
     from mass to factor_max, with the mass correction included.
     """
     lo, hi = float(u.min()), float(u.max())
-    if lo < -1e-8 or hi > 1.0 + 1e-8:
+    if lo < -DENSITY_TOL or hi > 1.0 + DENSITY_TOL:
         raise SolverFailure(
             "maximum principle violated", dump={"t": t, "min_u": lo, "max_u": hi}
         )
@@ -281,9 +262,7 @@ def evolve(u0: GridFunction, config: SolverConfig):
     """
     if u0.grid != config.grid:
         raise ValueError("initial data lives on a different grid")
-    lo, hi = float(u0.values.min()), float(u0.values.max())
-    if lo < -1e-8 or hi > 1.0 + 1e-8:
-        raise ValueError(f"initial density out of range: [{lo:.3e}, {hi:.3e}]")
+    require_density(u0)
     if config.kernel.kind == "infinite":
         tail = config.grid.dx * float(u0.values[-5:].sum())
         if tail > 1e-8:
@@ -352,22 +331,3 @@ def evolve(u0: GridFunction, config: SolverConfig):
         boundary_contact_t=contact_t,
     )
     return snapshots, diag
-
-
-def write_blowup_json(report: BlowupReport, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(asdict(report), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-__all__ = [
-    "SolverConfig",
-    "SolverFailure",
-    "BlowupReport",
-    "Diagnostics",
-    "numerical_flux",
-    "evolve",
-    "gradient_indicator",
-    "front_position",
-    "write_blowup_json",
-]

@@ -11,14 +11,12 @@ sigma solves the singular ODE
 with sigma(0) = 0, sigma'(0) = 1.  The product x (1 - x) satisfies the ODE
 identically, so sigma(u) = u (1 - u) is the implementation.  The tests keep
 an RK4 integration of the ODE from its series seed as an independent
-oracle, and threshold_residual measures how far any candidate curve is
-from solving the ODE.
+oracle.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -30,32 +28,6 @@ STRICTNESS_TAU = 1e-10
 
 SUBCRITICAL = "SUBCRITICAL"
 SUPERCRITICAL = "SUPERCRITICAL"
-
-
-def _ode_rhs(x: float, s: float) -> float:
-    return (2.0 * s * s - (3.0 * x - 5.0 * x * x) * s - x**3 * (1.0 - x)) / (
-        -(x * x) * (1.0 - x)
-    )
-
-
-def threshold_residual(candidate, u: float, derivative=None, fd_step: float = 1e-6):
-    """How far a candidate curve is from solving the threshold ODE at u.
-
-    Returns candidate'(u) - rhs(u, candidate(u)); the derivative defaults
-    to a central difference with step fd_step.  u must stay a step away
-    from the singular endpoints 0 and 1.
-    """
-    delta = 1e-6
-    if not (delta <= u <= 1.0 - delta):
-        raise ValueError(f"residual undefined this close to an endpoint: u={u}")
-    s = float(candidate(u))
-    if derivative is not None:
-        dprime = float(derivative(u))
-    else:
-        dprime = (float(candidate(u + fd_step)) - float(candidate(u - fd_step))) / (
-            2.0 * fd_step
-        )
-    return dprime - _ode_rhs(u, s)
 
 
 class ThresholdCurve:
@@ -90,11 +62,6 @@ def default_curve() -> ThresholdCurve:
     return ThresholdCurve()
 
 
-def critical_slope(u):
-    """Module-level convenience wrapper around the default curve."""
-    return default_curve().eval(u)
-
-
 @dataclass(frozen=True)
 class Classification:
     """Verdict plus the extremal witness point of an initial profile.
@@ -112,9 +79,6 @@ class Classification:
     d0_at_x0: float
     margin: float
     borderline: bool
-
-    def to_json_dict(self) -> dict:
-        return {k: v for k, v in asdict(self).items() if k != "borderline"}
 
 
 def classify_initial_data(u0: GridFunction) -> Classification:
@@ -139,9 +103,3 @@ def classify_initial_data(u0: GridFunction) -> Classification:
 
 def write_threshold_csv(curve: ThresholdCurve, path, n_samples: int = 1001) -> None:
     write_csv(path, "u,sigma", curve.sample(n_samples).T)
-
-
-def write_classification_json(result: Classification, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(result.to_json_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")

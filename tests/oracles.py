@@ -2,11 +2,15 @@
 
 build_table integrates the threshold ODE by RK4 from its series seed, so
 the closed form sigma(u) = u (1 - u) used by nltraffic.threshold is checked
-against a route that never assumes it.  solve_eta and eta_crossing_time
+against a route that never assumes it; threshold_residual measures how far
+any candidate curve is from solving that ODE.  solve_eta and eta_crossing_time
 integrate the comparison equation behind characteristics.time_to_level.
 godunov_flux is the case-split Godunov flux that solver.numerical_flux
 replaced, and reference_evolve a step loop on it that allocates every array
 afresh, against which the solver's reused work buffers are checked.
+
+Two helpers the tests share close the module: random_compact_bump draws
+random smooth initial data, and front_position reads a front off a profile.
 """
 
 import math
@@ -16,10 +20,36 @@ from scipy.integrate import solve_ivp
 
 from nltraffic.characteristics import time_to_level
 from nltraffic.solver import Diagnostics, _checked_measure
-from nltraffic.threshold import _ode_rhs
 
 SEED_X = 1e-3
 N_TABLE = 10001
+
+
+def _ode_rhs(x: float, s: float) -> float:
+    """sigma'(x) of the threshold ODE, written out from its two polynomials."""
+    return (2.0 * s * s - (3.0 * x - 5.0 * x * x) * s - x**3 * (1.0 - x)) / (
+        -(x * x) * (1.0 - x)
+    )
+
+
+def threshold_residual(candidate, u: float, derivative=None, fd_step: float = 1e-6):
+    """How far a candidate curve is from solving the threshold ODE at u.
+
+    Returns candidate'(u) - rhs(u, candidate(u)); the derivative defaults
+    to a central difference with step fd_step.  u must stay a step away
+    from the singular endpoints 0 and 1.
+    """
+    delta = 1e-6
+    if not (delta <= u <= 1.0 - delta):
+        raise ValueError(f"residual undefined this close to an endpoint: u={u}")
+    s = float(candidate(u))
+    if derivative is not None:
+        dprime = float(derivative(u))
+    else:
+        dprime = (float(candidate(u + fd_step)) - float(candidate(u - fd_step))) / (
+            2.0 * fd_step
+        )
+    return dprime - _ode_rhs(u, s)
 
 
 def build_table(n_nodes: int = N_TABLE, seed_x: float = SEED_X):
@@ -171,3 +201,57 @@ def reference_evolve(u0, config):
         diag.add_row(t, *row, dt, speed)
         drift = abs(mass - mass_prev + dt * (flux[-1] - flux[0]))
         diag.max_mass_drift = max(diag.max_mass_drift, drift)
+
+
+def random_compact_bump(seed: int, radius: float = 3.0):
+    """Random smooth compactly supported bump: gaussians under a mollifier cap.
+
+    Returns a vectorized callable supported on (-radius, radius) with peak
+    height in [0.3, 0.9].  Smooth nonnegative compact data of this kind
+    always have a supercritical upslope somewhere.
+    """
+    rng = np.random.default_rng(seed)
+    k = rng.integers(1, 4)
+    centers = rng.uniform(-radius / 2, radius / 2, size=k)
+    widths = rng.uniform(0.3, 1.0, size=k)
+    amps = rng.uniform(0.2, 1.0, size=k)
+    peak = rng.uniform(0.3, 0.9)
+
+    def raw(x):
+        x = np.asarray(x, dtype=float)
+        out = np.zeros_like(x)
+        for c, w, a in zip(centers, widths, amps):
+            out += a * np.exp(-((x - c) ** 2) / (2.0 * w * w))
+        inside = np.abs(x) < radius
+        cap = np.zeros_like(x)
+        xi = x[inside] / radius
+        cap[inside] = np.exp(1.0 - 1.0 / (1.0 - xi * xi))
+        return out * cap
+
+    ref = np.linspace(-radius, radius, 4001)
+    scale = peak / float(np.max(raw(ref)))
+
+    def profile(x):
+        return scale * raw(x)
+
+    return profile
+
+
+def front_position(u, level: float) -> float:
+    """Rightmost downcrossing of the given density level in a GridFunction, interpolated.
+
+    Errors when the level is never attained.  If the last cell still sits
+    above the level the front has left the domain; the right edge is
+    returned.
+    """
+    values = u.values
+    if float(values.max()) < level:
+        raise ValueError(f"level {level} never attained (max {values.max():.3e})")
+    above = np.nonzero(values >= level)[0]
+    i = int(above[-1])
+    if i == len(values) - 1:
+        return float(u.grid.x_right)
+    x_i = u.x[i]
+    drop = values[i] - values[i + 1]
+    frac = (values[i] - level) / drop if drop > 0 else 0.0
+    return float(x_i + frac * u.grid.dx)

@@ -27,9 +27,9 @@ from nltraffic.characteristics import (
 from nltraffic.grid import GridFunction, total_mass
 from nltraffic.kernels import UNIFORM, ZERO, sk_scaled
 from nltraffic.scenarios import CATALOG, RECIPES, run_experiment
-from nltraffic.solver import SolverConfig, evolve, front_position
+from nltraffic.solver import SolverConfig, evolve
 from nltraffic.threshold import classify_initial_data, default_curve
-from oracles import build_table, eta_crossing_time
+from oracles import build_table, eta_crossing_time, front_position
 
 COMPARE_TAGS = ("zero", "sk", "infinite", "uniform")
 
@@ -164,13 +164,14 @@ def test_criterion_4_analytic_oracles():
 def test_criterion_5_conservation_and_max_principle(sup_run, sub_run):
     ok = True
     detail = []
-    for (result, elapsed), t_budget in ((sup_run, 60.0), (sub_run, 60.0)):
+    runs = (("supercritical-compare", sup_run, 60.0), ("subcritical-compare", sub_run, 60.0))
+    for name, (result, elapsed), t_budget in runs:
         n = 4000
         for tag, diag in result.diagnostics.items():
             drift = diag.max_mass_drift
             lo, hi = min(diag.min_u), max(diag.max_u)
             ok = ok and drift <= 1e-12 * n and lo >= -1e-8 and hi <= 1.0 + 1e-8
-            detail.append(f"{result.name}/{tag}: drift={drift:.1e}")
+            detail.append(f"{name}/{tag}: drift={drift:.1e}")
         ok = ok and elapsed < t_budget
     record(5, "conservation and maximum principle", ok, " ".join(detail))
 
@@ -208,9 +209,9 @@ def test_criterion_7_supercritical_breakdown_and_fronts(sup_run):
 
 def test_compare_recipes_keep_density_inside(sup_run, sub_run):
     """No reference run loses density through the right edge."""
-    for result, _ in (sup_run, sub_run):
+    for name, (result, _) in (("supercritical-compare", sup_run), ("subcritical-compare", sub_run)):
         contact = {tag: d.blowup.boundary_contact_t for tag, d in result.diagnostics.items()}
-        assert contact == dict.fromkeys(COMPARE_TAGS), result.name
+        assert contact == dict.fromkeys(COMPARE_TAGS), name
 
 
 def test_criterion_8_reduction_limits():

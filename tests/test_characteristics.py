@@ -1,4 +1,5 @@
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -261,7 +262,7 @@ def test_supercritical_bounds_fields():
     assert b.t1 > 0
     assert b.T_star_sharp > b.t1
     assert b.T_star_sharp <= b.T_star_coarse + 1e-12
-    d = b.to_json_dict()
+    d = asdict(b)  # the bounds.json payload
     assert set(d) == {"t1", "d_minus", "d_plus", "T_star_sharp", "T_star_coarse", "C_star"}
 
 

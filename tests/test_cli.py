@@ -297,6 +297,26 @@ def test_hopeless_step_count_exits_2_at_once(tmp_path):
     assert "1.78e+07 steps" in proc.stderr
     assert "--x-left/--x-right" in proc.stderr and "--n-cells" in proc.stderr
     assert not (tmp_path / "manifest.json").exists()
+    assert not (tmp_path / "evolve-bump").exists()
+
+
+def test_infinite_kernel_right_tail_exits_2_without_output(tmp_path, capsys):
+    """The bump cut at x = 0.5 reaches the right edge: refused before any file is written."""
+    argv = ["evolve", "--kernel", "infinite", "--x-right", "0.5", "--n-cells", "400"]
+    assert main(argv + ["--out", str(tmp_path)]) == 2
+    assert "tail mass" in capsys.readouterr().err
+    assert list(tmp_path.rglob("*")) == []
+
+
+def test_readme_library_example_runs():
+    """The README's one python block runs as printed, against the top-level imports."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = readme.split("```python\n")[1:]
+    assert len(blocks) == 1
+    proc = run_python(["-c", blocks[0].split("```")[0]], timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    verdict, blowup, _ = proc.stdout.splitlines()
+    assert verdict == "SUPERCRITICAL" and blowup.startswith("True ")
 
 
 def test_cli_paths_load_no_scipy(tmp_path):

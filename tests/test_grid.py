@@ -10,13 +10,25 @@ from nltraffic.grid import (
     GridFunction,
     GridSpec,
     format_float,
-    read_profile_csv,
     require_density,
     spatial_derivative,
     total_mass,
     write_profile_csv,
 )
 from nltraffic.scenarios import bump_init
+
+
+def read_profile_csv(path) -> GridFunction:
+    """Rebuild a GridFunction from a profile CSV (uniform spacing required)."""
+    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    x, v = data[:, 0], data[:, 1]
+    if len(x) < 4:
+        raise ValueError("profile too short")
+    dx = x[1] - x[0]
+    if not np.allclose(np.diff(x), dx, rtol=1e-12, atol=1e-12 * abs(dx)):
+        raise ValueError("non-uniform grid in profile CSV")
+    grid = GridSpec(float(x[0] - dx / 2), float(x[-1] + dx / 2), len(x))
+    return GridFunction(grid, v)
 
 
 def test_grid_spec_basics():

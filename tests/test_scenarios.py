@@ -17,12 +17,12 @@ from nltraffic.scenarios import (
     customized,
     experiment_recipes,
     get_datum,
-    random_compact_bump,
     run_experiment,
     subcritical_init,
 )
 from nltraffic.solver import gradient_indicator
 from nltraffic.threshold import classify_initial_data
+from oracles import random_compact_bump
 
 
 # --------------------------------------------------------------- profiles

@@ -3,6 +3,7 @@
 import json
 import math
 import tracemalloc
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -15,9 +16,10 @@ from nltraffic.grid import (
     format_float,
     spatial_derivative,
     total_mass,
+    write_json,
 )
 from nltraffic.kernels import INFINITE, SK_UNIT, UNIFORM, ZERO, nonlocal_field, sk_scaled
-from nltraffic.scenarios import bump_init, random_compact_bump
+from nltraffic.scenarios import bump_init
 from nltraffic.solver import (
     Diagnostics,
     SolverConfig,
@@ -25,12 +27,10 @@ from nltraffic.solver import (
     _advance,
     _buffers,
     evolve,
-    front_position,
     gradient_indicator,
     numerical_flux,
-    write_blowup_json,
 )
-from oracles import godunov_flux, reference_evolve
+from oracles import front_position, godunov_flux, random_compact_bump, reference_evolve
 
 DOMAIN = (-6.0, 10.0)
 
@@ -293,7 +293,7 @@ def test_blowup_report_json(tmp_path):
     config = SolverConfig(grid=grid, kernel=ZERO, t_end=1.0)
     _, diag = evolve(box(grid, 0.0, 1.0), config)
     path = tmp_path / "blowup.json"
-    write_blowup_json(diag.blowup, path)
+    write_json(path, asdict(diag.blowup))  # as run_experiment writes it
     data = json.loads(path.read_text())
     assert set(data) == {"detected", "t_detect", "max_gradient", "boundary_contact_t"}
     assert data["detected"] is True and data["t_detect"] == 0.0

@@ -6,17 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nltraffic.grid import GridFunction, GridSpec
+from nltraffic.scenarios import RECIPES, customized, run_experiment
 from nltraffic.threshold import (
     SUBCRITICAL,
     SUPERCRITICAL,
     classify_initial_data,
-    critical_slope,
     default_curve,
-    threshold_residual,
-    write_classification_json,
     write_threshold_csv,
 )
-from oracles import SEED_X, boost_bound, build_table
+from oracles import SEED_X, boost_bound, build_table, threshold_residual
 
 
 def closed_form(u):
@@ -59,7 +57,7 @@ def test_endpoints_and_initial_slope():
 
 def test_eval_midpoint(curve):
     assert curve.eval(0.5) == pytest.approx(0.25, abs=1e-9)
-    assert critical_slope(0.5) == pytest.approx(0.25, abs=1e-9)
+    assert default_curve().eval(0.5) == pytest.approx(0.25, abs=1e-9)
 
 
 def test_eval_rejects_out_of_range(curve):
@@ -156,10 +154,8 @@ def test_classify_rejects_jumps():
 
 
 def test_classification_json_keys(tmp_path):
-    res = classify_initial_data(ramp_data(0.6))
-    path = tmp_path / "c.json"
-    write_classification_json(res, path)
-    data = json.loads(path.read_text())
+    run_experiment(customized(RECIPES["threshold-contour"], n_cells=400), tmp_path)
+    data = json.loads((tmp_path / "threshold-contour" / "classification.json").read_text())
     assert set(data) == {"verdict", "x0", "u0_at_x0", "d0_at_x0", "margin"}
     assert data["verdict"] == SUPERCRITICAL
 
