@@ -22,9 +22,10 @@ Quantities derived from the phase plane:
 * slope_floor: supercritical paths keep d >= C_* = (d0 - sigma(u0)) *
   u2^3 / u0^3 with u2 the boost bound from the threshold curve.
 
-Both integrators step with one explicit Dormand-Prince 5(4) pair on plain
-floats (the state has one or two components, so arrays would only add
-overhead), with its quartic dense output for sampling and event location.
+Phase paths d(u) are explicit (see PhaseTrajectory).  Time paths are
+stepped by an explicit Dormand-Prince 5(4) pair on plain floats (the state
+has two components, so arrays would only add overhead), with its quartic
+dense output for sampling and event location.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ import numpy as np
 from .threshold import default_curve
 
 BLOWUP_CAP_MIN = 1e6
+PHASE_SAMPLES = 201
 
 # Dormand & Prince (1980) 5(4) tableau; _DP_Q holds the coefficients of
 # Shampine's (1986) quartic dense output, one column per power of x.
@@ -151,9 +153,9 @@ def characteristic_rhs(d: float, u: float, factor: float):
 
 
 def _dormand_prince(fun, t, y, t_end, rtol, atol):
-    """Accepted steps of the adaptive Dormand-Prince 5(4) method from (t, y) to t_end.
+    """Accepted steps of the adaptive Dormand-Prince 5(4) method from (t, y) to t_end > t.
 
-    y and fun(t, y) are tuples of floats; t_end may lie on either side of t.
+    y and fun(t, y) are tuples of floats.
     Yields (t_old, t_new, y_old, y_new, q) per step, where q[i] holds the
     dense coefficients of component i (see _interpolate).  The first step
     follows Hairer, Norsett & Wanner (II.4) for an order-4 error estimate;
@@ -163,17 +165,17 @@ def _dormand_prince(fun, t, y, t_end, rtol, atol):
     rejected like an infinite error.  Raises RuntimeError once the step
     falls below ten float spacings at t.
     """
-    n, sign = len(y), 1.0 if t_end > t else -1.0
+    n = len(y)
 
     def rms(v, scale):
         return math.sqrt(sum((a / s) * (a / s) for a, s in zip(v, scale))) / math.sqrt(n)
 
     f = fun(t, y)
-    span = abs(t_end - t)
+    span = t_end - t
     scale = [atol + abs(v) * rtol for v in y]
     d0, d1 = rms(y, scale), rms(f, scale)
     h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, span)
-    f1 = fun(t + h0 * sign, tuple(v + h0 * sign * g for v, g in zip(y, f)))
+    f1 = fun(t + h0, tuple(v + h0 * g for v, g in zip(y, f)))
     d2 = rms([a - b for a, b in zip(f1, f)], scale) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
@@ -181,17 +183,14 @@ def _dormand_prince(fun, t, y, t_end, rtol, atol):
         h1 = (0.01 / max(d1, d2)) ** 0.2
     h_abs = min(100 * h0, h1, span)
 
-    while sign * (t - t_end) < 0:
-        min_step = 10 * abs(math.nextafter(t, sign * math.inf) - t)
+    while t < t_end:
+        min_step = 10 * (math.nextafter(t, math.inf) - t)
         h_abs, rejected = max(h_abs, min_step), False
         while True:
             if h_abs < min_step:
                 raise RuntimeError(f"the step size fell below the float spacing at {t!r}")
-            t_new = t + h_abs * sign
-            if sign * (t_new - t_end) > 0:
-                t_new = t_end
-            h = t_new - t
-            h_abs = abs(h)
+            t_new = min(t + h_abs, t_end)
+            h = h_abs = t_new - t
             K = [f]
             for c, a in zip(_DP_C, _DP_A):
                 stage = tuple(v + sum(w * k[i] for w, k in zip(a, K)) * h for i, v in enumerate(y))
@@ -213,10 +212,7 @@ def _dormand_prince(fun, t, y, t_end, rtol, atol):
 
 
 def _interpolate(x, h, y_old, q):
-    """Dense output y_old + h (q0 x + q1 x^2 + q2 x^3 + q3 x^4) of one step.
-
-    x = (s - t_old) / h; works on floats and elementwise on arrays.
-    """
+    """Dense output y_old + h (q0 x + q1 x^2 + q2 x^3 + q3 x^4) at x = (s - t_old) / h."""
     q0, q1, q2, q3 = q
     return y_old + h * (x * (q0 + x * (q1 + x * (q2 + x * q3))))
 
@@ -311,57 +307,58 @@ def integrate_characteristic(
     )
 
 
+def _phase_denominator(w0: float, u0: float, u):
+    r = (u / u0) ** 2
+    return u0 * (1.0 - u0) ** 2 * r + w0 * ((2.0 * u - 1.0) - (2.0 * u0 - 1.0) * r)
+
+
+def _phase_path(d0: float, u0: float, u):
+    sigma = u * (1.0 - u)
+    w0 = d0 - u0 * (1.0 - u0)
+    if w0 == 0.0:  # the path is sigma itself, and D(u) = u0 (1 - u0)^2 r may underflow
+        return sigma
+    return sigma + w0 * (u * (1.0 - u) ** 2 / _phase_denominator(w0, u0, u))
+
+
 @dataclass(frozen=True)
 class PhaseTrajectory:
-    """Solution d(u) of the phase-plane ODE, sampled with u decreasing.
+    """Phase path d(u) through (u[0], d[0]), sampled with u decreasing.
 
-    Row k of _dense holds the dense coefficients of the step from u[k] to
-    u[k + 1]; at() evaluates them, so d(u) is known between the samples.
+    The path is explicit: with sigma(u) = u (1 - u) and w0 = d0 - sigma(u0),
+    d(u) = sigma(u) + w0 u (1 - u)^2 / D(u), where r = (u / u0)^2 and
+    D(u) = u0 (1 - u0)^2 r + w0 ((2u - 1) - (2u0 - 1) r), because 1/(d - sigma)
+    solves an ODE linear in u.  at() evaluates it between the samples.
     """
 
     u: np.ndarray
     d: np.ndarray
-    _dense: np.ndarray
 
     def at(self, u):
-        u = np.asarray(u, dtype=float)
-        k = np.clip(np.searchsorted(-self.u, -u) - 1, 0, len(self._dense) - 1)
-        h = self.u[k + 1] - self.u[k]
-        return _interpolate((u - self.u[k]) / h, h, self.d[k], self._dense[k].T)
+        return _phase_path(self.d[0], self.u[0], np.asarray(u, dtype=float))
 
 
-def phase_trajectory(
-    d0: float,
-    u0: float,
-    u_end: float,
-    rtol: float = 1e-10,
-    atol: float = 1e-13,
-) -> PhaseTrajectory:
-    """Integrate d as a function of u from u0 down to u_end.
+def phase_trajectory(d0: float, u0: float, u_end: float) -> PhaseTrajectory:
+    """Phase path d(u) from u0 down to u_end at PHASE_SAMPLES points geometric in u.
 
     The factor cancels from d(u), so this is the exact phase portrait.
     Degenerate starts u0 in {0, 1} are rejected: there u is stationary and
-    d(u) is not a curve.
+    d(u) is not a curve.  A supercritical start (d0 > sigma(u0)) blows up
+    where D has its single root u* in (0, u0); RuntimeError if u_end <= u*.
     """
     _require_finite(d0=d0, u0=u0, u_end=u_end)
     if not (0.0 < u0 < 1.0):
         raise ValueError("phase trajectories need 0 < u0 < 1")
     if not (0.0 < u_end < u0):
         raise ValueError("u_end must lie in (0, u0)")
-
-    def rhs(u, y):
-        slope, slow = characteristic_rhs(y[0], u, 1.0)
-        return (slope / slow if slow else math.inf,)  # u * u underflows below 1e-162
-
-    us, ds, dense = [u0], [d0], []
-    try:
-        for _, u, _, y, q in _dormand_prince(rhs, u0, (d0,), u_end, rtol, atol):
-            us.append(u)
-            ds.append(y[0])
-            dense.append(q[0])
-    except RuntimeError as exc:
-        raise RuntimeError(f"phase trajectory left the resolvable region: {exc}") from None
-    return PhaseTrajectory(u=np.array(us), d=np.array(ds), _dense=np.array(dense))
+    w0 = d0 - u0 * (1.0 - u0)
+    if w0 > 0.0 and _phase_denominator(w0, u0, u_end) <= 0.0:
+        s = math.sqrt(w0)
+        u_star = u0 * s / (u0 * s + (1.0 - u0) * math.sqrt(u0 + w0))
+        raise RuntimeError(f"the slope blows up at u* = {u_star:.6g}, above u_end = {u_end:g}")
+    u = np.geomspace(u0, u_end, PHASE_SAMPLES)
+    d = _phase_path(d0, u0, u)
+    d[0] = d0  # at() reads the start back from the first sample
+    return PhaseTrajectory(u=u, d=d)
 
 
 def slope_roots(u: float):

@@ -48,8 +48,8 @@ class Kernel:
         if self.kind not in _KINDS:
             raise ValueError(f"unknown kernel kind {self.kind!r}")
         if self.kind == "sk_scaled":
-            if self.length is None or not (self.length > 0):
-                raise ValueError("sk_scaled kernel needs a window length > 0")
+            if self.length is None or not (0 < self.length < math.inf):
+                raise ValueError(f"window length must be finite and > 0, got {self.length}")
         elif self.length is not None:
             raise ValueError(f"kernel {self.kind!r} takes no length parameter")
 
@@ -103,8 +103,6 @@ def parse_kernel(text: str) -> Kernel:
             length = float(s[5:])
         except ValueError:
             raise ValueError(f"bad kernel window length in {text!r}") from None
-        if not (length > 0) or not math.isfinite(length):
-            raise ValueError(f"kernel window length must be positive, got {text!r}")
         return sk_scaled(length)
     raise ValueError(f"unknown kernel {text!r}")
 

@@ -81,10 +81,8 @@ class InitialDatum:
     left_tail: object = None
     right_tail: object = None
 
-    def sample(self, n_cells: int, domain: tuple[float, float] | None = None) -> GridFunction:
-        lo, hi = domain if domain is not None else self.domain
-        grid = GridSpec(lo, hi, n_cells)
-        return GridFunction.from_callable(grid, self.profile)
+    def sample(self, n_cells: int) -> GridFunction:
+        return GridFunction.from_callable(GridSpec(*self.domain, n_cells), self.profile)
 
     def left_tail_mass(self, x_left: float) -> float:
         return float(self.left_tail(x_left)) if self.left_tail else 0.0

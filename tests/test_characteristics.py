@@ -4,6 +4,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
+from scipy.optimize import brentq
 
 from nltraffic.characteristics import (
     CharState,
@@ -224,6 +225,12 @@ def test_supercritical_phase_path_blows_up():
         phase_trajectory(1.0, 0.5, 1e-3)
 
 
+def test_subcritical_phase_path_stays_below_sigma_down_to_tiny_u():
+    path = phase_trajectory(0.1, 0.5, 1e-300)
+    assert path.u[-1] == 1e-300
+    assert np.all(path.d <= path.u * (1.0 - path.u))
+
+
 def test_slope_floor_homogeneity(curve):
     u0 = 0.5
     base = curve.eval(u0)
@@ -426,7 +433,7 @@ def test_time_mode_matches_rk45_with_sampled_factor():
 
 
 def test_phase_trajectory_matches_rk45_dense_output():
-    """at() against solve_ivp's dense output; both fail on the same starts."""
+    """at() against solve_ivp's DOP853 dense output; both fail on the same starts."""
 
     def rhs(u, y):
         d = y[0]
@@ -436,15 +443,38 @@ def test_phase_trajectory_matches_rk45_dense_output():
     failed = 0
     for d0, u0, stop in _seeded_starts(13, 16, (-0.1, 0.05)):
         u_end = stop * u0
-        ref = solve_ivp(rhs, (u0, u_end), [d0], method="RK45", rtol=1e-10,
-                        atol=1e-13, dense_output=True)
+        ref = solve_ivp(rhs, (u0, u_end), [d0], method="DOP853", rtol=1e-13,
+                        atol=1e-15, dense_output=True)
         if ref.status != 0:
             failed += 1
-            with pytest.raises(RuntimeError, match="left the resolvable region"):
+            with pytest.raises(RuntimeError, match="blows up at u"):
                 phase_trajectory(d0, u0, u_end)
             continue
         path = phase_trajectory(d0, u0, u_end)
-        assert len(path.u) == len(ref.t)
         us = np.linspace(u0, u_end, 57)
         assert np.max(np.abs(path.at(us) - ref.sol(us)[0])) <= 1e-10
     assert 0 < failed < 16
+
+
+def test_time_mode_blowup_time_matches_closed_form():
+    """Under f = c the slope blows up when u reaches u*: at (Phi(u*) - Phi(u0)) / c.
+
+    u' = -c u^2 (1 - u) gives the time, with Phi(v) = 1/v + log((1 - v)/v);
+    u* is the root in (0, u0) of the denominator of the explicit phase path.
+    """
+
+    def phi(v):
+        return 1.0 / v + math.log((1.0 - v) / v)
+
+    for d0, u0, c in _seeded_starts(14, 30, (0.005, 0.2)):
+        w0 = d0 - u0 * (1.0 - u0)
+
+        def denominator(u):
+            r = (u / u0) ** 2
+            return u0 * (1.0 - u0) ** 2 * r + w0 * ((2.0 * u - 1.0) - (2.0 * u0 - 1.0) * r)
+
+        u_star = brentq(denominator, 0.0, u0, xtol=1e-300, rtol=4 * np.finfo(float).eps)
+        expected = (phi(u_star) - phi(u0)) / c
+        traj = integrate_characteristic(CharState(d=d0, u=u0), ConstantFactor(c), 2.0 * expected)
+        assert traj.blown_up, (d0, u0, c)
+        assert traj.blowup_time == pytest.approx(expected, rel=1e-7)

@@ -29,8 +29,9 @@ def test_parse_defaults():
 
 def test_parse_kernel_round_trip():
     assert parse_kernel_arg("sk:L=2.5") == sk_scaled(2.5)
-    with pytest.raises(ValueError, match="--kernel"):
-        parse_kernel_arg("sk:L=-1")
+    for bad in ("sk:L=-1", "sk:L=inf"):
+        with pytest.raises(ValueError, match="--kernel"):
+            parse_kernel_arg(bad)
 
 
 def test_bad_kernel_exits_2(tmp_path, capsys):
@@ -340,6 +341,7 @@ for argv in (
     ["evolve", "--n-cells", "200", "--t-end", "0.1"],
     ["phase-portrait", "--d0", "0.4", "--u0", "0.5", "--factor", "1", "--t-end", "30"],
     ["phase-portrait", "--d0", "0.1", "--u0", "0.5"],
+    ["phase-portrait", "--d0", "0.1", "--u0", "0.5", "--u-end", "1e-300"],
     ["phase-portrait", "--d0", "0.3", "--u0", "0.5", "--u-end", "1e-300"],
 ):
     codes.append(main(argv + ["--out", {str(tmp_path)!r} + "/" + str(len(codes))]))
@@ -348,10 +350,10 @@ print(json.dumps(codes))
     proc = run_python(["-c", script], timeout=120)
     assert proc.returncode == 0, proc.stderr
     codes = json.loads(proc.stdout.strip().splitlines()[-1])
-    assert codes == [0, 0, 0, 0, 0, 0, 3], proc.stderr
-    # the step size falls below the float spacing before u reaches 1e-300
-    dump = json.loads((tmp_path / "6" / "failure_dump.json").read_text())
-    assert dump["error"].startswith("phase trajectory left the resolvable region")
+    assert codes == [0, 0, 0, 0, 0, 0, 0, 3], proc.stderr
+    # d0 = 0.3 > sigma(0.5) = 0.25: the path blows up before u reaches 1e-300
+    dump = json.loads((tmp_path / "7" / "failure_dump.json").read_text())
+    assert "u* = 0.231662" in dump["error"]
     assert "slope blow-up at t = 1.81483" in proc.stdout
 
 

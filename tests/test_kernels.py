@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -65,8 +67,9 @@ def test_weight_sup():
 
 
 def test_sk_scaled_validation():
-    with pytest.raises(ValueError):
-        sk_scaled(0.0)
+    for bad in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="window length must be finite and > 0"):
+            sk_scaled(bad)
     with pytest.raises(ValueError):
         Kernel("sk", length=2.0)  # unit window is fixed
 

@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -103,7 +104,7 @@ def test_datum_sampling():
     gf = CATALOG["bump"].sample(500)
     assert gf.grid.n_cells == 500
     assert (gf.grid.x_left, gf.grid.x_right) == (-6.0, 10.0)
-    narrow = CATALOG["bump"].sample(100, domain=(-2.0, 2.0))
+    narrow = replace(CATALOG["bump"], domain=(-2.0, 2.0)).sample(100)
     assert narrow.grid.x_right == 2.0
 
 
