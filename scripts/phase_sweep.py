@@ -3,16 +3,15 @@
 
 Usage: python scripts/phase_sweep.py [out_dir]
 
-For a grid of (u0, d0) seeds straddling the threshold, integrate the slope
-ODE with the frozen factor 1 and tabulate whether the slope blew up, the
-detection time, and the analytic certificate when one applies.  Output is a
-single sweep.csv plus per-seed trajectories for the supercritical cases.
+For a grid of (u0, d0) seeds straddling the threshold, follow each
+characteristic with the frozen factor 1 and tabulate whether the slope blew
+up, the blow-up time, and the analytic certificate when one applies.  Output
+is a single sweep.csv plus per-seed trajectories (t,d,u) for the
+supercritical cases.
 """
 
 import sys
 from pathlib import Path
-
-import numpy as np
 
 from nltraffic.characteristics import (
     CharState,
@@ -20,7 +19,7 @@ from nltraffic.characteristics import (
     integrate_characteristic,
     supercritical_bounds,
 )
-from nltraffic.grid import format_float
+from nltraffic.grid import format_float, write_csv
 from nltraffic.threshold import default_curve
 
 
@@ -40,12 +39,8 @@ def main(argv):
             if shift > 0:
                 bounds = supercritical_bounds(d0, u0, m=0.0)
                 sharp = format_float(bounds.T_star_sharp)
-                np.savetxt(
-                    out / f"traj_u{u0:g}_shift{shift:g}.csv",
-                    np.column_stack([traj.t, traj.d, traj.u]),
-                    delimiter=",",
-                    header="t,d,u",
-                    comments="",
+                write_csv(
+                    out / f"traj_u{u0:g}_shift{shift:g}.csv", "t,d,u", (traj.t, traj.d, traj.u)
                 )
             rows.append(
                 (

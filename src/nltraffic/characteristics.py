@@ -22,10 +22,9 @@ Quantities derived from the phase plane:
 * slope_floor: supercritical paths keep d >= C_* = (d0 - sigma(u0)) *
   u2^3 / u0^3 with u2 the boost bound from the threshold curve.
 
-Phase paths d(u) are explicit (see PhaseTrajectory).  Time paths are
-stepped by an explicit Dormand-Prince 5(4) pair on plain floats (the state
-has two components, so arrays would only add overhead), with its quartic
-dense output for sampling and event location.
+Both paths are closed form: d(u) in the phase plane (see PhaseTrajectory)
+and (d, u) in time (see integrate_characteristic); the tests step the ODEs
+with scipy's DOP853 as the oracle for both.
 """
 
 from __future__ import annotations
@@ -37,33 +36,7 @@ import numpy as np
 
 from .threshold import default_curve
 
-BLOWUP_CAP_MIN = 1e6
 PHASE_SAMPLES = 201
-
-# Dormand & Prince (1980) 5(4) tableau; _DP_Q holds the coefficients of
-# Shampine's (1986) quartic dense output, one column per power of x.
-_DP_C = (1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0)
-_DP_A = (
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-)
-_DP_B = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
-_DP_E = (-71 / 57600, 0.0, 71 / 16695, -71 / 1920, 17253 / 339200, -22 / 525, 1 / 40)
-_DP_Q = (
-    (1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0),
-    (-8048581381 / 2820520608, 0.0, 131558114200 / 32700410799,
-     -1754552775 / 470086768, 127303824393 / 49829197408,
-     -282668133 / 205662961, 40617522 / 29380423),
-    (8663915743 / 2820520608, 0.0, -68118460800 / 10900136933,
-     14199869525 / 1410260304, -318862633887 / 49829197408,
-     2019193451 / 616988883, -110615467 / 29380423),
-    (-12715105075 / 11282082432, 0.0, 87487479700 / 32700410799,
-     -10690763975 / 1880347072, 701980252875 / 199316789632,
-     -1453857185 / 822651844, 69997945 / 29380423),
-)
 
 
 def _require_finite(**values: float) -> None:
@@ -108,6 +81,14 @@ class ConstantFactor:
     def at(self, t: float) -> float:
         return self.value
 
+    def integral(self, t0: float, t):
+        """F(t) = c (t - t0), the integral of f from t0 to each t."""
+        return self.value * (np.asarray(t, dtype=float) - t0)
+
+    def reach(self, t0: float, value: float) -> float:
+        """The time at which F reaches value."""
+        return t0 + value / self.value
+
     @property
     def span(self) -> float:
         return math.inf
@@ -117,8 +98,8 @@ class SampledFactor:
     """Slow-down factor interpolated from a sampled time series.
 
     Typically exp(-ubar) recorded along a path by the PDE solver.  Linear
-    interpolation between samples; evaluation beyond the last sample is an
-    error, so integrations must not outrun the series.
+    interpolation between samples (constant before the first), integrated
+    exactly by trapezoid sums; evaluation beyond the last sample is an error.
     """
 
     def __init__(self, times, values):
@@ -132,107 +113,91 @@ class SampledFactor:
             raise ValueError("factor samples must lie in (0, 1]")
         self.times = t
         self.values = v
+        self._sums = np.concatenate(([0.0], np.cumsum(np.diff(t) * (v[:-1] + v[1:]) / 2.0)))
 
     def at(self, t: float) -> float:
         if t > self.times[-1] + 1e-12:
-            raise ValueError(
-                f"factor series ends at t={self.times[-1]}, asked for t={t}"
-            )
+            raise ValueError(f"factor series ends at t={self.times[-1]}, asked for t={t}")
         return float(np.interp(t, self.times, self.values))
+
+    def _primitive(self, t):
+        j = np.clip(np.searchsorted(self.times, t, side="right") - 1, 0, len(self.times) - 2)
+        f = np.interp(t, self.times, self.values)
+        return self._sums[j] + (t - self.times[j]) * (self.values[j] + f) / 2.0
+
+    def integral(self, t0: float, t):
+        """F(t), the integral of f from t0 to each t."""
+        return self._primitive(np.asarray(t, dtype=float)) - self._primitive(t0)
+
+    def reach(self, t0: float, value: float) -> float:
+        """The time at which F reaches value; inf if the series ends first."""
+        target = self._primitive(t0) + value
+        if target > self._sums[-1]:
+            return math.inf
+        j = min(max(int(np.searchsorted(self._sums, target)) - 1, 0), len(self.times) - 2)
+        rest, v = target - self._sums[j], self.values[j]
+        slope = (self.values[j + 1] - v) / (self.times[j + 1] - self.times[j]) if rest > 0 else 0.0
+        root = math.sqrt(max(v * v + 2.0 * slope * rest, 0.0))  # the factor where F = value
+        return float(self.times[j] + 2.0 * rest / (v + root))  # v s + slope s^2 / 2 = rest
 
     @property
     def span(self) -> float:
         return float(self.times[-1])
 
 
-def characteristic_rhs(d: float, u: float, factor: float):
-    """Right-hand side (d', u') of the characteristic system."""
-    uu = min(max(u, 0.0), 1.0)
-    poly = 2.0 * d * d - (3.0 * uu - 5.0 * uu * uu) * d - uu**3 * (1.0 - uu)
-    return poly * factor, -(uu * uu) * (1.0 - uu) * factor
+def _potential_inverse(u0: float, tau):
+    """k = 1/u - 1/u0 >= 0 at which the density of a path from u0 < 1 has advanced tau.
 
-
-def _dormand_prince(fun, t, y, t_end, rtol, atol):
-    """Accepted steps of the adaptive Dormand-Prince 5(4) method from (t, y) to t_end > t.
-
-    y and fun(t, y) are tuples of floats.
-    Yields (t_old, t_new, y_old, y_new, q) per step, where q[i] holds the
-    dense coefficients of component i (see _interpolate).  The first step
-    follows Hairer, Norsett & Wanner (II.4) for an order-4 error estimate;
-    the error is the RMS of err_i / (atol + rtol max(|y_i|, |y_new_i|)), and
-    a step is accepted below 1 and rescaled by 0.9 err^(-1/5), clamped to
-    [0.2, 10] and not grown right after a rejection.  A non-finite stage is
-    rejected like an infinite error.  Raises RuntimeError once the step
-    falls below ten float spacings at t.
+    Phi(u) - Phi(u0) = k + y with y = log1p(a k), a = u0 / (1 - u0).  Newton's
+    method on the convex y -> expm1(y) / a + y falls monotonically onto y from
+    an upper bound; over u0 in [0, 1) and tau up to 1e308 it settles within
+    eight steps, and no term overflows.  k is then tau - y, or expm1(y) / a
+    where that difference would cancel.
     """
-    n = len(y)
+    a = u0 / (1.0 - u0)
+    log_a = math.log(a) if a > 0.0 else -math.inf
+    # k <= tau bounds y by log1p(a tau) <= log1p(a) + log1p(tau); k >= 0 bounds it by tau
+    y = np.minimum(tau, np.log1p(a * tau) if a < 1.0 else math.log1p(a) + np.log1p(tau))
+    for _ in range(64):
+        ae = np.exp(log_a - y)  # a e^-y, normal where e^-y alone would not be
+        step = (-np.expm1(-y) - (tau - y) * ae) / (1.0 + ae)
+        y = y - np.maximum(step, 0.0)
+        if np.all(step <= 2.0**-52 * tau):
+            break
+    k = tau - y
+    far = y > k
+    k[far] = np.expm1(y[far]) / a
+    return k
 
-    def rms(v, scale):
-        return math.sqrt(sum((a / s) * (a / s) for a, s in zip(v, scale))) / math.sqrt(n)
 
-    f = fun(t, y)
-    span = t_end - t
-    scale = [atol + abs(v) * rtol for v in y]
-    d0, d1 = rms(y, scale), rms(f, scale)
-    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, span)
-    f1 = fun(t + h0, tuple(v + h0 * g for v, g in zip(y, f)))
-    d2 = rms([a - b for a, b in zip(f1, f)], scale) / h0
-    if d1 <= 1e-15 and d2 <= 1e-15:
-        h1 = max(1e-6, h0 * 1e-3)
+def _time_path(w0: float, u0: float, tau):
+    """(d, u) where the path from u0 with w0 = d0 - sigma(u0) has advanced tau = F(t) >= 0.
+
+    In tau the excess w = d - sigma(u) solves w' = 2 w^2 + u (1 + u) w, so 1/w
+    is linear along the path.  With k from _potential_inverse, P = u0 k,
+    V = (1 - u0) + P, G = (1 - u0) / V = e^-y and R = k / V = -expm1(-y) / u0:
+    u = u0 / (1 + P) and w = w0 / ((1 + P) (G^2 - w0 R (1 + G))).  The
+    denominator's two terms add when w0 < 0, and d blows up with k even where
+    u rounds to u0.  At u0 = 1, where u stays put and k = 0, y = tau gives
+    the logistic d / (d + 1) = d0 / (d0 + 1) e^(2 tau).
+    """
+    if u0 == 1.0:
+        P, G, R = np.zeros_like(tau), np.exp(-tau), -np.expm1(-tau)
     else:
-        h1 = (0.01 / max(d1, d2)) ** 0.2
-    h_abs = min(100 * h0, h1, span)
-
-    while t < t_end:
-        min_step = 10 * (math.nextafter(t, math.inf) - t)
-        h_abs, rejected = max(h_abs, min_step), False
-        while True:
-            if h_abs < min_step:
-                raise RuntimeError(f"the step size fell below the float spacing at {t!r}")
-            t_new = min(t + h_abs, t_end)
-            h = h_abs = t_new - t
-            K = [f]
-            for c, a in zip(_DP_C, _DP_A):
-                stage = tuple(v + sum(w * k[i] for w, k in zip(a, K)) * h for i, v in enumerate(y))
-                K.append(fun(t + c * h, stage))
-            y_new = tuple(v + h * sum(b * k[i] for b, k in zip(_DP_B, K)) for i, v in enumerate(y))
-            f_new = fun(t + h, y_new)
-            K.append(f_new)
-            scale = [atol + max(abs(a), abs(b)) * rtol for a, b in zip(y, y_new)]
-            err = rms([sum(e * k[i] for e, k in zip(_DP_E, K)) * h for i in range(n)], scale)
-            if err < 1:
-                factor = 10.0 if err == 0 else min(10.0, 0.9 * err**-0.2)
-                h_abs *= min(1.0, factor) if rejected else factor
-                break
-            h_abs *= max(0.2, 0.9 * err**-0.2)  # a NaN error shrinks by 0.2
-            rejected = True
-        q = [[sum(k[i] * p for k, p in zip(K, col)) for col in _DP_Q] for i in range(n)]
-        yield t, t_new, y, y_new, q
-        t, y, f = t_new, y_new, f_new
-
-
-def _interpolate(x, h, y_old, q):
-    """Dense output y_old + h (q0 x + q1 x^2 + q2 x^3 + q3 x^4) at x = (s - t_old) / h."""
-    q0, q1, q2, q3 = q
-    return y_old + h * (x * (q0 + x * (q1 + x * (q2 + x * q3))))
-
-
-def _upcrossing(g, lo, hi):
-    """Bisect [lo, hi], where g(lo) <= 0 <= g(hi), down to adjacent floats.
-
-    Returns the upper one, the first float found at which g >= 0.
-    """
-    while lo < (mid := 0.5 * (lo + hi)) < hi:
-        if g(mid) < 0:
-            lo = mid
-        else:
-            hi = mid
-    return hi
+        k = _potential_inverse(u0, tau)
+        P = u0 * k
+        V = (1.0 - u0) + P
+        G, R = (1.0 - u0) / V, k / V
+    den = G * G - w0 * R * (1.0 + G)
+    u = u0 / (1.0 + P)
+    sigma = u * (1.0 - u)
+    d = sigma if w0 == 0.0 else sigma + w0 / (1.0 + P) / den
+    return d, u
 
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Time samples of one integrated characteristic."""
+    """Time samples of one characteristic."""
 
     t: np.ndarray
     d: np.ndarray
@@ -241,28 +206,19 @@ class Trajectory:
     blowup_time: float | None
 
 
-def integrate_characteristic(
-    state0: CharState,
-    factor,
-    t_end: float,
-    blowup_cap: float = 1e8,
-    rtol: float = 1e-8,
-    atol: float = 1e-11,
-    t_eval=None,
-) -> Trajectory:
-    """Integrate (d, u) forward with adaptive RK45 until t_end or blow-up.
+def integrate_characteristic(state0: CharState, factor, t_end: float, t_eval=None) -> Trajectory:
+    """The characteristic from state0 until t_end or the blow-up of its slope, in closed form.
 
-    Rows are the accepted steps, or the times of t_eval read off the dense
-    output.  Blow-up is declared when d crosses blowup_cap upward (>= 1e6
-    so the crossing time approximates the true blow-up time to within
-    d0/cap relative error for Riccati-type growth); the crossing, located on
-    the dense output, ends the run and is the last row without t_eval.
+    With F(t) the integral of the factor from t0 and Phi(v) = 1/v + log((1-v)/v),
+    Phi(u(t)) = Phi(u0) + F(t) (see _time_path for d).  A supercritical start
+    (d0 > sigma(u0)) blows up at the T* where F reaches Phi(u*) - Phi(u0),
+    u* being the root that phase_trajectory names.  Rows are PHASE_SAMPLES
+    evenly spaced times from t0 to t_end, or to T* with the last row
+    (T*, inf, u*); with t_eval, its times before T*.
     """
     _require_finite(t_end=t_end)
     if t_end <= state0.t:
         raise ValueError("t_end must exceed the initial time")
-    if blowup_cap < BLOWUP_CAP_MIN:
-        raise ValueError(f"blowup_cap below {BLOWUP_CAP_MIN:g}")
     if factor.span < t_end:
         raise ValueError("factor series shorter than the requested time span")
     if t_eval is not None:
@@ -270,41 +226,24 @@ def integrate_characteristic(
         if not (np.all(np.diff(t_eval) > 0) and state0.t <= t_eval[0] and t_eval[-1] <= t_end):
             raise ValueError("t_eval must increase within [t0, t_end]")
 
-    def rhs(t, y):
-        return characteristic_rhs(y[0], y[1], factor.at(t))
-
-    rows = [(state0.t, state0.d, state0.u)] if t_eval is None else []
-    blowup_time = None
-    below_cap = state0.d <= blowup_cap
-    steps = _dormand_prince(rhs, state0.t, (state0.d, state0.u), t_end, rtol, atol)
-    for t_old, t, y_old, y, q in steps:
-        h = t - t_old
-
-        def dense(s):
-            x = (s - t_old) / h
-            return tuple(_interpolate(x, h, v, c) for v, c in zip(y_old, q))
-
-        if below_cap and y[0] >= blowup_cap:
-            t = blowup_time = _upcrossing(lambda s: dense(s)[0] - blowup_cap, t_old, t)
-            y = dense(t)
-        below_cap = y[0] <= blowup_cap
-        if t_eval is None:
-            rows.append((t, *y))
-        else:
-            done = int(np.searchsorted(t_eval, t, side="right"))  # rows so far: t_eval[:len(rows)]
-            rows += [(s, *dense(s)) for s in t_eval[len(rows):done]]
-        if blowup_time is not None:
-            break
-    t, d, u = np.array(rows, dtype=float).reshape(-1, 3).T
-    if float(u.min()) < -1e-9 or float(u.max()) > 1.0 + 1e-9:
-        raise RuntimeError("density left [0, 1] beyond tolerance along the path")
-    return Trajectory(
-        t=t,
-        d=d,
-        u=np.clip(u, 0.0, 1.0),
-        blown_up=blowup_time is not None,
-        blowup_time=blowup_time,
-    )
+    d0, u0, t0 = state0.d, state0.u, state0.t
+    w0 = d0 - u0 * (1.0 - u0)
+    t_star = u_star = math.inf
+    if w0 > 0.0:
+        s = w0 + math.sqrt(w0) * math.sqrt(w0 + u0)
+        k_star = (1.0 - u0) / s  # 1/u* - 1/u0
+        t_star = factor.reach(t0, k_star + math.log1p(u0 / s))  # F = Phi(u*) - Phi(u0)
+        u_star = u0 / (1.0 + u0 * k_star)
+    blown_up = t_star <= t_end
+    if t_eval is None:
+        t = np.linspace(t0, min(t_end, t_star), PHASE_SAMPLES)
+        smooth = t[:-1] if blown_up else t
+    else:
+        t = smooth = t_eval[t_eval < t_star]
+    d, u = _time_path(w0, u0, factor.integral(t0, smooth))
+    if len(smooth) < len(t):
+        d, u = np.append(d, math.inf), np.append(u, u_star)
+    return Trajectory(t=t, d=d, u=u, blown_up=blown_up, blowup_time=t_star if blown_up else None)
 
 
 def _phase_denominator(w0: float, u0: float, u):

@@ -215,7 +215,10 @@ def dispatch(args) -> int:
     elif args.subcommand == "evolve":
         kernel = parse_kernel_arg(args.kernel)
         if args.snapshots is not None:
-            snaps = tuple(sorted(float(s) for s in args.snapshots.split(",") if s))
+            try:
+                snaps = tuple(sorted(float(s) for s in args.snapshots.split(",") if s))
+            except ValueError as exc:
+                raise ValueError(f"--snapshots: {exc}") from None
         else:
             snaps = _even_snapshots(args.t_end)
         exp = _experiment(

@@ -4,7 +4,9 @@ build_table integrates the threshold ODE by RK4 from its series seed, so
 the closed form sigma(u) = u (1 - u) used by nltraffic.threshold is checked
 against a route that never assumes it; threshold_residual measures how far
 any candidate curve is from solving that ODE.  solve_eta and eta_crossing_time
-integrate the comparison equation behind characteristics.time_to_level.
+integrate the comparison equation behind characteristics.time_to_level, and
+characteristic_rhs is the (d, u) system whose closed-form solution
+characteristics.integrate_characteristic returns.
 godunov_flux is the case-split Godunov flux that solver.numerical_flux
 replaced, and reference_evolve a step loop on it that allocates every array
 afresh, against which the solver's reused work buffers are checked.
@@ -146,6 +148,13 @@ def eta_crossing_time(u0: float, u1: float, m: float) -> float:
     if not len(sol.t_events[0]):  # pragma: no cover
         raise RuntimeError("comparison solution never reached the level")
     return float(sol.t_events[0][0])
+
+
+def characteristic_rhs(d: float, u: float, factor: float):
+    """Right-hand side (d', u') of the characteristic system."""
+    uu = min(max(u, 0.0), 1.0)
+    poly = 2.0 * d * d - (3.0 * uu - 5.0 * uu * uu) * d - uu**3 * (1.0 - uu)
+    return poly * factor, -(uu * uu) * (1.0 - uu) * factor
 
 
 def godunov_flux(u_left, u_right, factor):

@@ -120,7 +120,6 @@ def test_criterion_3_invariant_region_and_blowup(curve):
             CharState(d=d0, u=u0),
             ConstantFactor(1.0),
             t_end=b.T_star_sharp + 1.0,
-            blowup_cap=1e8,
         )
         blow_ok = blow_ok and traj.blown_up and traj.blowup_time <= b.T_star_sharp
     elapsed = time.perf_counter() - start

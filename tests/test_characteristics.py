@@ -11,7 +11,6 @@ from nltraffic.characteristics import (
     ConstantFactor,
     SampledFactor,
     blowup_time_bound,
-    characteristic_rhs,
     integrate_characteristic,
     phase_trajectory,
     slope_floor,
@@ -19,7 +18,7 @@ from nltraffic.characteristics import (
     supercritical_bounds,
     time_to_level,
 )
-from oracles import eta_crossing_time, solve_eta
+from oracles import characteristic_rhs, eta_crossing_time, solve_eta
 
 NON_FINITE = (math.nan, math.inf, -math.inf)
 
@@ -46,9 +45,7 @@ def test_density_decays_monotonically():
 def test_riccati_limit_blowup_time():
     """For u ~ 0 the slope ODE is dd/dt = 2 f d^2, blowing up at 1/(2 f d0)."""
     d0, f = 2.0, 1.0
-    traj = integrate_characteristic(
-        CharState(d=d0, u=1e-6), ConstantFactor(f), t_end=1.0, blowup_cap=1e8
-    )
+    traj = integrate_characteristic(CharState(d=d0, u=1e-6), ConstantFactor(f), t_end=1.0)
     assert traj.blown_up
     assert traj.blowup_time == pytest.approx(1.0 / (2 * f * d0), rel=0.01)
 
@@ -152,6 +149,23 @@ def test_sampled_factor_span_enforced():
         integrate_characteristic(CharState(d=0.0, u=0.5), factor, t_end=2.0)
     with pytest.raises(ValueError):
         factor.at(1.5)
+
+
+def test_sampled_factor_integral_is_exact_and_reach_inverts_it():
+    """Across kinks and before the first sample, where the factor is held."""
+    rng = np.random.default_rng(5)
+    times = np.cumsum(rng.uniform(0.2, 1.0, 8))
+    factor = SampledFactor(times, rng.uniform(0.1, 1.0, 8))
+    grid = np.linspace(times[0] - 0.5, times[-1], 301)
+    t0, t = grid[0], grid[1:]
+    nodes = np.union1d(grid, times)  # the trapezoid rule is exact on each linear piece
+    f = np.interp(nodes, times, factor.values)
+    exact = np.concatenate(([0.0], np.cumsum(np.diff(nodes) * (f[:-1] + f[1:]) / 2.0)))
+    F = factor.integral(t0, t)
+    np.testing.assert_allclose(F, exact[np.searchsorted(nodes, t)], rtol=1e-13)
+    back = np.array([factor.reach(t0, value) for value in F])
+    np.testing.assert_allclose(back, t, rtol=0.0, atol=1e-12)
+    assert factor.reach(t0, F[-1] * (1.0 + 1e-9)) == math.inf
 
 
 def test_blowup_bound_matches_riccati_ode():
@@ -278,8 +292,7 @@ def test_supercritical_bounds_actually_bound():
     for d0, u0 in ((0.4, 0.5), (0.3, 0.3), (0.9, 0.7)):
         b = supercritical_bounds(d0, u0, m=0.0)
         traj = integrate_characteristic(
-            CharState(d=d0, u=u0), ConstantFactor(1.0), t_end=1.5 * b.T_star_sharp,
-            blowup_cap=1e8,
+            CharState(d=d0, u=u0), ConstantFactor(1.0), t_end=1.5 * b.T_star_sharp
         )
         assert traj.blown_up
         assert traj.blowup_time <= b.T_star_sharp
@@ -303,8 +316,6 @@ def test_integrate_validation():
     s = CharState(d=0.0, u=0.5)
     with pytest.raises(ValueError):
         integrate_characteristic(s, ConstantFactor(1.0), t_end=0.0)
-    with pytest.raises(ValueError):
-        integrate_characteristic(s, ConstantFactor(1.0), t_end=1.0, blowup_cap=10.0)
     for bad in NON_FINITE:
         with pytest.raises(ValueError, match="t_end must be finite"):
             integrate_characteristic(s, ConstantFactor(1.0), t_end=bad)
@@ -350,11 +361,15 @@ def test_slope_floor_rejects_underflowing_u0():
         slope_floor(1.0, 1e-120)
 
 
-# ------------------------------------------- oracle: the RK45 of scipy.integrate
+# ------------------------------------------- oracle: the DOP853 of scipy.integrate
 
 
-def _rk45_time_mode(state0, factor, t_end, t_eval=None, cap=1e8):
-    """integrate_characteristic's problem solved by solve_ivp at the same tolerances."""
+def _dop853_time_mode(state0, factor, t_end, t_eval=None, cap=1e12):
+    """integrate_characteristic's problem stepped by solve_ivp; an event where d crosses cap.
+
+    Near a blow-up at T*, d ~ 1 / (2 f (T* - t)), so the event lies about
+    1 / (2 f cap) before T*.
+    """
 
     def rhs(t, y):
         return characteristic_rhs(y[0], y[1], factor.at(t))
@@ -364,8 +379,8 @@ def _rk45_time_mode(state0, factor, t_end, t_eval=None, cap=1e8):
 
     hit_cap.terminal = True
     hit_cap.direction = 1
-    return solve_ivp(rhs, (state0.t, t_end), [state0.d, state0.u], method="RK45",
-                     rtol=1e-8, atol=1e-11, events=hit_cap, t_eval=t_eval)
+    return solve_ivp(rhs, (state0.t, t_end), [state0.d, state0.u], method="DOP853",
+                     rtol=1e-13, atol=1e-15, events=hit_cap, t_eval=t_eval)
 
 
 def _seeded_starts(seed, count, shifts):
@@ -383,10 +398,10 @@ def test_time_mode_matches_rk45_on_t_eval():
     """Subcritical paths, and supercritical ones up to half their blow-up time."""
     for d0, u0, f in _seeded_starts(11, 12, (-0.2, 0.2)):
         state, factor = CharState(d=d0, u=u0), ConstantFactor(f)
-        free = _rk45_time_mode(state, factor, 40.0)
+        free = _dop853_time_mode(state, factor, 40.0)
         t_end = free.t_events[0][0] / 2.0 if free.t_events[0].size else 40.0
         t_eval = np.linspace(0.0, t_end, 81)
-        ref = _rk45_time_mode(state, factor, t_end, t_eval=t_eval)
+        ref = _dop853_time_mode(state, factor, t_end, t_eval=t_eval)
         traj = integrate_characteristic(state, factor, t_end, t_eval=t_eval)
         np.testing.assert_array_equal(traj.t, t_eval)
         assert np.max(np.abs(traj.d - ref.y[0])) <= 1e-10
@@ -394,24 +409,23 @@ def test_time_mode_matches_rk45_on_t_eval():
 
 
 def test_time_mode_matches_rk45_steps_and_blowup_times():
-    """Same accepted steps and the same verdict on every start; equal blow-up times."""
+    """The same verdict on every start, the same rows, and equal blow-up times."""
     blown = 0
     for d0, u0, f in _seeded_starts(12, 16, (-0.2, 0.2)):
         state, factor = CharState(d=d0, u=u0), ConstantFactor(f)
-        ref = _rk45_time_mode(state, factor, 60.0)
+        free = _dop853_time_mode(state, factor, 60.0)
         traj = integrate_characteristic(state, factor, 60.0)
-        assert traj.blown_up == (ref.t_events[0].size > 0), (d0, u0, f)
-        assert len(traj.t) == len(ref.t)
-        # rounding in the error estimate moves the accepted steps by ~1e-9
-        rows = np.stack([traj.t, traj.d, traj.u])
-        ref_rows = np.stack([ref.t, ref.y[0], np.clip(ref.y[1], 0.0, 1.0)])
-        assert np.all(np.abs(rows - ref_rows) <= 1e-6 * np.maximum(1.0, np.abs(ref_rows)))
+        assert traj.blown_up == (free.t_events[0].size > 0), (d0, u0, f)
+        smooth = traj.t[:-1] if traj.blown_up else traj.t
+        ref = _dop853_time_mode(state, factor, smooth[-1], t_eval=smooth)
+        rows = np.stack([traj.d[:len(smooth)], traj.u[:len(smooth)]])
+        assert np.all(np.abs(rows - ref.y) <= 1e-10 * np.maximum(1.0, np.abs(ref.y)))
         if traj.blown_up:
             blown += 1
-            t_ref = ref.t_events[0][0]
+            t_ref = free.t_events[0][0]
             assert abs(traj.blowup_time - t_ref) <= 1e-10 * t_ref
             assert traj.t[-1] == traj.blowup_time
-            assert traj.d[-1] == pytest.approx(1e8, rel=1e-6)
+            assert traj.d[-1] == math.inf
     assert 0 < blown < 16  # both sides of the curve are covered
 
 
@@ -422,12 +436,12 @@ def test_time_mode_matches_rk45_with_sampled_factor():
     for d0, u0 in ((0.1, 0.6), (0.2, 0.3)):
         state = CharState(d=d0, u=u0)
         t_eval = np.linspace(0.0, 20.0, 41)
-        ref = _rk45_time_mode(state, factor, 20.0, t_eval=t_eval)
+        ref = _dop853_time_mode(state, factor, 20.0, t_eval=t_eval)
         traj = integrate_characteristic(state, factor, 20.0, t_eval=t_eval)
         assert np.max(np.abs(traj.d - ref.y[0])) <= 1e-10
         assert np.max(np.abs(traj.u - ref.y[1])) <= 1e-10
     free = integrate_characteristic(CharState(d=0.6, u=0.5), factor, 20.0)
-    ref = _rk45_time_mode(CharState(d=0.6, u=0.5), factor, 20.0)
+    ref = _dop853_time_mode(CharState(d=0.6, u=0.5), factor, 20.0)
     assert free.blown_up and ref.t_events[0].size == 1
     assert free.blowup_time == pytest.approx(ref.t_events[0][0], rel=1e-10)
 
@@ -477,4 +491,76 @@ def test_time_mode_blowup_time_matches_closed_form():
         expected = (phi(u_star) - phi(u0)) / c
         traj = integrate_characteristic(CharState(d=d0, u=u0), ConstantFactor(c), 2.0 * expected)
         assert traj.blown_up, (d0, u0, c)
-        assert traj.blowup_time == pytest.approx(expected, rel=1e-7)
+        assert traj.blowup_time == pytest.approx(expected, rel=1e-12)
+
+
+# ------------------------------------- edge starts, with every numpy warning an error
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("u0", [0.0, 1e-300])
+def test_time_mode_riccati_limit_is_exact(u0):
+    """Where u0 rounds away, d' = 2 f d^2 gives d = d0 / (1 - 2 f d0 t), blowing up at 1/(2 f d0).
+
+    d comes from 1/u - 1/u0, which grows though u itself rounds to u0.
+    """
+    f = 0.7
+    blown = integrate_characteristic(CharState(d=1.0, u=u0), ConstantFactor(f), 10.0)
+    assert blown.blowup_time == pytest.approx(1.0 / (2.0 * f), rel=1e-12)
+    assert blown.d[-1] == math.inf and np.all(blown.u == u0)
+    np.testing.assert_allclose(blown.d[:-1], 1.0 / (1.0 - 2.0 * f * blown.t[:-1]), rtol=1e-12)
+    smooth = integrate_characteristic(CharState(d=-1.0, u=u0), ConstantFactor(f), 10.0)
+    assert not smooth.blown_up and smooth.t[-1] == 10.0 and np.all(smooth.u == u0)
+    np.testing.assert_allclose(smooth.d, -1.0 / (1.0 + 2.0 * f * smooth.t), rtol=1e-12)
+
+
+@pytest.mark.filterwarnings("error")
+def test_time_mode_at_full_density_is_logistic():
+    """At u0 = 1, u never moves and d / (d + 1) = d0 / (d0 + 1) e^(2 f t)."""
+    f = 0.7
+    for d0 in (0.5, 2.0):
+        traj = integrate_characteristic(CharState(d=d0, u=1.0), ConstantFactor(f), 10.0)
+        assert traj.blowup_time == pytest.approx(0.5 * math.log(1.0 + 1.0 / d0) / f, rel=1e-12)
+        t, d = traj.t[:-1], traj.d[:-1]
+        logistic = d0 / (d0 + 1.0) * np.exp(2.0 * f * t)
+        np.testing.assert_allclose(d / (d + 1.0), logistic, rtol=1e-12)
+        assert np.all(traj.u == 1.0) and traj.d[-1] == math.inf
+    for d0 in (-1.0, 0.0):  # the roots of d' = 2 f d (d + 1)
+        traj = integrate_characteristic(CharState(d=d0, u=1.0), ConstantFactor(f), 1e3)
+        assert not traj.blown_up
+        np.testing.assert_allclose(traj.d, d0, rtol=0.0, atol=1e-15)
+    for d0 in (-3.0, -0.5):  # drawn onto d = -1
+        traj = integrate_characteristic(CharState(d=d0, u=1.0), ConstantFactor(f), 1e3)
+        assert traj.d[-1] == pytest.approx(-1.0, abs=1e-15)
+
+
+@pytest.mark.filterwarnings("error")
+def test_time_mode_near_full_density_matches_dop853_in_v():
+    """u0 = 1 - 1e-9 against DOP853 stepping v = 1 - u, whose digits u itself rounds away."""
+    f, u0 = 0.7, 1.0 - 1e-9
+    v0 = 1.0 - u0  # exact
+
+    def rhs(t, y):
+        d, v = y
+        u = 1.0 - v
+        return [(2.0 * d * d - (3.0 * u - 5.0 * u * u) * d - u**3 * v) * f, u * u * v * f]
+
+    def hit_cap(t, y):
+        return y[0] - 1e12
+
+    hit_cap.terminal = True
+    for d0, t_end in ((0.3, 5.0), (-0.3, 40.0)):
+        traj = integrate_characteristic(CharState(d=d0, u=u0), ConstantFactor(f), t_end)
+        free = solve_ivp(rhs, (0.0, t_end), [d0, v0], method="DOP853", rtol=1e-13,
+                         atol=1e-15, events=hit_cap)
+        assert traj.blown_up == (free.t_events[0].size > 0) == (d0 > 0)
+        smooth = traj.t[:-1] if traj.blown_up else traj.t
+        ref = solve_ivp(rhs, (0.0, smooth[-1]), [d0, v0], method="DOP853", rtol=1e-13,
+                        atol=1e-15, t_eval=smooth)
+        d_ref, v_ref = ref.y
+        d, u = traj.d[:len(smooth)], traj.u[:len(smooth)]
+        assert np.all(np.abs(d - d_ref) <= 1e-10 * np.maximum(1.0, np.abs(d_ref)))
+        assert np.max(np.abs(u - (1.0 - v_ref))) <= 1e-10
+        if traj.blown_up:
+            t_ref = free.t_events[0][0]
+            assert abs(traj.blowup_time - t_ref) <= 1e-10 * t_ref

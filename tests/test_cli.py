@@ -9,6 +9,7 @@ import tempfile
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -59,6 +60,10 @@ def test_non_finite_snapshot_exits_2(tmp_path, capsys):
     )
     assert code == 2
     assert "snapshot" in capsys.readouterr().err
+    code = main(["evolve", "--n-cells", "200", "--snapshots", "abc", "--out", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "error: --snapshots: could not convert string to float: 'abc'" in err
 
 
 def test_unknown_subcommand_exits_2(capsys):
@@ -233,6 +238,23 @@ def test_phase_portrait_time_mode(tmp_path, capsys):
     assert header == "t,d,u"
 
 
+@pytest.mark.filterwarnings("error")
+def test_phase_portrait_time_mode_to_a_huge_t_end(tmp_path, capsys):
+    """A smooth path needs no steps: t_end = 1e300 runs, and no row lies above sigma."""
+    out = tmp_path / "far"
+    code = main(
+        [
+            "phase-portrait", "--d0", "0.1", "--u0", "0.5",
+            "--factor", "1", "--t-end", "1e300", "--out", str(out),
+        ]
+    )
+    assert code == 0
+    assert capsys.readouterr().err == ""
+    t, d, u = np.loadtxt(out / "trajectory.csv", delimiter=",", skiprows=1, unpack=True)
+    assert len(t) == 201 and t[-1] == 1e300
+    assert np.all(d <= u * (1.0 - u))
+
+
 def test_phase_portrait_phase_mode(tmp_path):
     out = tmp_path / "pm"
     code = main(
@@ -343,6 +365,7 @@ for argv in (
     ["phase-portrait", "--d0", "0.1", "--u0", "0.5"],
     ["phase-portrait", "--d0", "0.1", "--u0", "0.5", "--u-end", "1e-300"],
     ["phase-portrait", "--d0", "0.3", "--u0", "0.5", "--u-end", "1e-300"],
+    ["phase-portrait", "--d0", "0.1", "--u0", "0.5", "--factor", "1", "--t-end", "1e300"],
 ):
     codes.append(main(argv + ["--out", {str(tmp_path)!r} + "/" + str(len(codes))]))
 print(json.dumps(codes))
@@ -350,7 +373,7 @@ print(json.dumps(codes))
     proc = run_python(["-c", script], timeout=120)
     assert proc.returncode == 0, proc.stderr
     codes = json.loads(proc.stdout.strip().splitlines()[-1])
-    assert codes == [0, 0, 0, 0, 0, 0, 0, 3], proc.stderr
+    assert codes == [0, 0, 0, 0, 0, 0, 0, 3, 0], proc.stderr
     # d0 = 0.3 > sigma(0.5) = 0.25: the path blows up before u reaches 1e-300
     dump = json.loads((tmp_path / "7" / "failure_dump.json").read_text())
     assert "u* = 0.231662" in dump["error"]
