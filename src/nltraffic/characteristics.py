@@ -188,10 +188,12 @@ def _time_path(w0: float, u0: float, tau):
         P = u0 * k
         V = (1.0 - u0) + P
         G, R = (1.0 - u0) / V, k / V
-    den = G * G - w0 * R * (1.0 + G)
+    # w0 and den over 2 s, so that no product exceeds R: (w0 / s) R (1 + G) / 2 <= R
+    s = max(1.0, abs(w0))
+    den = 0.5 * G * G / s - w0 / s * R * (0.5 + 0.5 * G)
     u = u0 / (1.0 + P)
     sigma = u * (1.0 - u)
-    d = sigma if w0 == 0.0 else sigma + w0 / (1.0 + P) / den
+    d = sigma if w0 == 0.0 else sigma + 0.5 * w0 / s / (1.0 + P) / den
     return d, u
 
 
@@ -328,7 +330,7 @@ def time_to_level(u0: float, u1: float, m: float) -> float:
     if not (0.0 < u1 < u0 < 1.0):
         raise ValueError("need 0 < u1 < u0 < 1")
     if m < 0:
-        raise ValueError("mass must be nonnegative")
+        raise ValueError(f"m must be nonnegative, got {m}")
     t1 = _exp_of_mass(m) * (_level_potential(u1) - _level_potential(u0))
     _require_finite_bound(m, t1=t1)
     return t1
@@ -359,7 +361,7 @@ def blowup_time_bound(
     if not (0.0 < u1 < 1.0):
         raise ValueError("need 0 < u1 < 1")
     if m < 0 or t1 < 0:
-        raise ValueError("mass and t1 must be nonnegative")
+        raise ValueError(f"m and t1 must be nonnegative, got m = {m}, t1 = {t1}")
     root = math.sqrt(9.0 + 8.0 * u1)
     d_minus = (3.0 - root) / 4.0 * u1
     d_plus = (3.0 + root) / 4.0 * u1
@@ -389,7 +391,8 @@ def slope_floor(d0: float, u0: float) -> float:
     curve = default_curve()
     margin = d0 - curve.eval(u0)
     if margin <= 0.0:
-        raise ValueError("slope floor needs a strictly supercritical start")
+        raise ValueError(f"slope floor needs a strictly supercritical start, d0 > sigma(u0) = "
+                         f"{d0 - margin:g}; got d0 = {d0:g}")
     cube = u0**3
     c_star = margin * curve.u_boost**3 / cube if cube > 0.0 else math.inf
     if not math.isfinite(c_star):

@@ -30,9 +30,9 @@ class GridSpec:
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.x_left < self.x_right:
-            raise ValueError(f"empty domain [{self.x_left}, {self.x_right}]")
+            raise ValueError(f"empty domain [x_left, x_right] = [{self.x_left}, {self.x_right}]")
         if self.n_cells < 4:
-            raise ValueError(f"need at least 4 cells, got {self.n_cells}")
+            raise ValueError(f"n_cells must be at least 4, got {self.n_cells}")
         if not (0.0 < self.dx < math.inf):
             raise ValueError(
                 f"[x_left, x_right] = [{self.x_left}, {self.x_right}] gives cell "

@@ -101,7 +101,8 @@ def _catalog() -> dict[str, InitialDatum]:
 
     def sub_left(x_left):
         if x_left > -3.0:
-            raise ValueError("subinit domains must start in the 1/x^2 branch")
+            raise ValueError(f"subinit domains must start in the 1/x^2 branch, x_left <= -3; "
+                             f"got x_left = {x_left:g}")
         return 1.0 / abs(x_left)  # int_{-inf}^{x_left} x^-2 dx
 
     sub = InitialDatum(
@@ -197,8 +198,8 @@ def run_experiment(exp: Experiment, out_dir) -> ExperimentResult:
     tail_right = exp.datum.right_tail_mass(u0.grid.x_right)
     if tail_right > 1e-8:
         raise ValueError(
-            f"right tail mass {tail_right:.3e} beyond the domain is too large "
-            "for a faithful look-ahead average"
+            f"right tail mass {tail_right:.3e} beyond x_right = {u0.grid.x_right:g} is "
+            "too large for a faithful look-ahead average"
         )
     # built first, so that invalid solver options stop the run before any evolve
     configs = [
@@ -209,14 +210,19 @@ def run_experiment(exp: Experiment, out_dir) -> ExperimentResult:
         )
         for kernel in exp.kernels
     ]
+    snap_files: dict[str, float] = {}  # file name -> time, in snapshot_times order
+    for t in exp.snapshot_times:
+        fname = f"snap_t{t:g}.csv"
+        if fname in snap_files:
+            raise ValueError(f"snapshot times {snap_files[fname]!r} and {t!r} both name {fname}")
+        snap_files[fname] = t
     result = classify_initial_data(u0)
     runs = [(config.kernel, *evolve(u0, config)) for config in configs]
 
     root = Path(out_dir) / exp.name
     root.mkdir(parents=True, exist_ok=True)
     files: list[str] = []
-    classification = {k: v for k, v in asdict(result).items() if k != "borderline"}
-    write_json(root / "classification.json", classification)
+    write_json(root / "classification.json", asdict(result))
     files.append(f"{exp.name}/classification.json")
     _write_overlay(u0, root / "threshold_overlay.csv")
     files.append(f"{exp.name}/threshold_overlay.csv")
@@ -226,8 +232,7 @@ def run_experiment(exp: Experiment, out_dir) -> ExperimentResult:
     for kernel, snaps, diag in runs:
         kdir = root / f"kernel_{kernel.tag}"
         kdir.mkdir(exist_ok=True)
-        for t_req, snap in snaps:
-            fname = f"snap_t{t_req:g}.csv"
+        for fname, (_, snap) in zip(snap_files, snaps):  # snaps stops early with the run
             write_profile_csv(snap, kdir / fname)
             files.append(f"{exp.name}/kernel_{kernel.tag}/{fname}")
         diag.write_csv(kdir / "diagnostics.csv")

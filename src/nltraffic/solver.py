@@ -15,7 +15,9 @@ which is the min of g over [uL, uR] when uL <= uR and its max over [uR, uL]
 otherwise.  evolve() allocates its work arrays (two ghost-padded states, the
 interface factors, wave speeds and fluxes) once per call, so a step
 allocates no array of the grid's length; the snapshots it returns are
-copies and never alias them.
+copies and never alias them.  Its loop body runs once per state, the
+initial one included: measure and check, record, snapshot, then stop or
+step.  A nan or inf shows in the min and max the density check takes.
 
 Boundaries are zero-gradient outflow.  Time stepping is forward Euler under
 dt = cfl dx / max wave speed, which makes the scheme monotone, hence
@@ -87,7 +89,7 @@ class SolverConfig:
             raise ValueError(f"mass_correction must be finite, got {self.mass_correction}")
         times = tuple(float(t) for t in self.snapshot_times)
         if not all(0.0 <= t <= self.t_end + 1e-12 for t in times):
-            raise ValueError(f"snapshot times must lie in [0, t_end], got {times}")
+            raise ValueError(f"snapshot_times must lie in [0, t_end], got {times}")
         if list(times) != sorted(times):
             raise ValueError("snapshot times must be sorted")
         object.__setattr__(self, "snapshot_times", times)
@@ -126,11 +128,11 @@ def _advance(pad, new, factor, t: float, config: SolverConfig, work):
 
     pad and new hold a state between two ghost cells; pad's are set here
     (zero-gradient outflow).  factor is the lagged slow-down factor of the
-    cells and work the arrays (fi, c, alpha, flux, finite) from _buffers().
+    cells and work the arrays (fi, c, alpha, flux) from _buffers().
     Returns (dt, speed, boundary_flux); the boundary fluxes are
     the step's left and right outflow rates.
     """
-    fi, c, alpha, flux, finite = work
+    fi, c, alpha, flux = work
     pad[0], pad[-1] = pad[1], pad[-2]
     # interface factors: the mean of the two neighbours, one-sided at the edges
     np.add(factor[:-1], factor[1:], out=fi[1:-1])
@@ -150,11 +152,6 @@ def _advance(pad, new, factor, t: float, config: SolverConfig, work):
     np.subtract(flux[1:], flux[:-1], out=u_new)
     u_new *= dt / dx
     np.subtract(pad[1:-1], u_new, out=u_new)
-    if not np.isfinite(u_new, out=finite).all():
-        raise SolverFailure(
-            "non-finite state during update",
-            dump={"t": t, "dt": dt, "max_speed": speed},
-        )
     return dt, speed, (float(flux[0]), float(flux[-1]))
 
 
@@ -162,7 +159,7 @@ def _buffers(n: int):
     """Two ghost-padded states of n cells and the work arrays of _advance."""
     pad, new = np.empty((2, n + 2))
     fi, alpha, flux = np.empty((3, n + 1))
-    return pad, new, (fi, np.empty(n + 2), alpha, flux, np.empty(n, dtype=bool))
+    return pad, new, (fi, np.empty(n + 2), alpha, flux)
 
 
 @dataclass(frozen=True)
@@ -224,13 +221,18 @@ def gradient_indicator(u: GridFunction) -> float:
     return _max_slope(u.values, u.grid.dx) / amp
 
 
-def _checked_measure(u: np.ndarray, t: float, config: SolverConfig):
-    """Check a new state and measure everything the step loop needs, once.
+def _checked_measure(u: np.ndarray, t: float, dt: float, speed: float, config: SolverConfig):
+    """Check a state and measure everything the step loop needs, once.
 
-    Returns (factor, mass, amplitude, row); row holds the diagnostics columns
-    from mass to factor_max, with the mass correction included.
+    t is the state's time, dt and speed those of the step that produced it
+    (0 for the initial state).  Returns (factor, mass, amplitude, row); row
+    is the state's diagnostics row, with the mass correction included.
     """
-    lo, hi = float(u.min()), float(u.max())
+    lo, hi = float(u.min()), float(u.max())  # nan and +-inf propagate into both
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise SolverFailure(
+            "non-finite state during update", dump={"t": t, "dt": dt, "max_speed": speed}
+        )
     if lo < -DENSITY_TOL or hi > 1.0 + DENSITY_TOL:
         raise SolverFailure(
             "maximum principle violated", dump={"t": t, "min_u": lo, "max_u": hi}
@@ -249,7 +251,7 @@ def _checked_measure(u: np.ndarray, t: float, config: SolverConfig):
         )
     amp = max(hi, -lo)  # = max |u|
     gi = 0.0 if amp <= 1e-14 else _max_slope(u, dx) / amp
-    return factor, mass, amp, (m_now, lo, hi, gi, f_min, f_max)
+    return factor, mass, amp, (t, m_now, lo, hi, gi, f_min, f_max, dt, speed)
 
 
 def evolve(u0: GridFunction, config: SolverConfig):
@@ -267,28 +269,40 @@ def evolve(u0: GridFunction, config: SolverConfig):
         tail = config.grid.dx * float(u0.values[-5:].sum())
         if tail > 1e-8:
             raise ValueError(
-                f"data reach the right boundary (tail mass {tail:.3e}); the "
-                "infinite kernel truncates whatever lies beyond it"
+                f"data reach the right boundary x_right = {config.grid.x_right:g} (tail "
+                f"mass {tail:.3e}); the infinite kernel truncates whatever lies beyond it"
             )
 
     pad, new, work = _buffers(config.grid.n_cells)
     pad[1:-1] = u0.values
-    t = 0.0
-    factor, mass, amp, row = _checked_measure(u0.values, t, config)
-    diag = Diagnostics()
-    diag.add_row(t, *row, 0.0, 0.0)
+    u = u_prev = pad[1:-1]
+    # dt = 0 marks the initial state, which closes no step and adds no outflow
+    t = t_prev = dt = speed = f_left = f_right = mass_prev = outflow = max_gradient = 0.0
+    t_detect = contact_t = None
+    grid_scale = BLOWUP_GRADIENT_FACTOR / config.grid.dx
     pending = list(config.snapshot_times)
     snapshots: list[tuple[float, GridFunction]] = []
-    while pending and pending[0] <= t + 1e-12:
-        snapshots.append((pending.pop(0), u0))
-
-    grid_scale = BLOWUP_GRADIENT_FACTOR / config.grid.dx
-    gi = row[3]
-    detected = gi >= grid_scale
-    t_detect = 0.0 if detected else None
-    max_gradient = gi * amp
-    outflow, contact_t = 0.0, None
-    while t < config.t_end - 1e-12 and not (detected and config.stop_on_blowup):
+    diag = Diagnostics()
+    while True:
+        factor, mass, amp, row = _checked_measure(u, t, dt, speed, config)
+        diag.add_row(*row)
+        if dt:  # the step's mass balance against its boundary fluxes
+            drift = abs(mass - mass_prev + dt * (f_right - f_left))
+            diag.max_mass_drift = max(diag.max_mass_drift, drift)
+        if contact_t is None:
+            outflow += dt * f_right
+            if outflow > BOUNDARY_CONTACT_MASS:
+                contact_t = t
+        gi = row[4]
+        max_gradient = max(max_gradient, gi * amp)
+        if t_detect is None and gi >= grid_scale:
+            t_detect = t
+        while pending and pending[0] <= t + 1e-12:
+            tgt = pending.pop(0)
+            pick = u_prev if abs(t_prev - tgt) < abs(t - tgt) else u
+            snapshots.append((tgt, GridFunction(config.grid, pick)))
+        if t >= config.t_end - 1e-12 or (t_detect is not None and config.stop_on_blowup):
+            break
         if len(diag.t) > MAX_STEPS:
             raise SolverFailure("step budget exhausted", dump={"t": t})
         t_prev, mass_prev = t, mass
@@ -304,30 +318,7 @@ def evolve(u0: GridFunction, config: SolverConfig):
         pad, new = new, pad
         u_prev, u = new[1:-1], pad[1:-1]
         t = t_prev + dt
-        factor, mass, amp, row = _checked_measure(u, t, config)
-        diag.add_row(t, *row, dt, speed)
 
-        drift = abs(mass - mass_prev + dt * (f_right - f_left))
-        diag.max_mass_drift = max(diag.max_mass_drift, drift)
-        if contact_t is None:
-            outflow += dt * f_right
-            if outflow > BOUNDARY_CONTACT_MASS:
-                contact_t = t
-        gi = row[3]
-        max_gradient = max(max_gradient, gi * amp)
-        if not detected and gi >= grid_scale:
-            detected = True
-            t_detect = t
-
-        while pending and pending[0] <= t + 1e-12:
-            tgt = pending.pop(0)
-            pick = u_prev if abs(t_prev - tgt) < abs(t - tgt) else u
-            snapshots.append((tgt, GridFunction(config.grid, pick)))
-
-    diag.blowup = BlowupReport(
-        detected=detected,
-        t_detect=t_detect,
-        max_gradient=max_gradient,
-        boundary_contact_t=contact_t,
-    )
+    diag.blowup = BlowupReport(detected=t_detect is not None, t_detect=t_detect,
+                               max_gradient=max_gradient, boundary_contact_t=contact_t)
     return snapshots, diag

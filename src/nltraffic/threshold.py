@@ -68,9 +68,8 @@ class Classification:
 
     For SUPERCRITICAL the witness maximizes margin = u0'(x) - sigma(u0(x))
     and margin > 0; for SUBCRITICAL it minimizes sigma(u0) - u0' and margin
-    is that minimal distance below the curve (>= 0 up to the dead band).
-    borderline flags profiles whose extremal margin falls inside the dead
-    band (0, tau]: reported subcritical, but too close to call.
+    is that minimal distance below the curve; it is negative when the point
+    lies in the dead band (0, tau] above it: too close to call.
     """
 
     verdict: str
@@ -78,7 +77,6 @@ class Classification:
     u0_at_x0: float
     d0_at_x0: float
     margin: float
-    borderline: bool
 
 
 def classify_initial_data(u0: GridFunction) -> Classification:
@@ -97,8 +95,8 @@ def classify_initial_data(u0: GridFunction) -> Classification:
     top = float(margins[i])
     witness = (float(u0.x[i]), float(values[i]), float(d[i]))
     if top > STRICTNESS_TAU:
-        return Classification(SUPERCRITICAL, *witness, top, False)
-    return Classification(SUBCRITICAL, *witness, -top, borderline=top > 0.0)
+        return Classification(SUPERCRITICAL, *witness, top)
+    return Classification(SUBCRITICAL, *witness, -top)
 
 
 def write_threshold_csv(curve: ThresholdCurve, path, n_samples: int = 1001) -> None:

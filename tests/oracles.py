@@ -185,9 +185,9 @@ def reference_evolve(u0, config):
     """
     dx = config.grid.dx
     t, u = 0.0, u0.values
-    factor, mass, _, row = _checked_measure(u, t, config)
+    factor, mass, _, row = _checked_measure(u, t, 0.0, 0.0, config)
     diag = Diagnostics()
-    diag.add_row(t, *row, 0.0, 0.0)
+    diag.add_row(*row)
     pending = list(config.snapshot_times)
     snapshots = []
     t_prev, u_prev = t, u
@@ -206,8 +206,8 @@ def reference_evolve(u0, config):
         t_prev, u_prev, mass_prev = t, u, mass
         u = u - (dt / dx) * (flux[1:] - flux[:-1])
         t = t + dt
-        factor, mass, _, row = _checked_measure(u, t, config)
-        diag.add_row(t, *row, dt, speed)
+        factor, mass, _, row = _checked_measure(u, t, dt, speed, config)
+        diag.add_row(*row)
         drift = abs(mass - mass_prev + dt * (flux[-1] - flux[0]))
         diag.max_mass_drift = max(diag.max_mass_drift, drift)
 

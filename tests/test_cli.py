@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -64,6 +65,38 @@ def test_non_finite_snapshot_exits_2(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "error: --snapshots: could not convert string to float: 'abc'" in err
+
+
+@pytest.mark.parametrize("snapshots", ["0.05,0.050000000001", "0.05,0.05"])
+def test_colliding_snapshot_names_exit_2(tmp_path, capsys, snapshots):
+    """Two times that print alike would write one file twice: refused before any output."""
+    out = tmp_path / "clash"
+    argv = ["evolve", "--n-cells", "200", "--t-end", "0.1", "--run-past-blowup",
+            "--snapshots", snapshots, "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    first, second = snapshots.split(",")
+    assert f"snapshot times {first} and {second} both name snap_t0.05.csv" in err
+    assert not any(p.is_file() for p in out.rglob("*"))
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["evolve", "--n-cells", "2"], "n_cells"),
+        (["classify", "--x-left", "5", "--x-right", "1"], "x_left"),
+        (["evolve", "--t-end", "4", "--snapshots", "5"], "snapshot_times"),
+        (["bounds", "--d0", "0.4", "--u0", "0.5", "--m", "-1"], "m"),
+        (["bounds", "--d0", "0.1", "--u0", "0.5"], "d0"),
+        (["evolve", "--datum", "bump", "--x-right", "0.5", "--kernel", "infinite"], "x_right"),
+        (["classify", "--datum", "subinit", "--x-right", "5"], "x_right"),
+        (["classify", "--datum", "subinit", "--x-left", "-2.5"], "x_left"),
+    ],
+)
+def test_out_of_domain_option_is_named(tmp_path, capsys, argv, name):
+    assert main(argv + ["--out", str(tmp_path / "bad")]) == 2
+    err = capsys.readouterr().err
+    assert re.search(rf"\b{name}\b", err), err
 
 
 def test_unknown_subcommand_exits_2(capsys):
@@ -240,7 +273,11 @@ def test_phase_portrait_time_mode(tmp_path, capsys):
 
 @pytest.mark.filterwarnings("error")
 def test_phase_portrait_time_mode_to_a_huge_t_end(tmp_path, capsys):
-    """A smooth path needs no steps: t_end = 1e300 runs, and no row lies above sigma."""
+    """A smooth path needs no steps: t_end = 1e300 runs, and no row lies above sigma.
+
+    Near the float maximum |d0 - sigma(u0)| F passes it, yet no product may
+    overflow: from u0 = 0 every row is the exact d = -1/(1 + 2F).
+    """
     out = tmp_path / "far"
     code = main(
         [
@@ -253,6 +290,20 @@ def test_phase_portrait_time_mode_to_a_huge_t_end(tmp_path, capsys):
     t, d, u = np.loadtxt(out / "trajectory.csv", delimiter=",", skiprows=1, unpack=True)
     assert len(t) == 201 and t[-1] == 1e300
     assert np.all(d <= u * (1.0 - u))
+
+    out = tmp_path / "max"
+    code = main(
+        [
+            "phase-portrait", "--d0", "-1", "--u0", "0",
+            "--factor", "1", "--t-end", "1.7e308", "--out", str(out),
+        ]
+    )
+    assert code == 0
+    assert capsys.readouterr().err == ""
+    t, d, u = np.loadtxt(out / "trajectory.csv", delimiter=",", skiprows=1, unpack=True)
+    assert len(t) == 201 and t[-1] == 1.7e308
+    assert np.all(np.isfinite(d)) and np.all(u == 0.0)
+    assert np.all(np.abs(d - -0.5 / (0.5 + t)) <= 1e-300)
 
 
 def test_phase_portrait_phase_mode(tmp_path):

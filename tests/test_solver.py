@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nltraffic import solver
 from nltraffic.grid import (
     GridFunction,
     GridSpec,
@@ -19,7 +20,7 @@ from nltraffic.grid import (
     write_json,
 )
 from nltraffic.kernels import INFINITE, SK_UNIT, UNIFORM, ZERO, nonlocal_field, sk_scaled
-from nltraffic.scenarios import bump_init
+from nltraffic.scenarios import COMPARE_KERNELS, bump_init
 from nltraffic.solver import (
     Diagnostics,
     SolverConfig,
@@ -173,6 +174,27 @@ def test_step_allocates_no_grid_sized_array():
     assert peak < n  # fewer bytes than one boolean per cell
 
 
+def test_non_finite_flux_fails_the_step(monkeypatch):
+    """A nan interface flux on the third step is caught in the state it produces."""
+    calls = []
+
+    def flux_with_nan(*args, **kwargs):
+        out = numerical_flux(*args, **kwargs)
+        calls.append(1)
+        if len(calls) == 3:
+            out[len(out) // 2] = math.nan
+        return out
+
+    monkeypatch.setattr(solver, "numerical_flux", flux_with_nan)
+    grid = scenario_grid(400)
+    config = SolverConfig(grid=grid, kernel=ZERO, t_end=1.0, stop_on_blowup=False)
+    with pytest.raises(SolverFailure, match="^non-finite state during update$") as info:
+        evolve(GridFunction.from_callable(grid, bump_init), config)
+    assert len(calls) == 3
+    assert set(info.value.dump) == {"t", "dt", "max_speed"}
+    assert info.value.dump["dt"] > 0.0 and info.value.dump["max_speed"] > 0.0
+
+
 def test_vacuum_fixed_point_and_cfl_step():
     grid = scenario_grid(200)
     config = SolverConfig(grid=grid, kernel=ZERO, t_end=1.0, snapshot_times=(1.0,))
@@ -276,6 +298,27 @@ def test_box_run_past_detection():
     assert diag.blowup.t_detect == 0.0
     # a unit jump over one cell is the sharpest profile the grid can hold
     assert diag.blowup.max_gradient == pytest.approx(0.5 / grid.dx, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "kernel, t_detect", zip(COMPARE_KERNELS, (0.585, 0.729, 1.0665, 0.912)),
+    ids=[k.tag for k in COMPARE_KERNELS],
+)
+def test_stopping_at_detection_truncates_the_full_run(kernel, t_detect):
+    """stop_on_blowup only cuts the run: every row up to t_detect is the full run's."""
+    grid = scenario_grid(1600)
+    u0 = GridFunction.from_callable(grid, bump_init)
+    stopped, full = (
+        evolve(u0, SolverConfig(grid=grid, kernel=kernel, t_end=2.0, stop_on_blowup=stop))[1]
+        for stop in (True, False)
+    )
+    k = len(stopped.t)
+    assert 1 < k < len(full.t)
+    for name in Diagnostics.COLUMNS:
+        assert getattr(stopped, name) == getattr(full, name)[:k], name
+    assert stopped.t[-1] == stopped.blowup.t_detect == full.blowup.t_detect
+    assert stopped.blowup.t_detect == pytest.approx(t_detect, abs=1e-3)
+    assert stopped.blowup.detected and full.blowup.detected
 
 
 def test_smooth_short_run_not_detected():

@@ -9,6 +9,7 @@ from nltraffic.grid import GridFunction, GridSpec
 from nltraffic.scenarios import RECIPES, customized, run_experiment
 from nltraffic.threshold import (
     SUBCRITICAL,
+    STRICTNESS_TAU,
     SUPERCRITICAL,
     classify_initial_data,
     default_curve,
@@ -116,8 +117,7 @@ def test_classify_subcritical():
     u0 = ramp_data(slope=0.05)
     res = classify_initial_data(u0)
     assert res.verdict == SUBCRITICAL
-    assert not res.borderline
-    assert res.margin > 0.1  # distance below the curve
+    assert res.margin > 0.1  # distance below the curve, clear of the dead band
 
 
 def spike_data(offset, n=100):
@@ -134,7 +134,7 @@ def spike_data(offset, n=100):
 def test_classify_borderline_flag():
     res = classify_initial_data(spike_data(5e-11))
     assert res.verdict == SUBCRITICAL
-    assert res.borderline
+    assert -STRICTNESS_TAU <= res.margin < 0.0  # in the dead band, above the curve
     res = classify_initial_data(spike_data(2e-10))
     assert res.verdict == SUPERCRITICAL
 
