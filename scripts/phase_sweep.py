@@ -42,13 +42,14 @@ def main(argv):
                 write_csv(
                     out / f"traj_u{u0:g}_shift{shift:g}.csv", "t,d,u", (traj.t, traj.d, traj.u)
                 )
+            blown_up = traj.blowup_time is not None
             rows.append(
                 (
                     format_float(u0),
                     format_float(d0),
                     format_float(shift),
-                    "1" if traj.blown_up else "0",
-                    format_float(traj.blowup_time) if traj.blown_up else "",
+                    "1" if blown_up else "0",
+                    format_float(traj.blowup_time) if blown_up else "",
                     sharp,
                 )
             )

@@ -12,13 +12,13 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from nltraffic.scenarios import experiment_recipes, run_experiment
+from nltraffic.scenarios import RECIPES, run_experiment
 
 
 def main(argv):
     out = Path(argv[1]) if len(argv) > 1 else Path("results")
     n_cells = int(argv[2]) if len(argv) > 2 else None
-    for name, exp in experiment_recipes().items():
+    for name, exp in RECIPES.items():
         if n_cells is not None:
             exp = replace(exp, n_cells=n_cells)
         print(f"== {name} (n={exp.n_cells}) ==")

@@ -12,7 +12,6 @@ depend on the slow-down factor; only the traversal speed does.
 
 Quantities derived from the phase plane:
 
-* slope_roots(u): roots of the quadratic 2 d^2 - (3u - 5u^2) d - u^3(1-u).
 * time_to_level: the time a supercritical path needs to drive u below a
   level u1, bounded through the comparison solution eta' = -exp(-m)
   eta^2 (1 - eta).
@@ -89,61 +88,6 @@ class ConstantFactor:
         """The time at which F reaches value."""
         return t0 + value / self.value
 
-    @property
-    def span(self) -> float:
-        return math.inf
-
-
-class SampledFactor:
-    """Slow-down factor interpolated from a sampled time series.
-
-    Typically exp(-ubar) recorded along a path by the PDE solver.  Linear
-    interpolation between samples (constant before the first), integrated
-    exactly by trapezoid sums; evaluation beyond the last sample is an error.
-    """
-
-    def __init__(self, times, values):
-        t = np.asarray(times, dtype=float)
-        v = np.asarray(values, dtype=float)
-        if t.ndim != 1 or t.shape != v.shape or len(t) < 2:
-            raise ValueError("need matching 1-d time/value series of length >= 2")
-        if not np.all(np.diff(t) > 0):
-            raise ValueError("factor sample times must increase")
-        if float(v.min()) <= 0.0 or float(v.max()) > 1.0 + 1e-12:
-            raise ValueError("factor samples must lie in (0, 1]")
-        self.times = t
-        self.values = v
-        self._sums = np.concatenate(([0.0], np.cumsum(np.diff(t) * (v[:-1] + v[1:]) / 2.0)))
-
-    def at(self, t: float) -> float:
-        if t > self.times[-1] + 1e-12:
-            raise ValueError(f"factor series ends at t={self.times[-1]}, asked for t={t}")
-        return float(np.interp(t, self.times, self.values))
-
-    def _primitive(self, t):
-        j = np.clip(np.searchsorted(self.times, t, side="right") - 1, 0, len(self.times) - 2)
-        f = np.interp(t, self.times, self.values)
-        return self._sums[j] + (t - self.times[j]) * (self.values[j] + f) / 2.0
-
-    def integral(self, t0: float, t):
-        """F(t), the integral of f from t0 to each t."""
-        return self._primitive(np.asarray(t, dtype=float)) - self._primitive(t0)
-
-    def reach(self, t0: float, value: float) -> float:
-        """The time at which F reaches value; inf if the series ends first."""
-        target = self._primitive(t0) + value
-        if target > self._sums[-1]:
-            return math.inf
-        j = min(max(int(np.searchsorted(self._sums, target)) - 1, 0), len(self.times) - 2)
-        rest, v = target - self._sums[j], self.values[j]
-        slope = (self.values[j + 1] - v) / (self.times[j + 1] - self.times[j]) if rest > 0 else 0.0
-        root = math.sqrt(max(v * v + 2.0 * slope * rest, 0.0))  # the factor where F = value
-        return float(self.times[j] + 2.0 * rest / (v + root))  # v s + slope s^2 / 2 = rest
-
-    @property
-    def span(self) -> float:
-        return float(self.times[-1])
-
 
 def _potential_inverse(u0: float, tau):
     """k = 1/u - 1/u0 >= 0 at which the density of a path from u0 < 1 has advanced tau.
@@ -204,8 +148,19 @@ class Trajectory:
     t: np.ndarray
     d: np.ndarray
     u: np.ndarray
-    blown_up: bool
     blowup_time: float | None
+
+
+def _blowup_root(w0: float, u0: float) -> tuple[float, float]:
+    """(u*, F*) for a supercritical start, w0 = d0 - sigma(u0) > 0.
+
+    u* is the density at which the slope blows up, the root of the phase
+    path's D in (0, u0), and F* = Phi(u*) - Phi(u0) the advance of F that
+    reaches it.
+    """
+    s = w0 + math.sqrt(w0) * math.sqrt(w0 + u0)
+    k_star = (1.0 - u0) / s  # 1/u* - 1/u0
+    return u0 / (1.0 + u0 * k_star), k_star + math.log1p(u0 / s)
 
 
 def integrate_characteristic(state0: CharState, factor, t_end: float, t_eval=None) -> Trajectory:
@@ -213,16 +168,14 @@ def integrate_characteristic(state0: CharState, factor, t_end: float, t_eval=Non
 
     With F(t) the integral of the factor from t0 and Phi(v) = 1/v + log((1-v)/v),
     Phi(u(t)) = Phi(u0) + F(t) (see _time_path for d).  A supercritical start
-    (d0 > sigma(u0)) blows up at the T* where F reaches Phi(u*) - Phi(u0),
-    u* being the root that phase_trajectory names.  Rows are PHASE_SAMPLES
-    evenly spaced times from t0 to t_end, or to T* with the last row
-    (T*, inf, u*); with t_eval, its times before T*.
+    (d0 > sigma(u0)) blows up at the T* where F reaches Phi(u*) - Phi(u0);
+    _blowup_root gives u* and that advance.  Rows are PHASE_SAMPLES evenly
+    spaced times from t0 to t_end, or to T* with the last row (T*, inf, u*);
+    with t_eval, its times before T*.
     """
     _require_finite(t_end=t_end)
     if t_end <= state0.t:
         raise ValueError("t_end must exceed the initial time")
-    if factor.span < t_end:
-        raise ValueError("factor series shorter than the requested time span")
     if t_eval is not None:
         t_eval = np.asarray(t_eval, dtype=float)
         if not (np.all(np.diff(t_eval) > 0) and state0.t <= t_eval[0] and t_eval[-1] <= t_end):
@@ -232,10 +185,8 @@ def integrate_characteristic(state0: CharState, factor, t_end: float, t_eval=Non
     w0 = d0 - u0 * (1.0 - u0)
     t_star = u_star = math.inf
     if w0 > 0.0:
-        s = w0 + math.sqrt(w0) * math.sqrt(w0 + u0)
-        k_star = (1.0 - u0) / s  # 1/u* - 1/u0
-        t_star = factor.reach(t0, k_star + math.log1p(u0 / s))  # F = Phi(u*) - Phi(u0)
-        u_star = u0 / (1.0 + u0 * k_star)
+        u_star, f_star = _blowup_root(w0, u0)
+        t_star = factor.reach(t0, f_star)
     blown_up = t_star <= t_end
     if t_eval is None:
         t = np.linspace(t0, min(t_end, t_star), PHASE_SAMPLES)
@@ -245,7 +196,7 @@ def integrate_characteristic(state0: CharState, factor, t_end: float, t_eval=Non
     d, u = _time_path(w0, u0, factor.integral(t0, smooth))
     if len(smooth) < len(t):
         d, u = np.append(d, math.inf), np.append(u, u_star)
-    return Trajectory(t=t, d=d, u=u, blown_up=blown_up, blowup_time=t_star if blown_up else None)
+    return Trajectory(t=t, d=d, u=u, blowup_time=t_star if blown_up else None)
 
 
 def _phase_denominator(w0: float, u0: float, u):
@@ -293,25 +244,12 @@ def phase_trajectory(d0: float, u0: float, u_end: float) -> PhaseTrajectory:
         raise ValueError("u_end must lie in (0, u0)")
     w0 = d0 - u0 * (1.0 - u0)
     if w0 > 0.0 and _phase_denominator(w0, u0, u_end) <= 0.0:
-        s = math.sqrt(w0)
-        u_star = u0 * s / (u0 * s + (1.0 - u0) * math.sqrt(u0 + w0))
+        u_star, _ = _blowup_root(w0, u0)
         raise RuntimeError(f"the slope blows up at u* = {u_star:.6g}, above u_end = {u_end:g}")
     u = np.geomspace(u0, u_end, PHASE_SAMPLES)
     d = _phase_path(d0, u0, u)
     d[0] = d0  # at() reads the start back from the first sample
     return PhaseTrajectory(u=u, d=d)
-
-
-def slope_roots(u: float):
-    """Roots d_- <= d_+ of 2 d^2 - (3u - 5u^2) d - u^3 (1 - u) in d."""
-    if not (0.0 <= u <= 1.0):
-        raise ValueError("slope roots defined for u in [0, 1]")
-    b = 3.0 * u - 5.0 * u * u
-    disc = b * b + 8.0 * u**3 * (1.0 - u)
-    if disc < 0:  # cannot happen on [0, 1]; guard against roundoff anyway
-        disc = 0.0
-    root = math.sqrt(disc)
-    return (b - root) / 4.0, (b + root) / 4.0
 
 
 def _level_potential(v: float) -> float:

@@ -32,19 +32,6 @@ from .solver import SolverFailure
 from .threshold import default_curve, write_threshold_csv
 
 
-def _read_config_file(path: str) -> list[tuple[str, str]]:
-    pairs = []
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"{path}:{lineno}: expected `key = value`, got {raw!r}")
-        key, value = line.split("=", 1)
-        pairs.append((key.strip(), value.strip()))
-    return pairs
-
-
 def _inject_config(argv: list[str]) -> list[str]:
     """Expand --config into flags placed before the explicit ones."""
     path = None
@@ -55,14 +42,24 @@ def _inject_config(argv: list[str]) -> list[str]:
             path = tok.split("=", 1)[1]
     if path is None:
         return argv
+    if path.startswith("--"):
+        raise ValueError(f"--config: expected a file name, got {path!r}")
+    try:
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+    except (ValueError, OSError) as exc:  # UnicodeDecodeError is a ValueError
+        raise ValueError(f"--config: {exc}") from None
     flags: list[str] = []
-    for key, value in _read_config_file(path):
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ValueError(f"--config: {path}:{lineno}: expected `key = value`, got {raw!r}")
+        key, value = (part.strip() for part in line.split("=", 1))
         flag = "--" + key.replace("_", "-")
         if value.lower() == "true":
             flags.append(flag)
-        elif value.lower() == "false":
-            continue
-        else:
+        elif value.lower() != "false":
             flags.extend([flag, value])
     return argv[:1] + flags + argv[1:]
 
@@ -269,7 +266,7 @@ def dispatch(args) -> int:
                 t_end=args.t_end,
             )
             write_csv(out / "trajectory.csv", "t,d,u", (traj.t, traj.d, traj.u))
-            if traj.blown_up:
+            if traj.blowup_time is not None:
                 print(f"slope blow-up at t = {traj.blowup_time:g}")
         else:
             u_end = args.u_end if args.u_end is not None else args.u0 / 100.0
@@ -307,16 +304,15 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         args = parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
         return dispatch(args)
+    except SystemExit as exc:  # argparse's own errors, -h and --help
+        return int(exc.code or 0)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RuntimeError as exc:
         dump = exc.dump if isinstance(exc, SolverFailure) else {}
-        out = Path(getattr(args, "out", "out"))
+        out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         path = out / "failure_dump.json"
         write_json(path, {"error": str(exc), **dump})

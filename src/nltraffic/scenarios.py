@@ -32,7 +32,7 @@ from .grid import (
     write_profile_csv,
 )
 from .kernels import INFINITE, SK_UNIT, UNIFORM, ZERO, Kernel
-from .solver import Diagnostics, SolverConfig, evolve
+from .solver import BOUNDARY_CONTACT_MASS, Diagnostics, SolverConfig, evolve
 from .threshold import (
     Classification,
     classify_initial_data,
@@ -63,7 +63,8 @@ def subcritical_init(x):
     left = x <= -3.0
     mid = (~left) & (x <= 0.0)
     right = x > 0.0
-    out[left] = 1.0 / x[left] ** 2
+    with np.errstate(over="ignore"):  # beyond |x| ~ 1e154, x^2 = inf and 1/inf = 0 is right
+        out[left] = 1.0 / x[left] ** 2
     out[mid] = np.polyval(_POLY, x[mid])
     out[right] = np.exp(-x[right]) / 9.0
     return out
@@ -91,32 +92,29 @@ class InitialDatum:
         return float(self.right_tail(x_right)) if self.right_tail else 0.0
 
 
-def _catalog() -> dict[str, InitialDatum]:
-    bump = InitialDatum(
+def _subinit_left_tail(x_left):
+    if x_left > -3.0:
+        raise ValueError(f"subinit domains must start in the 1/x^2 branch, x_left <= -3; "
+                         f"got x_left = {x_left:g}")
+    return 1.0 / abs(x_left)  # int_{-inf}^{x_left} x^-2 dx
+
+
+CATALOG = {
+    "bump": InitialDatum(
         name="bump",
         profile=bump_init,
         domain=(-6.0, 10.0),
         expected_verdict="SUPERCRITICAL",
-    )
-
-    def sub_left(x_left):
-        if x_left > -3.0:
-            raise ValueError(f"subinit domains must start in the 1/x^2 branch, x_left <= -3; "
-                             f"got x_left = {x_left:g}")
-        return 1.0 / abs(x_left)  # int_{-inf}^{x_left} x^-2 dx
-
-    sub = InitialDatum(
+    ),
+    "subinit": InitialDatum(
         name="subinit",
         profile=subcritical_init,
         domain=(-200.0, 40.0),
         expected_verdict="SUBCRITICAL",
-        left_tail=sub_left,
+        left_tail=_subinit_left_tail,
         right_tail=lambda x_right: np.exp(-x_right) / 9.0,
-    )
-    return {"bump": bump, "subinit": sub}
-
-
-CATALOG = _catalog()
+    ),
+}
 
 
 def get_datum(name: str) -> InitialDatum:
@@ -142,34 +140,28 @@ class Experiment:
     stop_on_blowup: bool = False  # bundles keep evolving to t_end for figures
 
 
-def experiment_recipes() -> dict[str, Experiment]:
-    bump = CATALOG["bump"]
-    sub = CATALOG["subinit"]
-    return {
-        "supercritical-compare": Experiment(
-            name="supercritical-compare",
-            datum=bump,
-            kernels=COMPARE_KERNELS,
-            t_end=4.0,
-            snapshot_times=(0.0, 1.0, 2.0, 3.0, 4.0),
-        ),
-        "subcritical-compare": Experiment(
-            name="subcritical-compare",
-            datum=sub,
-            kernels=COMPARE_KERNELS,
-            t_end=20.0,
-            snapshot_times=(0.0, 5.0, 10.0, 15.0, 20.0),
-        ),
-        "threshold-contour": Experiment(
-            name="threshold-contour",
-            datum=bump,
-            kernels=(),
-            t_end=1.0,
-        ),
-    }
-
-
-RECIPES = experiment_recipes()
+RECIPES = {exp.name: exp for exp in (
+    Experiment(
+        name="supercritical-compare",
+        datum=CATALOG["bump"],
+        kernels=COMPARE_KERNELS,
+        t_end=4.0,
+        snapshot_times=(0.0, 1.0, 2.0, 3.0, 4.0),
+    ),
+    Experiment(
+        name="subcritical-compare",
+        datum=CATALOG["subinit"],
+        kernels=COMPARE_KERNELS,
+        t_end=20.0,
+        snapshot_times=(0.0, 5.0, 10.0, 15.0, 20.0),
+    ),
+    Experiment(
+        name="threshold-contour",
+        datum=CATALOG["bump"],
+        kernels=(),
+        t_end=1.0,
+    ),
+)}
 
 
 @dataclass
@@ -194,17 +186,23 @@ def run_experiment(exp: Experiment, out_dir) -> ExperimentResult:
     is refused or fails leaves no partial bundle.
     """
     u0 = exp.datum.sample(exp.n_cells)
-    tail_left = exp.datum.left_tail_mass(u0.grid.x_left)
-    tail_right = exp.datum.right_tail_mass(u0.grid.x_right)
-    if tail_right > 1e-8:
+    grid = u0.grid
+    if float(u0.values.max()) <= 0.0:
         raise ValueError(
-            f"right tail mass {tail_right:.3e} beyond x_right = {u0.grid.x_right:g} is "
+            f"the n_cells = {exp.n_cells} cell centers on [x_left, x_right] = "
+            f"[{grid.x_left:g}, {grid.x_right:g}] sample {exp.datum.name} as 0 everywhere"
+        )
+    tail_left = exp.datum.left_tail_mass(grid.x_left)
+    tail_right = exp.datum.right_tail_mass(grid.x_right)
+    if tail_right > BOUNDARY_CONTACT_MASS:
+        raise ValueError(
+            f"right tail mass {tail_right:.3e} beyond x_right = {grid.x_right:g} is "
             "too large for a faithful look-ahead average"
         )
     # built first, so that invalid solver options stop the run before any evolve
     configs = [
         SolverConfig(
-            grid=u0.grid, kernel=kernel, t_end=exp.t_end, cfl=exp.cfl,
+            grid=grid, kernel=kernel, t_end=exp.t_end, cfl=exp.cfl,
             snapshot_times=exp.snapshot_times, stop_on_blowup=exp.stop_on_blowup,
             mass_correction=tail_left,
         )
@@ -222,25 +220,24 @@ def run_experiment(exp: Experiment, out_dir) -> ExperimentResult:
     root = Path(out_dir) / exp.name
     root.mkdir(parents=True, exist_ok=True)
     files: list[str] = []
-    write_json(root / "classification.json", asdict(result))
-    files.append(f"{exp.name}/classification.json")
-    _write_overlay(u0, root / "threshold_overlay.csv")
-    files.append(f"{exp.name}/threshold_overlay.csv")
-    write_threshold_csv(default_curve(), root / "threshold_curve.csv")
-    files.append(f"{exp.name}/threshold_curve.csv")
+
+    def bundle_path(rel: str) -> Path:
+        files.append(f"{exp.name}/{rel}")
+        return root / rel
+
+    write_json(bundle_path("classification.json"), asdict(result))
+    _write_overlay(u0, bundle_path("threshold_overlay.csv"))
+    write_threshold_csv(default_curve(), bundle_path("threshold_curve.csv"))
 
     for kernel, snaps, diag in runs:
-        kdir = root / f"kernel_{kernel.tag}"
-        kdir.mkdir(exist_ok=True)
+        kdir = f"kernel_{kernel.tag}"
+        (root / kdir).mkdir(exist_ok=True)
         for fname, (_, snap) in zip(snap_files, snaps):  # snaps stops early with the run
-            write_profile_csv(snap, kdir / fname)
-            files.append(f"{exp.name}/kernel_{kernel.tag}/{fname}")
-        diag.write_csv(kdir / "diagnostics.csv")
-        files.append(f"{exp.name}/kernel_{kernel.tag}/diagnostics.csv")
-        write_json(kdir / "blowup.json", asdict(diag.blowup))
-        files.append(f"{exp.name}/kernel_{kernel.tag}/blowup.json")
+            write_profile_csv(snap, bundle_path(f"{kdir}/{fname}"))
+        diag.write_csv(bundle_path(f"{kdir}/diagnostics.csv"))
+        write_json(bundle_path(f"{kdir}/blowup.json"), asdict(diag.blowup))
 
-    meta = {
+    write_json(bundle_path("metadata.json"), {
         "name": exp.name,
         "datum": exp.datum.name,
         "domain": list(exp.datum.domain),
@@ -250,9 +247,7 @@ def run_experiment(exp: Experiment, out_dir) -> ExperimentResult:
         "cfl": exp.cfl,
         "kernels": [str(k) for k in exp.kernels],
         "left_tail_mass": tail_left,
-    }
-    write_json(root / "metadata.json", meta)
-    files.append(f"{exp.name}/metadata.json")
+    })
 
     return ExperimentResult(
         classification=result,

@@ -267,7 +267,7 @@ def evolve(u0: GridFunction, config: SolverConfig):
     require_density(u0)
     if config.kernel.kind == "infinite":
         tail = config.grid.dx * float(u0.values[-5:].sum())
-        if tail > 1e-8:
+        if tail > BOUNDARY_CONTACT_MASS:
             raise ValueError(
                 f"data reach the right boundary x_right = {config.grid.x_right:g} (tail "
                 f"mass {tail:.3e}); the infinite kernel truncates whatever lies beyond it"

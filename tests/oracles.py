@@ -6,7 +6,10 @@ against a route that never assumes it; threshold_residual measures how far
 any candidate curve is from solving that ODE.  solve_eta and eta_crossing_time
 integrate the comparison equation behind characteristics.time_to_level, and
 characteristic_rhs is the (d, u) system whose closed-form solution
-characteristics.integrate_characteristic returns.
+characteristics.integrate_characteristic returns, SampledFactor the
+time-varying slow-down factor that the tests feed it next to the package's
+ConstantFactor, and slope_roots the roots in d of the quadratic that
+drives the slope along a characteristic.
 godunov_flux is the case-split Godunov flux that solver.numerical_flux
 replaced, and reference_evolve a step loop on it that allocates every array
 afresh, against which the solver's reused work buffers are checked.
@@ -155,6 +158,71 @@ def characteristic_rhs(d: float, u: float, factor: float):
     uu = min(max(u, 0.0), 1.0)
     poly = 2.0 * d * d - (3.0 * uu - 5.0 * uu * uu) * d - uu**3 * (1.0 - uu)
     return poly * factor, -(uu * uu) * (1.0 - uu) * factor
+
+
+class SampledFactor:
+    """Slow-down factor interpolated from a sampled time series.
+
+    Typically exp(-ubar) recorded along a path by the PDE solver.  Linear
+    interpolation between samples (constant before the first), integrated
+    exactly by trapezoid sums; evaluation or integration beyond the last
+    sample is an error.
+    """
+
+    def __init__(self, times, values):
+        t = np.asarray(times, dtype=float)
+        v = np.asarray(values, dtype=float)
+        if t.ndim != 1 or t.shape != v.shape or len(t) < 2:
+            raise ValueError("need matching 1-d time/value series of length >= 2")
+        if not np.all(np.diff(t) > 0):
+            raise ValueError("factor sample times must increase")
+        if float(v.min()) <= 0.0 or float(v.max()) > 1.0 + 1e-12:
+            raise ValueError("factor samples must lie in (0, 1]")
+        self.times = t
+        self.values = v
+        self._sums = np.concatenate(([0.0], np.cumsum(np.diff(t) * (v[:-1] + v[1:]) / 2.0)))
+
+    def _require_within(self, t) -> None:
+        if np.any(t > self.times[-1] + 1e-12):
+            raise ValueError(f"factor series ends at t={self.times[-1]}, asked for t={np.max(t)}")
+
+    def at(self, t: float) -> float:
+        self._require_within(t)
+        return float(np.interp(t, self.times, self.values))
+
+    def _primitive(self, t):
+        j = np.clip(np.searchsorted(self.times, t, side="right") - 1, 0, len(self.times) - 2)
+        f = np.interp(t, self.times, self.values)
+        return self._sums[j] + (t - self.times[j]) * (self.values[j] + f) / 2.0
+
+    def integral(self, t0: float, t):
+        """F(t), the integral of f from t0 to each t."""
+        t = np.asarray(t, dtype=float)
+        self._require_within(t)
+        return self._primitive(t) - self._primitive(t0)
+
+    def reach(self, t0: float, value: float) -> float:
+        """The time at which F reaches value; inf if the series ends first."""
+        target = self._primitive(t0) + value
+        if target > self._sums[-1]:
+            return math.inf
+        j = min(max(int(np.searchsorted(self._sums, target)) - 1, 0), len(self.times) - 2)
+        rest, v = target - self._sums[j], self.values[j]
+        slope = (self.values[j + 1] - v) / (self.times[j + 1] - self.times[j]) if rest > 0 else 0.0
+        root = math.sqrt(max(v * v + 2.0 * slope * rest, 0.0))  # the factor where F = value
+        return float(self.times[j] + 2.0 * rest / (v + root))  # v s + slope s^2 / 2 = rest
+
+
+def slope_roots(u: float):
+    """Roots d_- <= d_+ of 2 d^2 - (3u - 5u^2) d - u^3 (1 - u) in d."""
+    if not (0.0 <= u <= 1.0):
+        raise ValueError("slope roots defined for u in [0, 1]")
+    b = 3.0 * u - 5.0 * u * u
+    disc = b * b + 8.0 * u**3 * (1.0 - u)
+    if disc < 0:  # cannot happen on [0, 1]; guard against roundoff anyway
+        disc = 0.0
+    root = math.sqrt(disc)
+    return (b - root) / 4.0, (b + root) / 4.0
 
 
 def godunov_flux(u_left, u_right, factor):

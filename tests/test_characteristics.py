@@ -9,16 +9,20 @@ from scipy.optimize import brentq
 from nltraffic.characteristics import (
     CharState,
     ConstantFactor,
-    SampledFactor,
     blowup_time_bound,
     integrate_characteristic,
     phase_trajectory,
     slope_floor,
-    slope_roots,
     supercritical_bounds,
     time_to_level,
 )
-from oracles import characteristic_rhs, eta_crossing_time, solve_eta
+from oracles import (
+    SampledFactor,
+    characteristic_rhs,
+    eta_crossing_time,
+    slope_roots,
+    solve_eta,
+)
 
 NON_FINITE = (math.nan, math.inf, -math.inf)
 
@@ -46,7 +50,7 @@ def test_riccati_limit_blowup_time():
     """For u ~ 0 the slope ODE is dd/dt = 2 f d^2, blowing up at 1/(2 f d0)."""
     d0, f = 2.0, 1.0
     traj = integrate_characteristic(CharState(d=d0, u=1e-6), ConstantFactor(f), t_end=1.0)
-    assert traj.blown_up
+    assert traj.blowup_time is not None
     assert traj.blowup_time == pytest.approx(1.0 / (2 * f * d0), rel=0.01)
 
 
@@ -65,7 +69,7 @@ def test_subcritical_seeds_stay_below_curve(curve):
         traj = integrate_characteristic(
             CharState(d=d0, u=u0), ConstantFactor(rng.uniform(0.2, 1.0)), 30.0
         )
-        assert not traj.blown_up
+        assert traj.blowup_time is None
         assert np.all(traj.d <= curve.eval(np.clip(traj.u, 0, 1)) + 1e-6)
 
 
@@ -294,7 +298,7 @@ def test_supercritical_bounds_actually_bound():
         traj = integrate_characteristic(
             CharState(d=d0, u=u0), ConstantFactor(1.0), t_end=1.5 * b.T_star_sharp
         )
-        assert traj.blown_up
+        assert traj.blowup_time is not None
         assert traj.blowup_time <= b.T_star_sharp
 
 
@@ -415,12 +419,12 @@ def test_time_mode_matches_rk45_steps_and_blowup_times():
         state, factor = CharState(d=d0, u=u0), ConstantFactor(f)
         free = _dop853_time_mode(state, factor, 60.0)
         traj = integrate_characteristic(state, factor, 60.0)
-        assert traj.blown_up == (free.t_events[0].size > 0), (d0, u0, f)
-        smooth = traj.t[:-1] if traj.blown_up else traj.t
+        assert (traj.blowup_time is not None) == (free.t_events[0].size > 0), (d0, u0, f)
+        smooth = traj.t[:-1] if traj.blowup_time is not None else traj.t
         ref = _dop853_time_mode(state, factor, smooth[-1], t_eval=smooth)
         rows = np.stack([traj.d[:len(smooth)], traj.u[:len(smooth)]])
         assert np.all(np.abs(rows - ref.y) <= 1e-10 * np.maximum(1.0, np.abs(ref.y)))
-        if traj.blown_up:
+        if traj.blowup_time is not None:
             blown += 1
             t_ref = free.t_events[0][0]
             assert abs(traj.blowup_time - t_ref) <= 1e-10 * t_ref
@@ -442,7 +446,7 @@ def test_time_mode_matches_rk45_with_sampled_factor():
         assert np.max(np.abs(traj.u - ref.y[1])) <= 1e-10
     free = integrate_characteristic(CharState(d=0.6, u=0.5), factor, 20.0)
     ref = _dop853_time_mode(CharState(d=0.6, u=0.5), factor, 20.0)
-    assert free.blown_up and ref.t_events[0].size == 1
+    assert free.blowup_time is not None and ref.t_events[0].size == 1
     assert free.blowup_time == pytest.approx(ref.t_events[0][0], rel=1e-10)
 
 
@@ -490,7 +494,7 @@ def test_time_mode_blowup_time_matches_closed_form():
         u_star = brentq(denominator, 0.0, u0, xtol=1e-300, rtol=4 * np.finfo(float).eps)
         expected = (phi(u_star) - phi(u0)) / c
         traj = integrate_characteristic(CharState(d=d0, u=u0), ConstantFactor(c), 2.0 * expected)
-        assert traj.blown_up, (d0, u0, c)
+        assert traj.blowup_time is not None, (d0, u0, c)
         assert traj.blowup_time == pytest.approx(expected, rel=1e-12)
 
 
@@ -510,7 +514,7 @@ def test_time_mode_riccati_limit_is_exact(u0):
     assert blown.d[-1] == math.inf and np.all(blown.u == u0)
     np.testing.assert_allclose(blown.d[:-1], 1.0 / (1.0 - 2.0 * f * blown.t[:-1]), rtol=1e-12)
     smooth = integrate_characteristic(CharState(d=-1.0, u=u0), ConstantFactor(f), 10.0)
-    assert not smooth.blown_up and smooth.t[-1] == 10.0 and np.all(smooth.u == u0)
+    assert smooth.blowup_time is None and smooth.t[-1] == 10.0 and np.all(smooth.u == u0)
     np.testing.assert_allclose(smooth.d, -1.0 / (1.0 + 2.0 * f * smooth.t), rtol=1e-12)
 
 
@@ -527,7 +531,7 @@ def test_time_mode_at_full_density_is_logistic():
         assert np.all(traj.u == 1.0) and traj.d[-1] == math.inf
     for d0 in (-1.0, 0.0):  # the roots of d' = 2 f d (d + 1)
         traj = integrate_characteristic(CharState(d=d0, u=1.0), ConstantFactor(f), 1e3)
-        assert not traj.blown_up
+        assert traj.blowup_time is None
         np.testing.assert_allclose(traj.d, d0, rtol=0.0, atol=1e-15)
     for d0 in (-3.0, -0.5):  # drawn onto d = -1
         traj = integrate_characteristic(CharState(d=d0, u=1.0), ConstantFactor(f), 1e3)
@@ -553,14 +557,14 @@ def test_time_mode_near_full_density_matches_dop853_in_v():
         traj = integrate_characteristic(CharState(d=d0, u=u0), ConstantFactor(f), t_end)
         free = solve_ivp(rhs, (0.0, t_end), [d0, v0], method="DOP853", rtol=1e-13,
                          atol=1e-15, events=hit_cap)
-        assert traj.blown_up == (free.t_events[0].size > 0) == (d0 > 0)
-        smooth = traj.t[:-1] if traj.blown_up else traj.t
+        assert (traj.blowup_time is not None) == (free.t_events[0].size > 0) == (d0 > 0)
+        smooth = traj.t[:-1] if traj.blowup_time is not None else traj.t
         ref = solve_ivp(rhs, (0.0, smooth[-1]), [d0, v0], method="DOP853", rtol=1e-13,
                         atol=1e-15, t_eval=smooth)
         d_ref, v_ref = ref.y
         d, u = traj.d[:len(smooth)], traj.u[:len(smooth)]
         assert np.all(np.abs(d - d_ref) <= 1e-10 * np.maximum(1.0, np.abs(d_ref)))
         assert np.max(np.abs(u - (1.0 - v_ref))) <= 1e-10
-        if traj.blown_up:
+        if traj.blowup_time is not None:
             t_ref = free.t_events[0][0]
             assert abs(traj.blowup_time - t_ref) <= 1e-10 * t_ref

@@ -91,6 +91,9 @@ def test_colliding_snapshot_names_exit_2(tmp_path, capsys, snapshots):
         (["evolve", "--datum", "bump", "--x-right", "0.5", "--kernel", "infinite"], "x_right"),
         (["classify", "--datum", "subinit", "--x-right", "5"], "x_right"),
         (["classify", "--datum", "subinit", "--x-left", "-2.5"], "x_left"),
+        # no cell center lies in |x| < 1, so the sampled bump is 0 everywhere
+        (["classify", "--datum", "bump", "--x-right", "1e6", "--n-cells", "100"], "n_cells"),
+        (["evolve", "--datum", "bump", "--x-right", "1e6", "--n-cells", "100"], "x_right"),
     ],
 )
 def test_out_of_domain_option_is_named(tmp_path, capsys, argv, name):
@@ -364,7 +367,8 @@ def test_phase_portrait_non_finite_exits_2(tmp_path, extra, message):
 
 def test_hopeless_step_count_exits_2_at_once(tmp_path):
     """dx = 2.5e-7 would need ~1.8e7 steps: refused after the first, in a process killed if it runs on."""
-    argv = ["evolve", "--datum", "bump", "--x-left", "-1", "--x-right", "-0.999999",
+    # at x = -0.99 the bump is about 1.5e-22: positive, yet 1 - 2u and the wave speed round to 1
+    argv = ["evolve", "--datum", "bump", "--x-left", "-0.99", "--x-right", "-0.989999",
             "--n-cells", "4", "--t-end", "2", "--kernel", "zero"]
     proc = run_python(["-m", "nltraffic.cli", *argv, "--out", str(tmp_path)], timeout=30)
     assert proc.returncode == 2, proc.stderr
@@ -372,6 +376,22 @@ def test_hopeless_step_count_exits_2_at_once(tmp_path):
     assert "--x-left/--x-right" in proc.stderr and "--n-cells" in proc.stderr
     assert not (tmp_path / "manifest.json").exists()
     assert not (tmp_path / "evolve-bump").exists()
+
+
+@pytest.mark.parametrize("x_left, code", [("-1e155", 0), ("-1e300", 2)])
+def test_subinit_far_left_end_prints_no_warning(tmp_path, x_left, code):
+    """Beyond |x| ~ 1e154 the square in 1/x^2 overflows to inf, and 1/inf = 0 is right.
+
+    At -1e300 every cell center lies there: the all-zero sample is refused,
+    and the error is all that stderr holds.
+    """
+    argv = ["classify", "--datum", "subinit", f"--x-left={x_left}", "--n-cells", "400"]
+    proc = run_python(["-m", "nltraffic.cli", *argv, "--out", str(tmp_path)], timeout=60)
+    assert proc.returncode == code, proc.stderr
+    if code == 0:
+        assert proc.stderr == ""
+    else:
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
 
 
 def test_infinite_kernel_right_tail_exits_2_without_output(tmp_path, capsys):
@@ -498,6 +518,24 @@ def test_config_rejects_malformed_line(tmp_path, capsys):
     cfg.write_text("samples 21\n")
     with pytest.raises(ValueError, match="key = value"):
         parse_args(["threshold-curve", "--config", str(cfg)])
+
+
+@pytest.mark.parametrize("case", ["missing", "directory", "non-utf8", "malformed", "option"])
+def test_bad_config_exits_2(tmp_path, capsys, case):
+    """A --config that cannot be read as `key = value` lines is refused by name."""
+    cfg = tmp_path / "run.cfg"
+    if case == "directory":
+        cfg.mkdir()
+    elif case == "non-utf8":
+        cfg.write_bytes(b"n_cells = 5\xff\n")
+    elif case == "malformed":
+        cfg.write_text("n_cells 5\n")
+    # "option": `--config --out o` would read --out as the file name
+    argv = ["classify", "--config", "--out" if case == "option" else str(cfg)]
+    out = tmp_path / "o"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: --config: ")
+    assert not out.exists()
 
 
 def test_manifest_records_options_and_files(tmp_path):

@@ -16,7 +16,6 @@ from nltraffic.scenarios import (
     InitialDatum,
     bump_init,
     customized,
-    experiment_recipes,
     get_datum,
     run_experiment,
     subcritical_init,
@@ -146,17 +145,16 @@ def test_random_bump_reproducible():
 
 
 def test_recipe_catalog():
-    recipes = experiment_recipes()
-    sup = recipes["supercritical-compare"]
+    sup = RECIPES["supercritical-compare"]
     assert sup.datum.name == "bump"
     assert sup.snapshot_times == (0.0, 1.0, 2.0, 3.0, 4.0)
     assert len(sup.kernels) == 4
-    sub = recipes["subcritical-compare"]
+    sub = RECIPES["subcritical-compare"]
     assert sub.datum.name == "subinit"
     assert sub.t_end == 20.0
     assert sub.snapshot_times == (0.0, 5.0, 10.0, 15.0, 20.0)
-    assert recipes["threshold-contour"].kernels == ()
-    assert set(RECIPES) == set(recipes)
+    assert RECIPES["threshold-contour"].kernels == ()
+    assert all(name == exp.name for name, exp in RECIPES.items())
 
 
 def test_customized_overrides():
