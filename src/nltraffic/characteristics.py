@@ -77,9 +77,6 @@ class ConstantFactor:
             raise ValueError(f"factor must lie in (0, 1], got {value}")
         self.value = float(value)
 
-    def at(self, t: float) -> float:
-        return self.value
-
     def integral(self, t0: float, t):
         """F(t) = c (t - t0), the integral of f from t0 to each t."""
         return self.value * (np.asarray(t, dtype=float) - t0)
@@ -219,14 +216,11 @@ class PhaseTrajectory:
     The path is explicit: with sigma(u) = u (1 - u) and w0 = d0 - sigma(u0),
     d(u) = sigma(u) + w0 u (1 - u)^2 / D(u), where r = (u / u0)^2 and
     D(u) = u0 (1 - u0)^2 r + w0 ((2u - 1) - (2u0 - 1) r), because 1/(d - sigma)
-    solves an ODE linear in u.  at() evaluates it between the samples.
+    solves an ODE linear in u.
     """
 
     u: np.ndarray
     d: np.ndarray
-
-    def at(self, u):
-        return _phase_path(self.d[0], self.u[0], np.asarray(u, dtype=float))
 
 
 def phase_trajectory(d0: float, u0: float, u_end: float) -> PhaseTrajectory:
@@ -248,7 +242,7 @@ def phase_trajectory(d0: float, u0: float, u_end: float) -> PhaseTrajectory:
         raise RuntimeError(f"the slope blows up at u* = {u_star:.6g}, above u_end = {u_end:g}")
     u = np.geomspace(u0, u_end, PHASE_SAMPLES)
     d = _phase_path(d0, u0, u)
-    d[0] = d0  # at() reads the start back from the first sample
+    d[0] = d0  # the start exactly, not its rounded image
     return PhaseTrajectory(u=u, d=d)
 
 

@@ -17,7 +17,8 @@ them.  Supported kernel variants:
 Windowed variants integrate the piecewise-constant reconstruction of the
 cell values exactly, which gives linear partial-cell weights at a window
 edge that falls mid-cell (no O(dx) jumps as the edge crosses a cell
-boundary).  Off-grid density to the right is taken to be zero.
+boundary).  Off-grid density to the right is taken to be zero, so the
+solver evaluates the average on its occupied cells alone.
 
 Every variant costs O(n) per call, whatever L/dx: with P the primitive of
 the reconstruction and R that of P, sk and sk:L give ubar(x) = P(x + L) -

@@ -19,6 +19,18 @@ copies and never alias them.  Its loop body runs once per state, the
 initial one included: measure and check, record, snapshot, then stop or
 step.  A nan or inf shows in the min and max the density check takes.
 
+evolve() steps only the cells [a, b) that can hold traffic.  Off them the
+state is exactly 0 and the factor that of the nearer end, so each artifact
+is the full grid's, bit for bit.  An empty cell sends F(0, uR) = 0 for uR
+<= 1 (an overshoot within DENSITY_TOL creeps a cell), so a stays three cells
+before the first occupied one, plus the sk window, which makes the factor 1
+at a.  It receives at most F(uL, 0) = min(D(uL), 1/4) f, one cell per step:
+b starts three cells past the last occupied one and grows as cell b - 2
+fills.  The averages on u[a:b] add the same numbers in the same order, the
+ones off it being exact zeros.  The mass (a pairwise sum) and the uniform
+and linear averages would round differently on a sub-range: the mass sums
+all cells, those kernels step all.
+
 Boundaries are zero-gradient outflow.  Time stepping is forward Euler under
 dt = cfl dx / max wave speed, which makes the scheme monotone, hence
 mass-conservative up to boundary flux and maximum-principle preserving to
@@ -45,7 +57,7 @@ rather than an unreachable threshold.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -108,10 +120,8 @@ def numerical_flux(u_left, u_right, factor, out=None, work=None):
         shape = np.broadcast_shapes(np.shape(u_left), np.shape(u_right), np.shape(factor))
         out = np.empty(shape) if out is None else out
         work = np.empty(shape) if work is None else work
-    # supply: 1 - max(u, 1/2) is min(1 - u, 1/2), as 1 - u is exact for u >= 1/2
-    np.subtract(1.0, u_right, out=work)
-    np.minimum(work, 0.5, out=work)
     np.maximum(u_right, 0.5, out=out)
+    np.subtract(1.0, out, out=work)
     out *= work
     # u (1 - min(u, 1/2)) is the demand for u <= 1/2 and exceeds 1/4, the
     # demand and a bound on every supply, for u > 1/2: the min is unchanged
@@ -123,28 +133,29 @@ def numerical_flux(u_left, u_right, factor, out=None, work=None):
     return float(out) if out.ndim == 0 else out
 
 
-def _advance(pad, new, factor, t: float, config: SolverConfig, work):
-    """One CFL step of forward Euler from pad[1:-1] into new[1:-1].
+def _advance(pad, new, factor, cells: slice, t: float, config: SolverConfig, work):
+    """One CFL step of forward Euler on the cells of pad[1:-1] into new[1:-1].
 
-    pad and new hold a state between two ghost cells; pad's are set here
-    (zero-gradient outflow).  factor is the lagged slow-down factor of the
-    cells and work the arrays (fi, c, alpha, flux) from _buffers().
-    Returns (dt, speed, boundary_flux); the boundary fluxes are
-    the step's left and right outflow rates.
+    pad and new hold a state between two ghost cells.  The cells' ghosts are
+    their outer neighbours, set here (zero-gradient outflow); off a domain
+    edge those are vacuum beside vacuum of one factor.  factor is the cells'
+    lagged slow-down factor and work _buffers()'s scratch.  Returns (dt,
+    speed, boundary_flux), the fluxes being the left and right outflow rates.
     """
-    fi, c, alpha, flux = work
+    pad, new = pad[cells.start : cells.stop + 2], new[cells.start : cells.stop + 2]
+    c = work[0, : len(pad)]
+    fi, alpha, flux = work[1:, 1 : len(pad)]
     pad[0], pad[-1] = pad[1], pad[-2]
     # interface factors: the mean of the two neighbours, one-sided at the edges
     np.add(factor[:-1], factor[1:], out=fi[1:-1])
     fi[1:-1] *= 0.5
     fi[0], fi[-1] = factor[0], factor[-1]
-    # wave speed: the larger neighbouring |1 - 2u| times the interface factor
-    np.multiply(pad, 2.0, out=c)
-    np.subtract(1.0, c, out=c)
+    # wave speed: max(|1 - 2uL|, |1 - 2uR|) fi, exactly doubled after the max
+    np.subtract(0.5, pad, out=c)
     np.abs(c, out=c)
     np.maximum(c[:-1], c[1:], out=alpha)
     alpha *= fi
-    speed = float(alpha.max())
+    speed = 2.0 * float(alpha.max())
     dx = config.grid.dx
     dt = min(config.cfl * dx / max(speed, SPEED_FLOOR), config.t_end - t)
     numerical_flux(pad[:-1], pad[1:], fi, out=flux, work=alpha)  # alpha is read: scratch
@@ -156,10 +167,19 @@ def _advance(pad, new, factor, t: float, config: SolverConfig, work):
 
 
 def _buffers(n: int):
-    """Two ghost-padded states of n cells and the work arrays of _advance."""
-    pad, new = np.empty((2, n + 2))
-    fi, alpha, flux = np.empty((3, n + 1))
-    return pad, new, (fi, np.empty(n + 2), alpha, flux)
+    """Two zeroed ghost-padded states of n cells and the work array of _advance."""
+    pad, new = np.zeros((2, n + 2))
+    return pad, new, np.empty((4, n + 2))
+
+
+def _stepped_cells(values, kernel: Kernel, dx: float) -> slice:
+    """The cells [a, b) that evolve() steps first; see the module docstring."""
+    occupied = np.flatnonzero(values.view(np.int64))  # +0.0 is the one double of no set bit
+    if kernel.kind in ("uniform", "linear") or not len(occupied):
+        return slice(0, len(values))
+    window = kernel.window if kernel.kind in ("sk", "sk_scaled") else 0.0
+    a = int(occupied[0]) - 3 - math.ceil(min(window / dx, len(values)))
+    return slice(max(a, 0), min(int(occupied[-1]) + 3, len(values)))
 
 
 @dataclass(frozen=True)
@@ -172,9 +192,8 @@ class BlowupReport:
     boundary_contact_t: float | None
 
 
-@dataclass
 class Diagnostics:
-    """Per-step scalar diagnostics of an evolve() run.
+    """Per-step scalar diagnostics of an evolve() run, a list per column.
 
     Row k describes the state after step k; its dt and max_speed are those
     of the step that produced it (0 on the initial row).
@@ -183,17 +202,11 @@ class Diagnostics:
     COLUMNS = ("t", "mass", "min_u", "max_u", "grad_indicator", "factor_min",
                "factor_max", "dt", "max_speed")
 
-    t: list = field(default_factory=list)
-    mass: list = field(default_factory=list)
-    min_u: list = field(default_factory=list)
-    max_u: list = field(default_factory=list)
-    grad_indicator: list = field(default_factory=list)
-    factor_min: list = field(default_factory=list)
-    factor_max: list = field(default_factory=list)
-    dt: list = field(default_factory=list)
-    max_speed: list = field(default_factory=list)
-    max_mass_drift: float = 0.0
-    blowup: BlowupReport | None = None
+    def __init__(self):
+        for name in self.COLUMNS:
+            setattr(self, name, [])
+        self.max_mass_drift = 0.0
+        self.blowup: BlowupReport | None = None
 
     def add_row(self, *row) -> None:
         for name, value in zip(self.COLUMNS, row, strict=True):
@@ -203,11 +216,13 @@ class Diagnostics:
         write_csv(path, ",".join(self.COLUMNS), [getattr(self, c) for c in self.COLUMNS])
 
 
-def _max_slope(u: np.ndarray, dx: float) -> float:
+def _max_slope(u: np.ndarray, dx: float, cells: slice) -> float:
     """max |np.gradient(u, dx, edge_order=2)| bit for bit, with numpy's own
-    stencils; the interior maximum is taken before the (monotone) division.
+    stencils; the interior maximum, over u[cells] where u is 0 off cells and on
+    two end cells off a domain edge, is taken before the (monotone) division.
     """
-    inner = float(np.abs(u[2:] - u[:-2]).max()) / (2.0 * dx)
+    v = u[cells]
+    inner = float(np.abs(v[2:] - v[:-2]).max()) / (2.0 * dx)
     left = (-1.5 / dx) * u[0] + (2.0 / dx) * u[1] + (-0.5 / dx) * u[2]
     right = (0.5 / dx) * u[-3] + (-2.0 / dx) * u[-2] + (1.5 / dx) * u[-1]
     return float(max(inner, abs(left), abs(right)))
@@ -218,17 +233,18 @@ def gradient_indicator(u: GridFunction) -> float:
     amp = float(np.max(np.abs(u.values)))
     if amp <= 1e-14:
         raise ValueError("gradient indicator undefined for vacuum data")
-    return _max_slope(u.values, u.grid.dx) / amp
+    return _max_slope(u.values, u.grid.dx, slice(None)) / amp
 
 
-def _checked_measure(u: np.ndarray, t: float, dt: float, speed: float, config: SolverConfig):
+def _checked_measure(u, cells: slice, t: float, dt: float, speed: float, config: SolverConfig):
     """Check a state and measure everything the step loop needs, once.
 
     t is the state's time, dt and speed those of the step that produced it
-    (0 for the initial state).  Returns (factor, mass, amplitude, row); row
-    is the state's diagnostics row, with the mass correction included.
+    (0 for the initial state).  Returns the factor of the stepped cells, and
+    the state's mass, amplitude and diagnostics row (mass correction in it).
     """
-    lo, hi = float(u.min()), float(u.max())  # nan and +-inf propagate into both
+    v = u[cells]
+    lo, hi = float(v.min()), float(v.max())  # nan and +-inf propagate into both
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise SolverFailure(
             "non-finite state during update", dump={"t": t, "dt": dt, "max_speed": speed}
@@ -238,7 +254,8 @@ def _checked_measure(u: np.ndarray, t: float, dt: float, speed: float, config: S
             "maximum principle violated", dump={"t": t, "min_u": lo, "max_u": hi}
         )
     dx = config.grid.dx
-    factor = np.exp(-lookahead_average(u, dx, config.kernel))
+    factor = np.negative(lookahead_average(v, dx, config.kernel))
+    np.exp(factor, out=factor)
     mass = float(dx * u.sum())
     # boundary inflow can grow the mass, so bound against the current one
     m_now = mass + config.mass_correction
@@ -250,7 +267,7 @@ def _checked_measure(u: np.ndarray, t: float, dt: float, speed: float, config: S
             dump={"t": t, "factor_min": f_min, "factor_max": f_max},
         )
     amp = max(hi, -lo)  # = max |u|
-    gi = 0.0 if amp <= 1e-14 else _max_slope(u, dx) / amp
+    gi = 0.0 if amp <= 1e-14 else _max_slope(u, dx, cells) / amp
     return factor, mass, amp, (t, m_now, lo, hi, gi, f_min, f_max, dt, speed)
 
 
@@ -275,6 +292,7 @@ def evolve(u0: GridFunction, config: SolverConfig):
 
     pad, new, work = _buffers(config.grid.n_cells)
     pad[1:-1] = u0.values
+    cells = _stepped_cells(u0.values, config.kernel, config.grid.dx)
     u = u_prev = pad[1:-1]
     # dt = 0 marks the initial state, which closes no step and adds no outflow
     t = t_prev = dt = speed = f_left = f_right = mass_prev = outflow = max_gradient = 0.0
@@ -284,7 +302,7 @@ def evolve(u0: GridFunction, config: SolverConfig):
     snapshots: list[tuple[float, GridFunction]] = []
     diag = Diagnostics()
     while True:
-        factor, mass, amp, row = _checked_measure(u, t, dt, speed, config)
+        factor, mass, amp, row = _checked_measure(u, cells, t, dt, speed, config)
         diag.add_row(*row)
         if dt:  # the step's mass balance against its boundary fluxes
             drift = abs(mass - mass_prev + dt * (f_right - f_left))
@@ -306,7 +324,7 @@ def evolve(u0: GridFunction, config: SolverConfig):
         if len(diag.t) > MAX_STEPS:
             raise SolverFailure("step budget exhausted", dump={"t": t})
         t_prev, mass_prev = t, mass
-        dt, speed, (f_left, f_right) = _advance(pad, new, factor, t_prev, config, work)
+        dt, speed, (f_left, f_right) = _advance(pad, new, factor, cells, t_prev, config, work)
         if len(diag.t) == 1 and config.t_end / dt > MAX_STEPS:
             raise ValueError(
                 f"the first CFL step dt = {dt:.3g} projects about "
@@ -318,6 +336,8 @@ def evolve(u0: GridFunction, config: SolverConfig):
         pad, new = new, pad
         u_prev, u = new[1:-1], pad[1:-1]
         t = t_prev + dt
+        if cells.stop < len(u) and u[cells.stop - 2]:  # keep two vacuum cells ahead
+            cells = slice(cells.start, cells.stop + 1)
 
     diag.blowup = BlowupReport(detected=t_detect is not None, t_detect=t_detect,
                                max_gradient=max_gradient, boundary_contact_t=contact_t)

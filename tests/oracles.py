@@ -8,8 +8,9 @@ integrate the comparison equation behind characteristics.time_to_level, and
 characteristic_rhs is the (d, u) system whose closed-form solution
 characteristics.integrate_characteristic returns, SampledFactor the
 time-varying slow-down factor that the tests feed it next to the package's
-ConstantFactor, and slope_roots the roots in d of the quadratic that
-drives the slope along a characteristic.
+ConstantFactor, factor_at either one's value at a time, phase_path_at a
+PhaseTrajectory's closed form between its samples, and slope_roots the
+roots in d of the quadratic that drives the slope along a characteristic.
 godunov_flux is the case-split Godunov flux that solver.numerical_flux
 replaced, and reference_evolve a step loop on it that allocates every array
 afresh, against which the solver's reused work buffers are checked.
@@ -23,7 +24,7 @@ import math
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from nltraffic.characteristics import time_to_level
+from nltraffic.characteristics import _phase_path, time_to_level
 from nltraffic.solver import Diagnostics, _checked_measure
 
 SEED_X = 1e-3
@@ -213,6 +214,16 @@ class SampledFactor:
         return float(self.times[j] + 2.0 * rest / (v + root))  # v s + slope s^2 / 2 = rest
 
 
+def factor_at(factor, t: float) -> float:
+    """f(t) of a ConstantFactor or a SampledFactor, as a right-hand side reads it."""
+    return factor.at(t) if isinstance(factor, SampledFactor) else factor.value
+
+
+def phase_path_at(path, u):
+    """A PhaseTrajectory's d(u) between its samples, from its closed form."""
+    return _phase_path(path.d[0], path.u[0], np.asarray(u, dtype=float))
+
+
 def slope_roots(u: float):
     """Roots d_- <= d_+ of 2 d^2 - (3u - 5u^2) d - u^3 (1 - u) in d."""
     if not (0.0 <= u <= 1.0):
@@ -253,7 +264,7 @@ def reference_evolve(u0, config):
     """
     dx = config.grid.dx
     t, u = 0.0, u0.values
-    factor, mass, _, row = _checked_measure(u, t, 0.0, 0.0, config)
+    factor, mass, _, row = _checked_measure(u, slice(None), t, 0.0, 0.0, config)
     diag = Diagnostics()
     diag.add_row(*row)
     pending = list(config.snapshot_times)
@@ -274,7 +285,7 @@ def reference_evolve(u0, config):
         t_prev, u_prev, mass_prev = t, u, mass
         u = u - (dt / dx) * (flux[1:] - flux[:-1])
         t = t + dt
-        factor, mass, _, row = _checked_measure(u, t, dt, speed, config)
+        factor, mass, _, row = _checked_measure(u, slice(None), t, dt, speed, config)
         diag.add_row(*row)
         drift = abs(mass - mass_prev + dt * (flux[-1] - flux[0]))
         diag.max_mass_drift = max(diag.max_mass_drift, drift)

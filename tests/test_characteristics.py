@@ -20,6 +20,8 @@ from oracles import (
     SampledFactor,
     characteristic_rhs,
     eta_crossing_time,
+    factor_at,
+    phase_path_at,
     slope_roots,
     solve_eta,
 )
@@ -220,7 +222,7 @@ def test_phase_trajectory_factor_independence():
         )
         matched.append(np.interp(-us, -traj.u, traj.d))  # u decreases along the path
     np.testing.assert_allclose(matched[0], matched[1], atol=1e-6)
-    d_phase = phase_trajectory(0.2, 0.5, 0.1).at(us)
+    d_phase = phase_path_at(phase_trajectory(0.2, 0.5, 0.1), us)
     np.testing.assert_allclose(matched[1], d_phase, atol=1e-6)
 
 
@@ -274,7 +276,7 @@ def test_slope_floor_bounds_phase_path(curve):
     boost = curve.u_boost
     path = phase_trajectory(d0, u0, boost / 2.0)
     us = np.linspace(u0, boost / 2.0, 40)
-    d_path = path.at(us)
+    d_path = phase_path_at(path, us)
     assert np.all(d_path >= c_star - 1e-9)
     excess = d_path - curve.eval(us)
     floor = (d0 - curve.eval(u0)) * us**3 / u0**3
@@ -376,7 +378,7 @@ def _dop853_time_mode(state0, factor, t_end, t_eval=None, cap=1e12):
     """
 
     def rhs(t, y):
-        return characteristic_rhs(y[0], y[1], factor.at(t))
+        return characteristic_rhs(y[0], y[1], factor_at(factor, t))
 
     def hit_cap(t, y):
         return y[0] - cap
@@ -470,7 +472,7 @@ def test_phase_trajectory_matches_rk45_dense_output():
             continue
         path = phase_trajectory(d0, u0, u_end)
         us = np.linspace(u0, u_end, 57)
-        assert np.max(np.abs(path.at(us) - ref.sol(us)[0])) <= 1e-10
+        assert np.max(np.abs(phase_path_at(path, us) - ref.sol(us)[0])) <= 1e-10
     assert 0 < failed < 16
 
 

@@ -19,7 +19,9 @@ from nltraffic.grid import (
     total_mass,
     write_json,
 )
-from nltraffic.kernels import INFINITE, SK_UNIT, UNIFORM, ZERO, nonlocal_field, sk_scaled
+from nltraffic.kernels import (
+    INFINITE, LINEAR, SK_UNIT, UNIFORM, ZERO, nonlocal_field, sk_scaled,
+)
 from nltraffic.scenarios import COMPARE_KERNELS, bump_init
 from nltraffic.solver import (
     Diagnostics,
@@ -27,6 +29,7 @@ from nltraffic.solver import (
     SolverFailure,
     _advance,
     _buffers,
+    _stepped_cells,
     evolve,
     gradient_indicator,
     numerical_flux,
@@ -163,15 +166,86 @@ def test_step_allocates_no_grid_sized_array():
     config = SolverConfig(grid=grid, kernel=ZERO, t_end=1.0)
     pad, new, work = _buffers(n)
     pad[1:-1] = GridFunction.from_callable(grid, bump_init).values
-    factor = np.ones(n)
-    _advance(pad, new, factor, 0.0, config, work)
-    tracemalloc.start()
-    try:
-        _advance(pad, new, factor, 0.0, config, work)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < n  # fewer bytes than one boolean per cell
+    # the whole grid, and the strict sub-range that evolve() steps for the bump
+    part = _stepped_cells(pad[1:-1], ZERO, grid.dx)
+    assert 0 < part.start and part.stop < n
+    for cells in (slice(0, n), part):
+        factor = np.ones(cells.stop - cells.start)
+        _advance(pad, new, factor, cells, 0.0, config, work)
+        tracemalloc.start()
+        try:
+            _advance(pad, new, factor, cells, 0.0, config, work)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n  # fewer bytes than one boolean per cell
+
+
+RANGE_KERNELS = (ZERO, SK_UNIT, sk_scaled(0.3), sk_scaled(2.5), LINEAR, INFINITE, UNIFORM)
+# (name, domain, n_cells, profile), each run to t = 3
+RANGE_DATA = [
+    *((f"seed{seed}", DOMAIN, 400, random_compact_bump(seed)) for seed in (1, 2, 3)),
+    # a jam behind vacuum: the rarefaction at its front runs left into it
+    ("plateau", DOMAIN, 400, lambda x: np.where((x > -2.0) & (x < 1.0), 0.8, 0.0)),
+    # an overshoot above 1 that the density check admits sends one cell into the vacuum
+    ("overshoot", DOMAIN, 400, lambda x: np.where(np.abs(x) < 1.0, 1.0 + 5e-9, 0.0)),
+    # support from the left edge on, a = 0, and a front out through the right one
+    ("left-edge", (-1.0, 2.5), 400, bump_init),
+    # a front that reaches the right edge, b = n, from a strict range
+    ("right-edge", (-6.0, 1.5), 600, bump_init),
+]
+
+
+def _recorded_run(u0, kernel, full_grid):
+    """evolve() to t = 3 past breakdown, keeping every state it measures and its cells.
+
+    full_grid makes it step every cell, which gives the reference run.
+    """
+    states, ranges = [], []
+    measure = solver._checked_measure
+
+    def recording(u, cells, *args):
+        states.append(u.copy())
+        ranges.append((cells.start, cells.stop))
+        return measure(u, cells, *args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "_checked_measure", recording)
+        if full_grid:
+            mp.setattr(solver, "_stepped_cells", lambda values, kernel, dx: slice(0, len(values)))
+        config = SolverConfig(grid=u0.grid, kernel=kernel, t_end=3.0, stop_on_blowup=False)
+        _, diag = evolve(u0, config)
+    return np.array(states), ranges, diag
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
+@pytest.mark.parametrize("kernel", RANGE_KERNELS, ids=lambda k: k.tag)
+@pytest.mark.parametrize("name, domain, n, profile", RANGE_DATA, ids=[d[0] for d in RANGE_DATA])
+def test_stepped_range_matches_full_grid_bit_for_bit(kernel, name, domain, n, profile):
+    """Skipping the vacuum changes no bit of any state, diagnostic or report."""
+    u0 = GridFunction.from_callable(GridSpec(*domain, n), profile)
+    states, ranges, diag = _recorded_run(u0, kernel, full_grid=False)
+    ref_states, _, ref = _recorded_run(u0, kernel, full_grid=True)
+    np.testing.assert_array_equal(_bits(states), _bits(ref_states))
+    for column in Diagnostics.COLUMNS:
+        np.testing.assert_array_equal(_bits(getattr(diag, column)), _bits(getattr(ref, column)))
+    assert _bits(diag.max_mass_drift) == _bits(ref.max_mass_drift)
+    assert diag.blowup == ref.blowup
+    (a, b), stop = ranges[0], ranges[-1][1]
+    if kernel.kind in ("uniform", "linear"):
+        assert set(ranges) == {(0, n)}
+    elif name == "left-edge":
+        assert a == 0 and b < n == stop
+    elif name == "right-edge":
+        assert 0 < a and b < n == stop
+    else:
+        assert 0 < a and b <= stop < n
+    if name.endswith("edge"):
+        assert diag.blowup.boundary_contact_t is not None
+        assert diag.mass[-1] < diag.mass[0] - solver.BOUNDARY_CONTACT_MASS
 
 
 def test_non_finite_flux_fails_the_step(monkeypatch):
