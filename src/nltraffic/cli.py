@@ -82,7 +82,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--x-right", type=float, default=None)
         if with_kernel:
             p.add_argument("--kernel", default="infinite", help="look-ahead kernel")
-            p.add_argument("--cfl", type=float, default=0.45)
 
     p = sub.add_parser("classify", parents=[common], help="threshold verdict for a datum")
     add_grid_opts(p)
@@ -102,7 +101,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_grid_opts(p)
     p.add_argument("--t-end", type=float, default=None)
-    p.add_argument("--cfl", type=float, default=0.45)
 
     p = sub.add_parser(
         "phase-portrait", parents=[common], help="one characteristic trajectory"
@@ -194,8 +192,8 @@ def _warn_boundary_contact(tag: str, report) -> None:
         )
 
 
-def _even_snapshots(t_end: float, k: int = 5) -> tuple:
-    return tuple(i * t_end / (k - 1) for i in range(k))
+def _even_snapshots(t_end: float) -> tuple:
+    return tuple(i * t_end / 4 for i in range(5))
 
 
 def dispatch(args) -> int:
@@ -224,7 +222,6 @@ def dispatch(args) -> int:
             (kernel,),
             t_end=args.t_end,
             snapshot_times=snaps,
-            cfl=args.cfl,
             stop_on_blowup=not args.run_past_blowup,
         )
         result = run_experiment(exp, out)
@@ -248,7 +245,6 @@ def dispatch(args) -> int:
             recipe.kernels,
             t_end=t_end,
             snapshot_times=_even_snapshots(t_end),
-            cfl=args.cfl,
         )
         result = run_experiment(exp, out)
         files += result.files

@@ -75,11 +75,11 @@ class GridFunction:
         return self.grid.centers
 
 
-def require_density(u: GridFunction, tol: float = DENSITY_TOL) -> None:
-    """Reject profiles that leave [0, 1] by more than tol."""
+def require_density(u: GridFunction) -> None:
+    """Reject profiles that leave [0, 1] by more than DENSITY_TOL."""
     lo = float(u.values.min())
     hi = float(u.values.max())
-    if lo < -tol or hi > 1.0 + tol:
+    if lo < -DENSITY_TOL or hi > 1.0 + DENSITY_TOL:
         raise ValueError(f"density out of range: min={lo:.3e}, max={hi:.3e}")
 
 

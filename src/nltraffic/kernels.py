@@ -18,7 +18,8 @@ Windowed variants integrate the piecewise-constant reconstruction of the
 cell values exactly, which gives linear partial-cell weights at a window
 edge that falls mid-cell (no O(dx) jumps as the edge crosses a cell
 boundary).  Off-grid density to the right is taken to be zero, so the
-solver evaluates the average on its occupied cells alone.
+solver evaluates the average on its occupied cells alone, handing the
+uniform kernel the whole line's mass.
 
 Every variant costs O(n) per call, whatever L/dx: with P the primitive of
 the reconstruction and R that of P, sk and sk:L give ubar(x) = P(x + L) -
@@ -116,20 +117,19 @@ class NonlocalField:
     factor: GridFunction
 
 
-def lookahead_average(values: np.ndarray, dx: float, kernel: Kernel) -> np.ndarray:
+def lookahead_average(values: np.ndarray, dx: float, kernel: Kernel, mass=None) -> np.ndarray:
     """ubar = K * u for cell values on a uniform grid of spacing dx.
 
-    Requires values >= -1e-6 componentwise; a more negative value signals a
-    corrupted density rather than roundoff.
+    values may be the cells [a, b) of a line that is 0 to the right of them;
+    mass is then the whole line's dx * sum of its cells, the uniform
+    kernel's average, and defaults to that of values.
     """
-    if float(values.min()) < -1e-6:
-        raise ValueError(f"negative density (min {values.min():.3e}) in ubar")
     n = len(values)
     kind = kernel.kind
     if kind == "zero":
         return np.zeros(n)
     if kind == "uniform":
-        return np.full(n, dx * values.sum())
+        return np.full(n, dx * values.sum() if mass is None else mass)
     if kind == "infinite":
         # suffix sums: int_{x_i}^{inf} u = dx * (sum_{j>i} u_j + u_i / 2)
         suffix = np.cumsum(values[::-1])[::-1]
@@ -163,7 +163,13 @@ def lookahead_average(values: np.ndarray, dx: float, kernel: Kernel) -> np.ndarr
 
 
 def nonlocal_field(u: GridFunction, kernel: Kernel) -> NonlocalField:
-    """Evaluate ubar = K * u and exp(-ubar) for one of the kernel variants."""
+    """Evaluate ubar = K * u and exp(-ubar) for one of the kernel variants.
+
+    Requires u >= -1e-6 componentwise; a more negative value signals a
+    corrupted density rather than roundoff.
+    """
+    if float(u.values.min()) < -1e-6:
+        raise ValueError(f"negative density (min {u.values.min():.3e}) in ubar")
     ubar = lookahead_average(u.values, u.grid.dx, kernel)
     return NonlocalField(
         ubar=GridFunction(u.grid, ubar), factor=GridFunction(u.grid, np.exp(-ubar))

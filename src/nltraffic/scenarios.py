@@ -77,7 +77,6 @@ class InitialDatum:
     name: str
     profile: object
     domain: tuple[float, float]
-    expected_verdict: str
     # analytic mass beyond a boundary, as functions of the cut position
     left_tail: object = None
     right_tail: object = None
@@ -104,13 +103,11 @@ CATALOG = {
         name="bump",
         profile=bump_init,
         domain=(-6.0, 10.0),
-        expected_verdict="SUPERCRITICAL",
     ),
     "subinit": InitialDatum(
         name="subinit",
         profile=subcritical_init,
         domain=(-200.0, 40.0),
-        expected_verdict="SUBCRITICAL",
         left_tail=_subinit_left_tail,
         right_tail=lambda x_right: np.exp(-x_right) / 9.0,
     ),
@@ -136,7 +133,6 @@ class Experiment:
     n_cells: int = 4000
     t_end: float = 4.0
     snapshot_times: tuple = ()
-    cfl: float = 0.45
     stop_on_blowup: bool = False  # bundles keep evolving to t_end for figures
 
 
@@ -202,7 +198,7 @@ def run_experiment(exp: Experiment, out_dir) -> ExperimentResult:
     # built first, so that invalid solver options stop the run before any evolve
     configs = [
         SolverConfig(
-            grid=grid, kernel=kernel, t_end=exp.t_end, cfl=exp.cfl,
+            grid=grid, kernel=kernel, t_end=exp.t_end,
             snapshot_times=exp.snapshot_times, stop_on_blowup=exp.stop_on_blowup,
             mass_correction=tail_left,
         )
@@ -244,7 +240,6 @@ def run_experiment(exp: Experiment, out_dir) -> ExperimentResult:
         "n_cells": exp.n_cells,
         "t_end": exp.t_end,
         "snapshot_times": list(exp.snapshot_times),
-        "cfl": exp.cfl,
         "kernels": [str(k) for k in exp.kernels],
         "left_tail_mass": tail_left,
     })

@@ -23,16 +23,18 @@ evolve() steps only the cells [a, b) that can hold traffic.  Off them the
 state is exactly 0 and the factor that of the nearer end, so each artifact
 is the full grid's, bit for bit.  An empty cell sends F(0, uR) = 0 for uR
 <= 1 (an overshoot within DENSITY_TOL creeps a cell), so a stays three cells
-before the first occupied one, plus the sk window, which makes the factor 1
-at a.  It receives at most F(uL, 0) = min(D(uL), 1/4) f, one cell per step:
-b starts three cells past the last occupied one and grows as cell b - 2
-fills.  The averages on u[a:b] add the same numbers in the same order, the
-ones off it being exact zeros.  The mass (a pairwise sum) and the uniform
-and linear averages would round differently on a sub-range: the mass sums
-all cells, those kernels step all.
+before the first occupied one, plus a finite look-ahead window, which makes
+the factor at a that of every cell before it.  It receives at most F(uL, 0)
+= min(D(uL), 1/4) f, one cell per step: b starts three cells past the last
+occupied one and grows as cell b - 2 fills.  The averages on u[a:b] add the
+same numbers in the same order, the ones off it being exact zeros.  The mass
+(a pairwise sum) would round differently on a sub-range, so it sums all
+cells and gives the uniform kernel its average.  linear's average ahead of
+the support, a difference of second primitives, is not exactly 0: linear
+steps all cells.
 
 Boundaries are zero-gradient outflow.  Time stepping is forward Euler under
-dt = cfl dx / max wave speed, which makes the scheme monotone, hence
+dt = CFL dx / max wave speed, which makes the scheme monotone, hence
 mass-conservative up to boundary flux and maximum-principle preserving to
 roundoff.
 
@@ -66,6 +68,7 @@ from .grid import (  # noqa: F401  (total_mass: traced)
 )
 from .kernels import Kernel, lookahead_average, nonlocal_field  # noqa: F401  (traced)
 
+CFL = 0.45
 SPEED_FLOOR = 1e-12
 BLOWUP_GRADIENT_FACTOR = 0.08
 MAX_STEPS = 2_000_000
@@ -85,7 +88,6 @@ class SolverConfig:
     grid: GridSpec
     kernel: Kernel
     t_end: float
-    cfl: float = 0.45
     snapshot_times: tuple = ()
     stop_on_blowup: bool = True
     # analytic mass sitting outside the domain (slow left tails); only the
@@ -93,8 +95,6 @@ class SolverConfig:
     mass_correction: float = 0.0
 
     def __post_init__(self):
-        if not (0.0 < self.cfl <= 1.0):
-            raise ValueError(f"cfl must lie in (0, 1], got {self.cfl}")
         if not (0.0 < self.t_end < math.inf):
             raise ValueError(f"t_end must be positive and finite, got {self.t_end}")
         if not math.isfinite(self.mass_correction):
@@ -157,7 +157,7 @@ def _advance(pad, new, factor, cells: slice, t: float, config: SolverConfig, wor
     alpha *= fi
     speed = 2.0 * float(alpha.max())
     dx = config.grid.dx
-    dt = min(config.cfl * dx / max(speed, SPEED_FLOOR), config.t_end - t)
+    dt = min(CFL * dx / max(speed, SPEED_FLOOR), config.t_end - t)
     numerical_flux(pad[:-1], pad[1:], fi, out=flux, work=alpha)  # alpha is read: scratch
     u_new = new[1:-1]
     np.subtract(flux[1:], flux[:-1], out=u_new)
@@ -175,9 +175,9 @@ def _buffers(n: int):
 def _stepped_cells(values, kernel: Kernel, dx: float) -> slice:
     """The cells [a, b) that evolve() steps first; see the module docstring."""
     occupied = np.flatnonzero(values.view(np.int64))  # +0.0 is the one double of no set bit
-    if kernel.kind in ("uniform", "linear") or not len(occupied):
+    if kernel.kind == "linear" or not len(occupied):
         return slice(0, len(values))
-    window = kernel.window if kernel.kind in ("sk", "sk_scaled") else 0.0
+    window = kernel.window if math.isfinite(kernel.window) else 0.0
     a = int(occupied[0]) - 3 - math.ceil(min(window / dx, len(values)))
     return slice(max(a, 0), min(int(occupied[-1]) + 3, len(values)))
 
@@ -254,9 +254,9 @@ def _checked_measure(u, cells: slice, t: float, dt: float, speed: float, config:
             "maximum principle violated", dump={"t": t, "min_u": lo, "max_u": hi}
         )
     dx = config.grid.dx
-    factor = np.negative(lookahead_average(v, dx, config.kernel))
-    np.exp(factor, out=factor)
     mass = float(dx * u.sum())
+    factor = np.negative(lookahead_average(v, dx, config.kernel, mass))
+    np.exp(factor, out=factor)
     # boundary inflow can grow the mass, so bound against the current one
     m_now = mass + config.mass_correction
     f_lo = np.exp(-m_now * config.kernel.weight_sup)

@@ -17,6 +17,8 @@ afresh, against which the solver's reused work buffers are checked.
 
 Two helpers the tests share close the module: random_compact_bump draws
 random smooth initial data, and front_position reads a front off a profile.
+CATALOG_VERDICTS is the threshold verdict that each catalog datum is
+built to get (see nltraffic.scenarios).
 """
 
 import math
@@ -25,7 +27,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from nltraffic.characteristics import _phase_path, time_to_level
-from nltraffic.solver import Diagnostics, _checked_measure
+from nltraffic.solver import CFL, Diagnostics, _checked_measure
 
 SEED_X = 1e-3
 N_TABLE = 10001
@@ -280,7 +282,7 @@ def reference_evolve(u0, config):
         uL = np.concatenate([u[:1], u])
         uR = np.concatenate([u, u[-1:]])
         speed = float((np.maximum(np.abs(1.0 - 2.0 * uL), np.abs(1.0 - 2.0 * uR)) * fi).max())
-        dt = min(config.cfl * dx / max(speed, 1e-12), config.t_end - t)
+        dt = min(CFL * dx / max(speed, 1e-12), config.t_end - t)
         flux = godunov_flux(uL, uR, fi)
         t_prev, u_prev, mass_prev = t, u, mass
         u = u - (dt / dx) * (flux[1:] - flux[:-1])
@@ -343,3 +345,6 @@ def front_position(u, level: float) -> float:
     drop = values[i] - values[i + 1]
     frac = (values[i] - level) / drop if drop > 0 else 0.0
     return float(x_i + frac * u.grid.dx)
+
+
+CATALOG_VERDICTS = {"bump": "SUPERCRITICAL", "subinit": "SUBCRITICAL"}

@@ -584,19 +584,26 @@ def test_bounds_overflowing_m_exits_2(tmp_path, capsys, m, message):
         ["evolve", "--ssp2"],
         ["evolve", "--scheme", "llf"],
         ["compare-kernels", "--scheme", "godunov"],
+        ["evolve", "--cfl", "0.3"],
+        ["compare-kernels", "--cfl", "0.3"],
     ],
-    ids=["evolve-ssp2", "evolve-scheme", "compare-kernels-scheme"],
+    ids=["evolve-ssp2", "evolve-scheme", "compare-kernels-scheme", "evolve-cfl",
+         "compare-kernels-cfl"],
 )
-def test_removed_options_exit_2(tmp_path, argv):
+def test_removed_options_exit_2(tmp_path, capsys, argv):
     out = tmp_path / "gone"
     assert main(argv + ["--n-cells", "200", "--t-end", "0.1", "--out", str(out)]) == 2
     assert not out.exists()
+    assert capsys.readouterr().out == ""
 
 
 def test_removed_option_in_config_file_exits_2(tmp_path):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("ssp2 = true\nn_cells = 200\nt_end = 0.1\n")
-    assert main(["evolve", "--config", str(cfg), "--out", str(tmp_path / "gone")]) == 2
+    for line in ("ssp2 = true", "cfl = 0.3"):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{line}\nn_cells = 200\nt_end = 0.1\n")
+        out = tmp_path / "gone"
+        assert main(["evolve", "--config", str(cfg), "--out", str(out)]) == 2, line
+        assert not out.exists(), line
 
 
 # ------------------------------------------------------------------ fuzzing
@@ -608,7 +615,6 @@ NUMBER = st.sampled_from(SPECIAL) | st.floats(-2.0, 2.0)
 # more than a few thousand steps
 DOMAIN_END = st.sampled_from(SPECIAL) | st.integers(-8, 12).map(float)
 T_END = st.sampled_from(SPECIAL[:5]) | st.floats(0.0, 2.0)
-CFL = st.sampled_from(SPECIAL) | st.floats(0.05, 1.0)
 KERNELS = ("zero", "sk", "infinite", "uniform", "linear", "sk:L=0.5")
 
 
@@ -631,7 +637,6 @@ def command_lines(draw):
     if sub == "evolve":
         argv += ["--kernel", draw(st.sampled_from(KERNELS))]
         option("t-end", T_END)
-        option("cfl", CFL, required=False)
         if draw(st.booleans()):
             argv.append("--run-past-blowup")
     elif sub == "bounds":

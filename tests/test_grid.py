@@ -120,7 +120,7 @@ def test_profile_csv_round_trip(tmp_path):
     gf = GridFunction(grid, rng.uniform(0.0, 1.0, 321))
     path = tmp_path / "profile.csv"
     write_profile_csv(gf, path)
-    assert open(path).readline().strip() == "x,u"
+    assert path.read_text().split("\n", 1)[0] == "x,u"
     back = read_profile_csv(path)
     # cell edges are reconstructed from the centers, so only near-bitwise
     assert back.grid.n_cells == grid.n_cells

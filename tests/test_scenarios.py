@@ -22,7 +22,7 @@ from nltraffic.scenarios import (
 )
 from nltraffic.solver import gradient_indicator
 from nltraffic.threshold import classify_initial_data
-from oracles import random_compact_bump
+from oracles import CATALOG_VERDICTS, random_compact_bump
 
 
 # --------------------------------------------------------------- profiles
@@ -74,8 +74,6 @@ def test_subinit_positive_and_below_one():
 
 def test_catalog_contents():
     assert set(CATALOG) == {"bump", "subinit"}
-    assert CATALOG["bump"].expected_verdict == "SUPERCRITICAL"
-    assert CATALOG["subinit"].expected_verdict == "SUBCRITICAL"
     assert CATALOG["bump"].domain == (-6.0, 10.0)
     assert CATALOG["subinit"].domain == (-200.0, 40.0)
     with pytest.raises(ValueError, match="unknown datum"):
@@ -85,7 +83,7 @@ def test_catalog_contents():
 def test_catalog_classifications():
     for name, datum in CATALOG.items():
         got = classify_initial_data(datum.sample(1000)).verdict
-        assert got == datum.expected_verdict, name
+        assert got == CATALOG_VERDICTS[name], name
 
 
 def test_subinit_tail_masses():
@@ -219,7 +217,6 @@ def test_right_tail_guard(tmp_path):
         name="truncated",
         profile=subcritical_init,
         domain=(-200.0, 10.0),  # e^-10/9 of mass still beyond the cut
-        expected_verdict="SUBCRITICAL",
         right_tail=lambda x: math.exp(-x) / 9.0,
     )
     exp = Experiment(name="bad", datum=bad, kernels=(ZERO,), n_cells=300, t_end=0.1)
