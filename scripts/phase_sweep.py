@@ -6,20 +6,20 @@ Usage: python scripts/phase_sweep.py [out_dir]
 For a grid of (u0, d0) seeds straddling the threshold, follow each
 characteristic with the frozen factor 1 and tabulate whether the slope blew
 up, the blow-up time, and the analytic certificate when one applies.  Output
-is a single sweep.csv plus per-seed trajectories (t,d,u) for the
-supercritical cases.
+is a single sweep.csv, with nan where a seed has no blow-up time or no
+certificate, plus per-seed trajectories (t,d,u) for the supercritical cases.
 """
 
+import math
 import sys
 from pathlib import Path
 
 from nltraffic.characteristics import (
-    CharState,
     ConstantFactor,
     integrate_characteristic,
     supercritical_bounds,
 )
-from nltraffic.grid import format_float, write_csv
+from nltraffic.grid import write_csv
 from nltraffic.threshold import default_curve
 
 
@@ -32,31 +32,17 @@ def main(argv):
         sigma = curve.eval(u0)
         for shift in (-0.05, -0.01, 0.01, 0.05, 0.2):
             d0 = sigma + shift
-            traj = integrate_characteristic(
-                CharState(d=d0, u=u0), ConstantFactor(1.0), t_end=200.0
-            )
-            sharp = ""
+            traj = integrate_characteristic(d0, u0, ConstantFactor(1.0), t_end=200.0)
+            sharp = math.nan
             if shift > 0:
-                bounds = supercritical_bounds(d0, u0, m=0.0)
-                sharp = format_float(bounds.T_star_sharp)
+                sharp = supercritical_bounds(d0, u0, m=0.0).T_star_sharp
                 write_csv(
                     out / f"traj_u{u0:g}_shift{shift:g}.csv", "t,d,u", (traj.t, traj.d, traj.u)
                 )
             blown_up = traj.blowup_time is not None
-            rows.append(
-                (
-                    format_float(u0),
-                    format_float(d0),
-                    format_float(shift),
-                    "1" if blown_up else "0",
-                    format_float(traj.blowup_time) if blown_up else "",
-                    sharp,
-                )
-            )
-    with open(out / "sweep.csv", "w") as fh:
-        fh.write("u0,d0,shift,blown_up,t_blowup,T_star_sharp\n")
-        for row in rows:
-            fh.write(",".join(row) + "\n")
+            t_blowup = traj.blowup_time if blown_up else math.nan
+            rows.append((u0, d0, shift, int(blown_up), t_blowup, sharp))
+    write_csv(out / "sweep.csv", "u0,d0,shift,blown_up,t_blowup,T_star_sharp", list(zip(*rows)))
     print(f"wrote {out}/sweep.csv ({len(rows)} seeds)")
 
 

@@ -57,18 +57,6 @@ def _require_finite_bound(m: float, **values: float) -> None:
             raise ValueError(f"{name} overflows at m = {m}")
 
 
-@dataclass(frozen=True)
-class CharState:
-    d: float
-    u: float
-    t: float = 0.0
-
-    def __post_init__(self):
-        _require_finite(d=self.d, u=self.u, t=self.t)
-        if not (0.0 <= self.u <= 1.0):
-            raise ValueError(f"density {self.u} outside [0, 1]")
-
-
 class ConstantFactor:
     """Constant slow-down factor f(t) = c with 0 < c <= 1."""
 
@@ -77,13 +65,13 @@ class ConstantFactor:
             raise ValueError(f"factor must lie in (0, 1], got {value}")
         self.value = float(value)
 
-    def integral(self, t0: float, t):
-        """F(t) = c (t - t0), the integral of f from t0 to each t."""
-        return self.value * (np.asarray(t, dtype=float) - t0)
+    def integral(self, t):
+        """F(t) = c t, the integral of f from 0 to each t."""
+        return self.value * np.asarray(t, dtype=float)
 
-    def reach(self, t0: float, value: float) -> float:
+    def reach(self, value: float) -> float:
         """The time at which F reaches value."""
-        return t0 + value / self.value
+        return value / self.value
 
 
 def _potential_inverse(u0: float, tau):
@@ -160,37 +148,39 @@ def _blowup_root(w0: float, u0: float) -> tuple[float, float]:
     return u0 / (1.0 + u0 * k_star), k_star + math.log1p(u0 / s)
 
 
-def integrate_characteristic(state0: CharState, factor, t_end: float, t_eval=None) -> Trajectory:
-    """The characteristic from state0 until t_end or the blow-up of its slope, in closed form.
+def integrate_characteristic(d0: float, u0: float, factor, t_end: float,
+                             t_eval=None) -> Trajectory:
+    """The characteristic from (d0, u0) at t = 0 until t_end or the blow-up of its slope.
 
-    With F(t) the integral of the factor from t0 and Phi(v) = 1/v + log((1-v)/v),
-    Phi(u(t)) = Phi(u0) + F(t) (see _time_path for d).  A supercritical start
-    (d0 > sigma(u0)) blows up at the T* where F reaches Phi(u*) - Phi(u0);
-    _blowup_root gives u* and that advance.  Rows are PHASE_SAMPLES evenly
-    spaced times from t0 to t_end, or to T* with the last row (T*, inf, u*);
-    with t_eval, its times before T*.
+    In closed form: with F(t) the integral of the factor from 0 and Phi(v) =
+    1/v + log((1-v)/v), Phi(u(t)) = Phi(u0) + F(t) (see _time_path for d).  A
+    supercritical start (d0 > sigma(u0)) blows up at the T* where F reaches
+    Phi(u*) - Phi(u0); _blowup_root gives u* and that advance.  Rows are
+    PHASE_SAMPLES evenly spaced times from 0 to t_end, or to T* with the last
+    row (T*, inf, u*); with t_eval, its times before T*.
     """
-    _require_finite(t_end=t_end)
-    if t_end <= state0.t:
-        raise ValueError("t_end must exceed the initial time")
+    _require_finite(d0=d0, u0=u0, t_end=t_end)
+    if not (0.0 <= u0 <= 1.0):
+        raise ValueError(f"u0 must lie in [0, 1], got {u0}")
+    if t_end <= 0.0:
+        raise ValueError(f"t_end must be positive, got {t_end}")
     if t_eval is not None:
         t_eval = np.asarray(t_eval, dtype=float)
-        if not (np.all(np.diff(t_eval) > 0) and state0.t <= t_eval[0] and t_eval[-1] <= t_end):
-            raise ValueError("t_eval must increase within [t0, t_end]")
+        if not (np.all(np.diff(t_eval) > 0) and 0.0 <= t_eval[0] and t_eval[-1] <= t_end):
+            raise ValueError("t_eval must increase within [0, t_end]")
 
-    d0, u0, t0 = state0.d, state0.u, state0.t
     w0 = d0 - u0 * (1.0 - u0)
     t_star = u_star = math.inf
     if w0 > 0.0:
         u_star, f_star = _blowup_root(w0, u0)
-        t_star = factor.reach(t0, f_star)
+        t_star = factor.reach(f_star)
     blown_up = t_star <= t_end
     if t_eval is None:
-        t = np.linspace(t0, min(t_end, t_star), PHASE_SAMPLES)
+        t = np.linspace(0.0, min(t_end, t_star), PHASE_SAMPLES)
         smooth = t[:-1] if blown_up else t
     else:
         t = smooth = t_eval[t_eval < t_star]
-    d, u = _time_path(w0, u0, factor.integral(t0, smooth))
+    d, u = _time_path(w0, u0, factor.integral(smooth))
     if len(smooth) < len(t):
         d, u = np.append(d, math.inf), np.append(u, u_star)
     return Trajectory(t=t, d=d, u=u, blowup_time=t_star if blown_up else None)

@@ -19,16 +19,15 @@ from dataclasses import asdict, replace
 from pathlib import Path
 
 from .characteristics import (
-    CharState,
     ConstantFactor,
     integrate_characteristic,
     phase_trajectory,
     supercritical_bounds,
 )
-from .grid import write_csv, write_json
+from .grid import GridSpec, write_csv, write_json
 from .kernels import parse_kernel
 from .scenarios import RECIPES, Experiment, get_datum, run_experiment
-from .solver import SolverFailure
+from .solver import BLOWUP_GRADIENT_FACTOR, SolverFailure
 from .threshold import default_curve, write_threshold_csv
 
 
@@ -183,7 +182,22 @@ def _write_manifest(out: Path, args, files: list[str]) -> None:
     write_json(out / "manifest.json", manifest)
 
 
-def _warn_boundary_contact(tag: str, report) -> None:
+def _warn(tag: str, diag, exp: Experiment) -> None:
+    """Name on stderr what makes a kernel's run of exp a poor guide to the model.
+
+    Breakdown detected on the initial state of smooth catalog data means a
+    grid too coarse for the 0.08/dx rule; density through the right edge
+    means the run left the model's domain.
+    """
+    report = diag.blowup
+    if report.t_detect == 0.0:
+        grid_scale = BLOWUP_GRADIENT_FACTOR / GridSpec(*exp.datum.domain, exp.n_cells).dx
+        print(
+            f"warning: kernel {tag}: breakdown detected at t = 0: the initial gradient "
+            f"indicator {diag.grad_indicator[0]:.3g} reaches {BLOWUP_GRADIENT_FACTOR:g}/dx = "
+            f"{grid_scale:.3g}; raise --n-cells",
+            file=sys.stderr,
+        )
     if report.boundary_contact_t is not None:
         print(
             f"warning: kernel {tag}: density leaves through the right edge from "
@@ -226,8 +240,9 @@ def dispatch(args) -> int:
         )
         result = run_experiment(exp, out)
         files += result.files
-        report = result.diagnostics[kernel.tag].blowup
-        _warn_boundary_contact(kernel.tag, report)
+        diag = result.diagnostics[kernel.tag]
+        _warn(kernel.tag, diag, exp)
+        report = diag.blowup
         if report.detected:
             print(f"breakdown detected at t = {report.t_detect:g}")
         else:
@@ -249,17 +264,15 @@ def dispatch(args) -> int:
         result = run_experiment(exp, out)
         files += result.files
         for tag, diag in result.diagnostics.items():
+            _warn(tag, diag, exp)
             rep = diag.blowup
-            _warn_boundary_contact(tag, rep)
             status = f"breakdown at t = {rep.t_detect:g}" if rep.detected else "smooth"
             print(f"{tag}: {status}")
 
     elif args.subcommand == "phase-portrait":
         if args.factor is not None:
             traj = integrate_characteristic(
-                CharState(d=args.d0, u=args.u0),
-                ConstantFactor(args.factor),
-                t_end=args.t_end,
+                args.d0, args.u0, ConstantFactor(args.factor), t_end=args.t_end
             )
             write_csv(out / "trajectory.csv", "t,d,u", (traj.t, traj.d, traj.u))
             if traj.blowup_time is not None:

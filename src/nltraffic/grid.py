@@ -97,12 +97,8 @@ def spatial_derivative(u: GridFunction) -> GridFunction:
 # serialization: CSV of numeric columns in full double precision, and JSON
 
 
-def format_float(v: float) -> str:
-    return f"{v:.17g}"
-
-
 def write_csv(path, header: str, columns) -> None:
-    """Write header, then row i of columns with each field as format_float's text."""
+    """Write header, then row i of columns with each field as "%.17g" text, which round-trips."""
     line = ",".join(["%.17g"] * len(columns)) + "\n"
     rows = zip(*(np.asarray(c).tolist() for c in columns))
     with open(path, "w") as fh:

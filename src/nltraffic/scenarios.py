@@ -11,9 +11,10 @@ Two analytic profiles anchor the study:
   while kernels with bounded horizon still break down.
 
 The 1/x^2 left tail carries infinite support, so the recommended domain
-[-200, 40] truncates it.  The truncated analytic tail mass (1/|x_left|)
-is attached to the mass diagnostic only: the look-ahead average only sees
-density to the right, so the tail never enters ubar.
+[-200, 40] truncates it.  The bundle's metadata.json records the truncated
+analytic tail mass (1/|x_left|) as left_tail_mass; the mass diagnostic is
+the mass on the grid.  The look-ahead average only sees density to the
+right, so the tail never enters ubar.
 """
 
 from __future__ import annotations
@@ -197,11 +198,8 @@ def run_experiment(exp: Experiment, out_dir) -> ExperimentResult:
         )
     # built first, so that invalid solver options stop the run before any evolve
     configs = [
-        SolverConfig(
-            grid=grid, kernel=kernel, t_end=exp.t_end,
-            snapshot_times=exp.snapshot_times, stop_on_blowup=exp.stop_on_blowup,
-            mass_correction=tail_left,
-        )
+        SolverConfig(kernel=kernel, t_end=exp.t_end, snapshot_times=exp.snapshot_times,
+                     stop_on_blowup=exp.stop_on_blowup)
         for kernel in exp.kernels
     ]
     snap_files: dict[str, float] = {}  # file name -> time, in snapshot_times order

@@ -64,7 +64,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import (  # noqa: F401  (total_mass: traced)
-    DENSITY_TOL, GridFunction, GridSpec, require_density, total_mass, write_csv,
+    DENSITY_TOL, GridFunction, require_density, total_mass, write_csv,
 )
 from .kernels import Kernel, lookahead_average, nonlocal_field  # noqa: F401  (traced)
 
@@ -85,20 +85,14 @@ class SolverFailure(RuntimeError):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    grid: GridSpec
     kernel: Kernel
     t_end: float
     snapshot_times: tuple = ()
     stop_on_blowup: bool = True
-    # analytic mass sitting outside the domain (slow left tails); only the
-    # mass diagnostic and the factor lower bound see it
-    mass_correction: float = 0.0
 
     def __post_init__(self):
         if not (0.0 < self.t_end < math.inf):
             raise ValueError(f"t_end must be positive and finite, got {self.t_end}")
-        if not math.isfinite(self.mass_correction):
-            raise ValueError(f"mass_correction must be finite, got {self.mass_correction}")
         times = tuple(float(t) for t in self.snapshot_times)
         if not all(0.0 <= t <= self.t_end + 1e-12 for t in times):
             raise ValueError(f"snapshot_times must lie in [0, t_end], got {times}")
@@ -133,14 +127,15 @@ def numerical_flux(u_left, u_right, factor, out=None, work=None):
     return float(out) if out.ndim == 0 else out
 
 
-def _advance(pad, new, factor, cells: slice, t: float, config: SolverConfig, work):
+def _advance(pad, new, factor, cells: slice, t: float, dx: float, config: SolverConfig, work):
     """One CFL step of forward Euler on the cells of pad[1:-1] into new[1:-1].
 
-    pad and new hold a state between two ghost cells.  The cells' ghosts are
-    their outer neighbours, set here (zero-gradient outflow); off a domain
-    edge those are vacuum beside vacuum of one factor.  factor is the cells'
-    lagged slow-down factor and work _buffers()'s scratch.  Returns (dt,
-    speed, boundary_flux), the fluxes being the left and right outflow rates.
+    pad and new hold a state on cells of width dx between two ghost cells.
+    The cells' ghosts are their outer neighbours, set here (zero-gradient
+    outflow); off a domain edge those are vacuum beside vacuum of one factor.
+    factor is the cells' lagged slow-down factor and work _buffers()'s
+    scratch.  Returns (dt, speed, boundary_flux), the fluxes being the left
+    and right outflow rates.
     """
     pad, new = pad[cells.start : cells.stop + 2], new[cells.start : cells.stop + 2]
     c = work[0, : len(pad)]
@@ -156,7 +151,6 @@ def _advance(pad, new, factor, cells: slice, t: float, config: SolverConfig, wor
     np.maximum(c[:-1], c[1:], out=alpha)
     alpha *= fi
     speed = 2.0 * float(alpha.max())
-    dx = config.grid.dx
     dt = min(CFL * dx / max(speed, SPEED_FLOOR), config.t_end - t)
     numerical_flux(pad[:-1], pad[1:], fi, out=flux, work=alpha)  # alpha is read: scratch
     u_new = new[1:-1]
@@ -236,12 +230,13 @@ def gradient_indicator(u: GridFunction) -> float:
     return _max_slope(u.values, u.grid.dx, slice(None)) / amp
 
 
-def _checked_measure(u, cells: slice, t: float, dt: float, speed: float, config: SolverConfig):
-    """Check a state and measure everything the step loop needs, once.
+def _checked_measure(u, cells: slice, t: float, dt: float, speed: float, dx: float,
+                     kernel: Kernel):
+    """Check a state on cells of width dx and measure everything the step loop needs, once.
 
     t is the state's time, dt and speed those of the step that produced it
     (0 for the initial state).  Returns the factor of the stepped cells, and
-    the state's mass, amplitude and diagnostics row (mass correction in it).
+    the state's mass, amplitude and diagnostics row.
     """
     v = u[cells]
     lo, hi = float(v.min()), float(v.max())  # nan and +-inf propagate into both
@@ -253,13 +248,11 @@ def _checked_measure(u, cells: slice, t: float, dt: float, speed: float, config:
         raise SolverFailure(
             "maximum principle violated", dump={"t": t, "min_u": lo, "max_u": hi}
         )
-    dx = config.grid.dx
     mass = float(dx * u.sum())
-    factor = np.negative(lookahead_average(v, dx, config.kernel, mass))
+    factor = np.negative(lookahead_average(v, dx, kernel, mass))
     np.exp(factor, out=factor)
     # boundary inflow can grow the mass, so bound against the current one
-    m_now = mass + config.mass_correction
-    f_lo = np.exp(-m_now * config.kernel.weight_sup)
+    f_lo = np.exp(-mass * kernel.weight_sup)
     f_min, f_max = float(factor.min()), float(factor.max())
     if f_min < f_lo - 1e-10 or f_max > 1.0 + 1e-10:
         raise SolverFailure(
@@ -268,41 +261,40 @@ def _checked_measure(u, cells: slice, t: float, dt: float, speed: float, config:
         )
     amp = max(hi, -lo)  # = max |u|
     gi = 0.0 if amp <= 1e-14 else _max_slope(u, dx, cells) / amp
-    return factor, mass, amp, (t, m_now, lo, hi, gi, f_min, f_max, dt, speed)
+    return factor, mass, amp, (t, mass, lo, hi, gi, f_min, f_max, dt, speed)
 
 
 def evolve(u0: GridFunction, config: SolverConfig):
-    """Run the scheme from u0; returns (snapshots, diagnostics).
+    """Run the scheme from u0 on its grid; returns (snapshots, diagnostics).
 
     snapshots is a list of (requested_time, GridFunction) taken at the
     nearest completed step.  Breakdown detection terminates the run unless
     stop_on_blowup is False, in which case the first detection time is
     recorded and the run continues to t_end.
     """
-    if u0.grid != config.grid:
-        raise ValueError("initial data lives on a different grid")
     require_density(u0)
+    grid, dx = u0.grid, u0.grid.dx
     if config.kernel.kind == "infinite":
-        tail = config.grid.dx * float(u0.values[-5:].sum())
+        tail = dx * float(u0.values[-5:].sum())
         if tail > BOUNDARY_CONTACT_MASS:
             raise ValueError(
-                f"data reach the right boundary x_right = {config.grid.x_right:g} (tail "
+                f"data reach the right boundary x_right = {grid.x_right:g} (tail "
                 f"mass {tail:.3e}); the infinite kernel truncates whatever lies beyond it"
             )
 
-    pad, new, work = _buffers(config.grid.n_cells)
+    pad, new, work = _buffers(grid.n_cells)
     pad[1:-1] = u0.values
-    cells = _stepped_cells(u0.values, config.kernel, config.grid.dx)
+    cells = _stepped_cells(u0.values, config.kernel, dx)
     u = u_prev = pad[1:-1]
     # dt = 0 marks the initial state, which closes no step and adds no outflow
     t = t_prev = dt = speed = f_left = f_right = mass_prev = outflow = max_gradient = 0.0
     t_detect = contact_t = None
-    grid_scale = BLOWUP_GRADIENT_FACTOR / config.grid.dx
+    grid_scale = BLOWUP_GRADIENT_FACTOR / dx
     pending = list(config.snapshot_times)
     snapshots: list[tuple[float, GridFunction]] = []
     diag = Diagnostics()
     while True:
-        factor, mass, amp, row = _checked_measure(u, cells, t, dt, speed, config)
+        factor, mass, amp, row = _checked_measure(u, cells, t, dt, speed, dx, config.kernel)
         diag.add_row(*row)
         if dt:  # the step's mass balance against its boundary fluxes
             drift = abs(mass - mass_prev + dt * (f_right - f_left))
@@ -318,19 +310,19 @@ def evolve(u0: GridFunction, config: SolverConfig):
         while pending and pending[0] <= t + 1e-12:
             tgt = pending.pop(0)
             pick = u_prev if abs(t_prev - tgt) < abs(t - tgt) else u
-            snapshots.append((tgt, GridFunction(config.grid, pick)))
+            snapshots.append((tgt, GridFunction(grid, pick)))
         if t >= config.t_end - 1e-12 or (t_detect is not None and config.stop_on_blowup):
             break
         if len(diag.t) > MAX_STEPS:
             raise SolverFailure("step budget exhausted", dump={"t": t})
         t_prev, mass_prev = t, mass
-        dt, speed, (f_left, f_right) = _advance(pad, new, factor, cells, t_prev, config, work)
+        dt, speed, (f_left, f_right) = _advance(pad, new, factor, cells, t_prev, dx, config, work)
         if len(diag.t) == 1 and config.t_end / dt > MAX_STEPS:
             raise ValueError(
                 f"the first CFL step dt = {dt:.3g} projects about "
                 f"{config.t_end / dt:.3g} steps to t_end = {config.t_end:g}, over "
                 f"the budget of {MAX_STEPS}; widen --x-left/--x-right or lower "
-                f"--n-cells (dx = {config.grid.dx:.3g})"
+                f"--n-cells (dx = {dx:.3g})"
             )
         # the next step overwrites u_prev, after this one has taken its snapshots
         pad, new = new, pad

@@ -198,15 +198,15 @@ class SampledFactor:
         f = np.interp(t, self.times, self.values)
         return self._sums[j] + (t - self.times[j]) * (self.values[j] + f) / 2.0
 
-    def integral(self, t0: float, t):
-        """F(t), the integral of f from t0 to each t."""
+    def integral(self, t):
+        """F(t), the integral of f from 0 to each t."""
         t = np.asarray(t, dtype=float)
         self._require_within(t)
-        return self._primitive(t) - self._primitive(t0)
+        return self._primitive(t) - self._primitive(0.0)
 
-    def reach(self, t0: float, value: float) -> float:
+    def reach(self, value: float) -> float:
         """The time at which F reaches value; inf if the series ends first."""
-        target = self._primitive(t0) + value
+        target = self._primitive(0.0) + value
         if target > self._sums[-1]:
             return math.inf
         j = min(max(int(np.searchsorted(self._sums, target)) - 1, 0), len(self.times) - 2)
@@ -264,9 +264,9 @@ def reference_evolve(u0, config):
     report is left out.  Each state is a new array, so no snapshot can alias
     a later state.
     """
-    dx = config.grid.dx
+    dx = u0.grid.dx
     t, u = 0.0, u0.values
-    factor, mass, _, row = _checked_measure(u, slice(None), t, 0.0, 0.0, config)
+    factor, mass, _, row = _checked_measure(u, slice(None), t, 0.0, 0.0, dx, config.kernel)
     diag = Diagnostics()
     diag.add_row(*row)
     pending = list(config.snapshot_times)
@@ -287,7 +287,7 @@ def reference_evolve(u0, config):
         t_prev, u_prev, mass_prev = t, u, mass
         u = u - (dt / dx) * (flux[1:] - flux[:-1])
         t = t + dt
-        factor, mass, _, row = _checked_measure(u, slice(None), t, dt, speed, config)
+        factor, mass, _, row = _checked_measure(u, slice(None), t, dt, speed, dx, config.kernel)
         diag.add_row(*row)
         drift = abs(mass - mass_prev + dt * (flux[-1] - flux[0]))
         diag.max_mass_drift = max(diag.max_mass_drift, drift)

@@ -15,7 +15,6 @@ from scipy.interpolate import CubicSpline
 
 from conftest import ACCEPTANCE_LINES
 from nltraffic.characteristics import (
-    CharState,
     ConstantFactor,
     blowup_time_bound,
     integrate_characteristic,
@@ -105,8 +104,7 @@ def test_criterion_3_invariant_region_and_blowup(curve):
         u0 = float(rng.uniform(0.05, 0.95))
         d0 = curve.eval(u0) - float(rng.uniform(0.02, 0.6))
         traj = integrate_characteristic(
-            CharState(d=d0, u=u0),
-            ConstantFactor(1.0),
+            d0, u0, ConstantFactor(1.0),
             t_end=50.0,
             t_eval=np.linspace(0.0, 50.0, 1001),
         )
@@ -119,8 +117,7 @@ def test_criterion_3_invariant_region_and_blowup(curve):
         d0 = curve.eval(u0) + float(rng.uniform(0.01, 0.5))
         b = supercritical_bounds(d0, u0, m=0.0)
         traj = integrate_characteristic(
-            CharState(d=d0, u=u0),
-            ConstantFactor(1.0),
+            d0, u0, ConstantFactor(1.0),
             t_end=b.T_star_sharp + 1.0,
         )
         t_blow = traj.blowup_time
@@ -226,7 +223,7 @@ def test_criterion_8_reduction_limits():
 
     def final_profile(u_init, kernel, t_end):
         config = SolverConfig(
-            grid=u_init.grid, kernel=kernel, t_end=t_end,
+            kernel=kernel, t_end=t_end,
             snapshot_times=(t_end,), stop_on_blowup=False,
         )
         snaps, _ = evolve(u_init, config)
@@ -258,8 +255,7 @@ def test_criterion_9_factor_independent_phase_paths():
     matched = []
     for f, t_end in ((0.3, 50.0), (1.0, 15.0)):
         traj = integrate_characteristic(
-            CharState(d=0.2, u=0.5),
-            ConstantFactor(f),
+            0.2, 0.5, ConstantFactor(f),
             t_end=t_end,
             t_eval=np.linspace(0.0, t_end, 40001),
         )

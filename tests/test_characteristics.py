@@ -7,7 +7,6 @@ from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
 from nltraffic.characteristics import (
-    CharState,
     ConstantFactor,
     blowup_time_bound,
     integrate_characteristic,
@@ -38,12 +37,12 @@ def test_rhs_hand_value():
 
 def test_zero_slope_not_invariant():
     """The inhomogeneous term pushes d below zero from d = 0."""
-    traj = integrate_characteristic(CharState(d=0.0, u=0.5), ConstantFactor(1.0), 0.5)
+    traj = integrate_characteristic(0.0, 0.5, ConstantFactor(1.0), 0.5)
     assert traj.d[-1] < -1e-4
 
 
 def test_density_decays_monotonically():
-    traj = integrate_characteristic(CharState(d=0.1, u=0.6), ConstantFactor(0.8), 5.0)
+    traj = integrate_characteristic(0.1, 0.6, ConstantFactor(0.8), 5.0)
     assert np.all(np.diff(traj.u) <= 1e-14)
     assert traj.u[-1] > 0.0
 
@@ -51,7 +50,7 @@ def test_density_decays_monotonically():
 def test_riccati_limit_blowup_time():
     """For u ~ 0 the slope ODE is dd/dt = 2 f d^2, blowing up at 1/(2 f d0)."""
     d0, f = 2.0, 1.0
-    traj = integrate_characteristic(CharState(d=d0, u=1e-6), ConstantFactor(f), t_end=1.0)
+    traj = integrate_characteristic(d0, 1e-6, ConstantFactor(f), t_end=1.0)
     assert traj.blowup_time is not None
     assert traj.blowup_time == pytest.approx(1.0 / (2 * f * d0), rel=0.01)
 
@@ -59,7 +58,7 @@ def test_riccati_limit_blowup_time():
 def test_lower_bound_proposition():
     """d(t) >= min(-1, d0) whatever the factor does."""
     for d0, u0 in ((-2.0, 0.5), (-0.5, 0.7), (0.3, 0.2)):
-        traj = integrate_characteristic(CharState(d=d0, u=u0), ConstantFactor(1.0), 30.0)
+        traj = integrate_characteristic(d0, u0, ConstantFactor(1.0), 30.0)
         assert np.all(traj.d >= min(-1.0, d0) - 1e-6)
 
 
@@ -69,7 +68,7 @@ def test_subcritical_seeds_stay_below_curve(curve):
         u0 = rng.uniform(0.1, 0.9)
         d0 = curve.eval(u0) - rng.uniform(0.01, 0.2)
         traj = integrate_characteristic(
-            CharState(d=d0, u=u0), ConstantFactor(rng.uniform(0.2, 1.0)), 30.0
+            d0, u0, ConstantFactor(rng.uniform(0.2, 1.0)), 30.0
         )
         assert traj.blowup_time is None
         assert np.all(traj.d <= curve.eval(np.clip(traj.u, 0, 1)) + 1e-6)
@@ -77,10 +76,9 @@ def test_subcritical_seeds_stay_below_curve(curve):
 
 def test_factor_half_is_time_rescaling():
     """A constant factor only rescales time along the trajectory."""
-    s0 = CharState(d=0.2, u=0.6)
     t_eval = np.linspace(0.0, 4.0, 41)
-    full = integrate_characteristic(s0, ConstantFactor(1.0), 4.0, t_eval=t_eval / 2.0)
-    half = integrate_characteristic(s0, ConstantFactor(0.5), 4.0, t_eval=t_eval)
+    full = integrate_characteristic(0.2, 0.6, ConstantFactor(1.0), 4.0, t_eval=t_eval / 2.0)
+    half = integrate_characteristic(0.2, 0.6, ConstantFactor(0.5), 4.0, t_eval=t_eval)
     np.testing.assert_allclose(half.d, full.d, atol=1e-7)
     np.testing.assert_allclose(half.u, full.u, atol=1e-7)
 
@@ -131,7 +129,7 @@ def test_solve_eta_matches_characteristic_density():
     """With a constant factor the density component solves the eta ODE."""
     t_eval = np.linspace(0.0, 6.0, 31)
     traj = integrate_characteristic(
-        CharState(d=0.0, u=0.7), ConstantFactor(math.exp(-0.3)), 6.0, t_eval=t_eval
+        0.0, 0.7, ConstantFactor(math.exp(-0.3)), 6.0, t_eval=t_eval
     )
     eta = solve_eta(0.7, 0.3, t_eval)
     np.testing.assert_allclose(traj.u, eta, atol=1e-7)
@@ -142,7 +140,7 @@ def test_comparison_principle_sampled_factor():
     times = np.linspace(0.0, 6.0, 61)
     factor = SampledFactor(times, np.full_like(times, 0.5))
     traj = integrate_characteristic(
-        CharState(d=0.0, u=0.7), factor, 6.0, t_eval=times
+        0.0, 0.7, factor, 6.0, t_eval=times
     )
     eta = solve_eta(0.7, 0.0, times)  # factor 1 decays fastest
     assert np.all(traj.u >= eta - 1e-9)
@@ -152,7 +150,7 @@ def test_sampled_factor_span_enforced():
     times = np.linspace(0.0, 1.0, 11)
     factor = SampledFactor(times, np.full_like(times, 0.9))
     with pytest.raises(ValueError):
-        integrate_characteristic(CharState(d=0.0, u=0.5), factor, t_end=2.0)
+        integrate_characteristic(0.0, 0.5, factor, t_end=2.0)
     with pytest.raises(ValueError):
         factor.at(1.5)
 
@@ -162,16 +160,17 @@ def test_sampled_factor_integral_is_exact_and_reach_inverts_it():
     rng = np.random.default_rng(5)
     times = np.cumsum(rng.uniform(0.2, 1.0, 8))
     factor = SampledFactor(times, rng.uniform(0.1, 1.0, 8))
-    grid = np.linspace(times[0] - 0.5, times[-1], 301)
-    t0, t = grid[0], grid[1:]
+    assert times[0] > 0.0  # so F starts where the factor is held
+    grid = np.linspace(0.0, times[-1], 301)
+    t = grid[1:]
     nodes = np.union1d(grid, times)  # the trapezoid rule is exact on each linear piece
     f = np.interp(nodes, times, factor.values)
     exact = np.concatenate(([0.0], np.cumsum(np.diff(nodes) * (f[:-1] + f[1:]) / 2.0)))
-    F = factor.integral(t0, t)
+    F = factor.integral(t)
     np.testing.assert_allclose(F, exact[np.searchsorted(nodes, t)], rtol=1e-13)
-    back = np.array([factor.reach(t0, value) for value in F])
+    back = np.array([factor.reach(value) for value in F])
     np.testing.assert_allclose(back, t, rtol=0.0, atol=1e-12)
-    assert factor.reach(t0, F[-1] * (1.0 + 1e-9)) == math.inf
+    assert factor.reach(F[-1] * (1.0 + 1e-9)) == math.inf
 
 
 def test_blowup_bound_matches_riccati_ode():
@@ -215,7 +214,7 @@ def test_phase_trajectory_factor_independence():
     matched = []
     for f, t_end in ((0.3, 50.0), (1.0, 15.0)):
         traj = integrate_characteristic(
-            CharState(d=0.2, u=0.5),
+            0.2, 0.5,
             ConstantFactor(f),
             t_end=t_end,
             t_eval=np.linspace(0.0, t_end, 40001),
@@ -298,20 +297,22 @@ def test_supercritical_bounds_actually_bound():
     for d0, u0 in ((0.4, 0.5), (0.3, 0.3), (0.9, 0.7)):
         b = supercritical_bounds(d0, u0, m=0.0)
         traj = integrate_characteristic(
-            CharState(d=d0, u=u0), ConstantFactor(1.0), t_end=1.5 * b.T_star_sharp
+            d0, u0, ConstantFactor(1.0), t_end=1.5 * b.T_star_sharp
         )
         assert traj.blowup_time is not None
         assert traj.blowup_time <= b.T_star_sharp
 
 
 def test_char_state_validation():
-    with pytest.raises(ValueError):
-        CharState(d=0.0, u=1.5)
+    """The start (d0, u0) of a characteristic is checked by name, and so is the factor."""
+    one = ConstantFactor(1.0)
+    with pytest.raises(ValueError, match="u0 must lie in"):
+        integrate_characteristic(0.0, 1.5, one, 1.0)
     for bad in NON_FINITE:
-        with pytest.raises(ValueError, match="d must be finite"):
-            CharState(d=bad, u=0.5)
-        with pytest.raises(ValueError, match="u must be finite"):
-            CharState(d=0.0, u=bad)
+        with pytest.raises(ValueError, match="d0 must be finite"):
+            integrate_characteristic(bad, 0.5, one, 1.0)
+        with pytest.raises(ValueError, match="u0 must be finite"):
+            integrate_characteristic(0.0, bad, one, 1.0)
     with pytest.raises(ValueError):
         ConstantFactor(0.0)
     with pytest.raises(ValueError):
@@ -319,12 +320,15 @@ def test_char_state_validation():
 
 
 def test_integrate_validation():
-    s = CharState(d=0.0, u=0.5)
-    with pytest.raises(ValueError):
-        integrate_characteristic(s, ConstantFactor(1.0), t_end=0.0)
+    one = ConstantFactor(1.0)
+    for t_end in (0.0, -1.0):
+        with pytest.raises(ValueError, match="t_end must be positive"):
+            integrate_characteristic(0.0, 0.5, one, t_end=t_end)
     for bad in NON_FINITE:
         with pytest.raises(ValueError, match="t_end must be finite"):
-            integrate_characteristic(s, ConstantFactor(1.0), t_end=bad)
+            integrate_characteristic(0.0, 0.5, one, t_end=bad)
+    with pytest.raises(ValueError, match="t_eval must increase within"):
+        integrate_characteristic(0.0, 0.5, one, 1.0, t_eval=[-0.5, 0.5])
 
 
 @pytest.mark.parametrize("bad", NON_FINITE)
@@ -370,7 +374,7 @@ def test_slope_floor_rejects_underflowing_u0():
 # ------------------------------------------- oracle: the DOP853 of scipy.integrate
 
 
-def _dop853_time_mode(state0, factor, t_end, t_eval=None, cap=1e12):
+def _dop853_time_mode(d0, u0, factor, t_end, t_eval=None, cap=1e12):
     """integrate_characteristic's problem stepped by solve_ivp; an event where d crosses cap.
 
     Near a blow-up at T*, d ~ 1 / (2 f (T* - t)), so the event lies about
@@ -385,7 +389,7 @@ def _dop853_time_mode(state0, factor, t_end, t_eval=None, cap=1e12):
 
     hit_cap.terminal = True
     hit_cap.direction = 1
-    return solve_ivp(rhs, (state0.t, t_end), [state0.d, state0.u], method="DOP853",
+    return solve_ivp(rhs, (0.0, t_end), [d0, u0], method="DOP853",
                      rtol=1e-13, atol=1e-15, events=hit_cap, t_eval=t_eval)
 
 
@@ -403,12 +407,12 @@ def _seeded_starts(seed, count, shifts):
 def test_time_mode_matches_rk45_on_t_eval():
     """Subcritical paths, and supercritical ones up to half their blow-up time."""
     for d0, u0, f in _seeded_starts(11, 12, (-0.2, 0.2)):
-        state, factor = CharState(d=d0, u=u0), ConstantFactor(f)
-        free = _dop853_time_mode(state, factor, 40.0)
+        factor = ConstantFactor(f)
+        free = _dop853_time_mode(d0, u0, factor, 40.0)
         t_end = free.t_events[0][0] / 2.0 if free.t_events[0].size else 40.0
         t_eval = np.linspace(0.0, t_end, 81)
-        ref = _dop853_time_mode(state, factor, t_end, t_eval=t_eval)
-        traj = integrate_characteristic(state, factor, t_end, t_eval=t_eval)
+        ref = _dop853_time_mode(d0, u0, factor, t_end, t_eval=t_eval)
+        traj = integrate_characteristic(d0, u0, factor, t_end, t_eval=t_eval)
         np.testing.assert_array_equal(traj.t, t_eval)
         assert np.max(np.abs(traj.d - ref.y[0])) <= 1e-10
         assert np.max(np.abs(traj.u - ref.y[1])) <= 1e-10
@@ -418,12 +422,12 @@ def test_time_mode_matches_rk45_steps_and_blowup_times():
     """The same verdict on every start, the same rows, and equal blow-up times."""
     blown = 0
     for d0, u0, f in _seeded_starts(12, 16, (-0.2, 0.2)):
-        state, factor = CharState(d=d0, u=u0), ConstantFactor(f)
-        free = _dop853_time_mode(state, factor, 60.0)
-        traj = integrate_characteristic(state, factor, 60.0)
+        factor = ConstantFactor(f)
+        free = _dop853_time_mode(d0, u0, factor, 60.0)
+        traj = integrate_characteristic(d0, u0, factor, 60.0)
         assert (traj.blowup_time is not None) == (free.t_events[0].size > 0), (d0, u0, f)
         smooth = traj.t[:-1] if traj.blowup_time is not None else traj.t
-        ref = _dop853_time_mode(state, factor, smooth[-1], t_eval=smooth)
+        ref = _dop853_time_mode(d0, u0, factor, smooth[-1], t_eval=smooth)
         rows = np.stack([traj.d[:len(smooth)], traj.u[:len(smooth)]])
         assert np.all(np.abs(rows - ref.y) <= 1e-10 * np.maximum(1.0, np.abs(ref.y)))
         if traj.blowup_time is not None:
@@ -440,14 +444,13 @@ def test_time_mode_matches_rk45_with_sampled_factor():
     # results depend on where their steps fall at the tolerance level
     factor = SampledFactor([0.0, 20.0], [1.0, 0.4])
     for d0, u0 in ((0.1, 0.6), (0.2, 0.3)):
-        state = CharState(d=d0, u=u0)
         t_eval = np.linspace(0.0, 20.0, 41)
-        ref = _dop853_time_mode(state, factor, 20.0, t_eval=t_eval)
-        traj = integrate_characteristic(state, factor, 20.0, t_eval=t_eval)
+        ref = _dop853_time_mode(d0, u0, factor, 20.0, t_eval=t_eval)
+        traj = integrate_characteristic(d0, u0, factor, 20.0, t_eval=t_eval)
         assert np.max(np.abs(traj.d - ref.y[0])) <= 1e-10
         assert np.max(np.abs(traj.u - ref.y[1])) <= 1e-10
-    free = integrate_characteristic(CharState(d=0.6, u=0.5), factor, 20.0)
-    ref = _dop853_time_mode(CharState(d=0.6, u=0.5), factor, 20.0)
+    free = integrate_characteristic(0.6, 0.5, factor, 20.0)
+    ref = _dop853_time_mode(0.6, 0.5, factor, 20.0)
     assert free.blowup_time is not None and ref.t_events[0].size == 1
     assert free.blowup_time == pytest.approx(ref.t_events[0][0], rel=1e-10)
 
@@ -495,7 +498,7 @@ def test_time_mode_blowup_time_matches_closed_form():
 
         u_star = brentq(denominator, 0.0, u0, xtol=1e-300, rtol=4 * np.finfo(float).eps)
         expected = (phi(u_star) - phi(u0)) / c
-        traj = integrate_characteristic(CharState(d=d0, u=u0), ConstantFactor(c), 2.0 * expected)
+        traj = integrate_characteristic(d0, u0, ConstantFactor(c), 2.0 * expected)
         assert traj.blowup_time is not None, (d0, u0, c)
         assert traj.blowup_time == pytest.approx(expected, rel=1e-12)
 
@@ -511,11 +514,11 @@ def test_time_mode_riccati_limit_is_exact(u0):
     d comes from 1/u - 1/u0, which grows though u itself rounds to u0.
     """
     f = 0.7
-    blown = integrate_characteristic(CharState(d=1.0, u=u0), ConstantFactor(f), 10.0)
+    blown = integrate_characteristic(1.0, u0, ConstantFactor(f), 10.0)
     assert blown.blowup_time == pytest.approx(1.0 / (2.0 * f), rel=1e-12)
     assert blown.d[-1] == math.inf and np.all(blown.u == u0)
     np.testing.assert_allclose(blown.d[:-1], 1.0 / (1.0 - 2.0 * f * blown.t[:-1]), rtol=1e-12)
-    smooth = integrate_characteristic(CharState(d=-1.0, u=u0), ConstantFactor(f), 10.0)
+    smooth = integrate_characteristic(-1.0, u0, ConstantFactor(f), 10.0)
     assert smooth.blowup_time is None and smooth.t[-1] == 10.0 and np.all(smooth.u == u0)
     np.testing.assert_allclose(smooth.d, -1.0 / (1.0 + 2.0 * f * smooth.t), rtol=1e-12)
 
@@ -525,18 +528,18 @@ def test_time_mode_at_full_density_is_logistic():
     """At u0 = 1, u never moves and d / (d + 1) = d0 / (d0 + 1) e^(2 f t)."""
     f = 0.7
     for d0 in (0.5, 2.0):
-        traj = integrate_characteristic(CharState(d=d0, u=1.0), ConstantFactor(f), 10.0)
+        traj = integrate_characteristic(d0, 1.0, ConstantFactor(f), 10.0)
         assert traj.blowup_time == pytest.approx(0.5 * math.log(1.0 + 1.0 / d0) / f, rel=1e-12)
         t, d = traj.t[:-1], traj.d[:-1]
         logistic = d0 / (d0 + 1.0) * np.exp(2.0 * f * t)
         np.testing.assert_allclose(d / (d + 1.0), logistic, rtol=1e-12)
         assert np.all(traj.u == 1.0) and traj.d[-1] == math.inf
     for d0 in (-1.0, 0.0):  # the roots of d' = 2 f d (d + 1)
-        traj = integrate_characteristic(CharState(d=d0, u=1.0), ConstantFactor(f), 1e3)
+        traj = integrate_characteristic(d0, 1.0, ConstantFactor(f), 1e3)
         assert traj.blowup_time is None
         np.testing.assert_allclose(traj.d, d0, rtol=0.0, atol=1e-15)
     for d0 in (-3.0, -0.5):  # drawn onto d = -1
-        traj = integrate_characteristic(CharState(d=d0, u=1.0), ConstantFactor(f), 1e3)
+        traj = integrate_characteristic(d0, 1.0, ConstantFactor(f), 1e3)
         assert traj.d[-1] == pytest.approx(-1.0, abs=1e-15)
 
 
@@ -556,7 +559,7 @@ def test_time_mode_near_full_density_matches_dop853_in_v():
 
     hit_cap.terminal = True
     for d0, t_end in ((0.3, 5.0), (-0.3, 40.0)):
-        traj = integrate_characteristic(CharState(d=d0, u=u0), ConstantFactor(f), t_end)
+        traj = integrate_characteristic(d0, u0, ConstantFactor(f), t_end)
         free = solve_ivp(rhs, (0.0, t_end), [d0, v0], method="DOP853", rtol=1e-13,
                          atol=1e-15, events=hit_cap)
         assert (traj.blowup_time is not None) == (free.t_events[0].size > 0) == (d0 > 0)

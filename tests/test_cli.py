@@ -94,6 +94,8 @@ def test_colliding_snapshot_names_exit_2(tmp_path, capsys, snapshots):
         # no cell center lies in |x| < 1, so the sampled bump is 0 everywhere
         (["classify", "--datum", "bump", "--x-right", "1e6", "--n-cells", "100"], "n_cells"),
         (["evolve", "--datum", "bump", "--x-right", "1e6", "--n-cells", "100"], "x_right"),
+        (["phase-portrait", "--d0", "0.2", "--u0", "0.5", "--factor", "1", "--t-end", "-1"],
+         "t_end"),
     ],
 )
 def test_out_of_domain_option_is_named(tmp_path, capsys, argv, name):
@@ -220,8 +222,12 @@ def test_evolve_reports_right_edge_contact(tmp_path, capsys):
     assert report["boundary_contact_t"] == pytest.approx(7.326, abs=1e-3)
     last_mass = float((kdir / "diagnostics.csv").read_text().split("\n")[-2].split(",")[1])
     assert last_mass < 1e-100
-    warning = "warning: kernel sk: density leaves through the right edge from t = 7.326\n"
-    assert capsys.readouterr().err == warning
+    # at n = 400 the bump's initial gradient indicator already reaches 0.08/dx
+    assert capsys.readouterr().err == (
+        "warning: kernel sk: breakdown detected at t = 0: the initial gradient indicator "
+        "2.14 reaches 0.08/dx = 2; raise --n-cells\n"
+        "warning: kernel sk: density leaves through the right edge from t = 7.326\n"
+    )
 
 
 def test_compare_kernels_reports_right_edge_contact(tmp_path, capsys):
@@ -233,31 +239,44 @@ def test_compare_kernels_reports_right_edge_contact(tmp_path, capsys):
     )
     assert code == 0
     err = capsys.readouterr().err.strip().split("\n")
-    for tag, line in zip(("zero", "sk", "infinite", "uniform"), err, strict=True):
+    for i, tag in enumerate(("zero", "sk", "infinite", "uniform")):
         kdir = tmp_path / "supercritical-compare" / f"kernel_{tag}"
         contact = json.loads((kdir / "blowup.json").read_text())["boundary_contact_t"]
-        assert line == (
+        assert err[2 * i].startswith(f"warning: kernel {tag}: breakdown detected at t = 0: ")
+        assert err[2 * i + 1] == (
             f"warning: kernel {tag}: density leaves through the right edge from t = {contact:g}"
         )
+    assert len(err) == 8
 
 
 def test_compare_kernels_bundle(tmp_path, capsys):
-    out = tmp_path / "cmp"
-    code = main(
-        [
-            "compare-kernels", "--datum", "bump", "--n-cells", "300",
-            "--t-end", "0.4", "--out", str(out),
-        ]
-    )
-    assert code == 0
-    captured = capsys.readouterr()
-    lines = captured.out.strip().split("\n")
-    assert len(lines) == 4
-    assert captured.err == ""
-    root = out / "supercritical-compare"
-    for tag in ("zero", "sk", "infinite", "uniform"):
-        assert (root / f"kernel_{tag}" / "snap_t0.2.csv").is_file()
-        assert (root / f"kernel_{tag}" / "diagnostics.csv").is_file()
+    """Detection on the initial state is warned about once per kernel (n = 300), else not."""
+    tags = ("zero", "sk", "infinite", "uniform")
+    for n, coarse in (("300", True), ("4000", False)):
+        out = tmp_path / f"cmp{n}"
+        code = main(
+            [
+                "compare-kernels", "--datum", "bump", "--n-cells", n,
+                "--t-end", "0.4", "--out", str(out),
+            ]
+        )
+        assert code == 0
+        captured = capsys.readouterr()
+        lines = captured.out.strip().split("\n")
+        assert len(lines) == 4
+        at_zero = [f"{tag}: breakdown at t = 0" for tag in tags]
+        if coarse:
+            assert lines == at_zero
+            assert [line.split(": the initial")[0] for line in captured.err.splitlines()] == [
+                f"warning: kernel {tag}: breakdown detected at t = 0" for tag in tags
+            ]
+        else:
+            assert not set(lines) & set(at_zero)
+            assert captured.err == ""
+        root = out / "supercritical-compare"
+        for tag in tags:
+            assert (root / f"kernel_{tag}" / "snap_t0.2.csv").is_file()
+            assert (root / f"kernel_{tag}" / "diagnostics.csv").is_file()
 
 
 def test_phase_portrait_time_mode(tmp_path, capsys):
@@ -352,8 +371,8 @@ def run_python(args, timeout):
         pytest.param(["--factor", "1", "--t-end", "nan"], "t_end must be", id="t_end-nan"),
         pytest.param(["--factor", "1", "--t-end", "inf"], "t_end must be", id="t_end-inf"),
         pytest.param(["--factor", "1", "--t-end", "-inf"], "t_end must be", id="t_end--inf"),
-        pytest.param(["--factor", "1", "--d0", "nan"], "d must be", id="time-d0-nan"),
-        pytest.param(["--factor", "1", "--u0", "nan"], "u must be", id="time-u0-nan"),
+        pytest.param(["--factor", "1", "--d0", "nan"], "d0 must be", id="time-d0-nan"),
+        pytest.param(["--factor", "1", "--u0", "nan"], "u0 must be", id="time-u0-nan"),
         pytest.param(["--d0", "nan"], "d0 must be", id="phase-d0-nan"),
     ],
 )

@@ -9,10 +9,10 @@ from scipy.integrate import quad
 from nltraffic.grid import (
     GridFunction,
     GridSpec,
-    format_float,
     require_density,
     spatial_derivative,
     total_mass,
+    write_csv,
     write_profile_csv,
 )
 from nltraffic.scenarios import bump_init
@@ -130,5 +130,8 @@ def test_profile_csv_round_trip(tmp_path):
 
 
 @given(st.floats(allow_nan=False, allow_infinity=False))
-def test_format_float_round_trips(v):
-    assert float(format_float(v)) == v
+def test_format_float_round_trips(tmp_path_factory, v):
+    """write_csv's field text reads back as the same float."""
+    path = tmp_path_factory.getbasetemp() / "round_trip.csv"
+    write_csv(path, "v", ([v],))
+    assert float(path.read_text().split()[1]) == v

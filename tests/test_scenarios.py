@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from nltraffic.grid import GridFunction, GridSpec
+from nltraffic.grid import GridFunction, GridSpec, total_mass
 from nltraffic.kernels import INFINITE, ZERO
 from nltraffic.scenarios import (
     CATALOG,
@@ -203,6 +203,13 @@ def test_bundle_layout(tmp_path):
 
     overlay = (root / "threshold_overlay.csv").read_text().split("\n", 1)[0]
     assert overlay == "x,u,d,sigma"
+
+    # subinit's truncated left tail is recorded, not added: mass is the grid's
+    run_experiment(customized(exp, name="smoke-sub", datum="subinit", kernels=(ZERO,)), tmp_path)
+    root = tmp_path / "smoke-sub"
+    assert json.loads((root / "metadata.json").read_text())["left_tail_mass"] == 0.005
+    row = (root / "kernel_zero" / "diagnostics.csv").read_text().split("\n")[1]
+    assert float(row.split(",")[1]) == total_mass(CATALOG["subinit"].sample(400))
 
 
 def test_contour_recipe_skips_evolution(tmp_path):

@@ -36,7 +36,7 @@ def test_every_traced_name_installs_and_uninstalls():
         grid = GridSpec(-6.0, 10.0, 100)
         evolve(
             GridFunction.from_callable(grid, bump_init),
-            SolverConfig(grid=grid, kernel=SK_UNIT, t_end=0.05, stop_on_blowup=False),
+            SolverConfig(kernel=SK_UNIT, t_end=0.05, stop_on_blowup=False),
         )
     finally:
         tracer.uninstall()
