@@ -24,10 +24,10 @@ from .characteristics import (
     phase_trajectory,
     supercritical_bounds,
 )
-from .grid import GridSpec, write_csv, write_json
+from .grid import write_csv, write_json
 from .kernels import parse_kernel
 from .scenarios import RECIPES, Experiment, get_datum, run_experiment
-from .solver import BLOWUP_GRADIENT_FACTOR, SolverFailure
+from .solver import SolverFailure
 from .threshold import default_curve, write_threshold_csv
 
 
@@ -182,30 +182,6 @@ def _write_manifest(out: Path, args, files: list[str]) -> None:
     write_json(out / "manifest.json", manifest)
 
 
-def _warn(tag: str, diag, exp: Experiment) -> None:
-    """Name on stderr what makes a kernel's run of exp a poor guide to the model.
-
-    Breakdown detected on the initial state of smooth catalog data means a
-    grid too coarse for the 0.08/dx rule; density through the right edge
-    means the run left the model's domain.
-    """
-    report = diag.blowup
-    if report.t_detect == 0.0:
-        grid_scale = BLOWUP_GRADIENT_FACTOR / GridSpec(*exp.datum.domain, exp.n_cells).dx
-        print(
-            f"warning: kernel {tag}: breakdown detected at t = 0: the initial gradient "
-            f"indicator {diag.grad_indicator[0]:.3g} reaches {BLOWUP_GRADIENT_FACTOR:g}/dx = "
-            f"{grid_scale:.3g}; raise --n-cells",
-            file=sys.stderr,
-        )
-    if report.boundary_contact_t is not None:
-        print(
-            f"warning: kernel {tag}: density leaves through the right edge from "
-            f"t = {report.boundary_contact_t:g}",
-            file=sys.stderr,
-        )
-
-
 def _even_snapshots(t_end: float) -> tuple:
     return tuple(i * t_end / 4 for i in range(5))
 
@@ -240,9 +216,7 @@ def dispatch(args) -> int:
         )
         result = run_experiment(exp, out)
         files += result.files
-        diag = result.diagnostics[kernel.tag]
-        _warn(kernel.tag, diag, exp)
-        report = diag.blowup
+        report = result.diagnostics[kernel.tag].blowup
         if report.detected:
             print(f"breakdown detected at t = {report.t_detect:g}")
         else:
@@ -264,7 +238,6 @@ def dispatch(args) -> int:
         result = run_experiment(exp, out)
         files += result.files
         for tag, diag in result.diagnostics.items():
-            _warn(tag, diag, exp)
             rep = diag.blowup
             status = f"breakdown at t = {rep.t_detect:g}" if rep.detected else "smooth"
             print(f"{tag}: {status}")

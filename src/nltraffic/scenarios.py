@@ -19,6 +19,7 @@ right, so the tail never enters ubar.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
@@ -33,7 +34,9 @@ from .grid import (
     write_profile_csv,
 )
 from .kernels import INFINITE, SK_UNIT, UNIFORM, ZERO, Kernel
-from .solver import BOUNDARY_CONTACT_MASS, Diagnostics, SolverConfig, evolve
+from .solver import (
+    BLOWUP_GRADIENT_FACTOR, BOUNDARY_CONTACT_MASS, Diagnostics, SolverConfig, evolve,
+)
 from .threshold import (
     Classification,
     classify_initial_data,
@@ -176,11 +179,35 @@ def _write_overlay(u0: GridFunction, path) -> None:
     write_csv(path, "x,u,d,sigma", (u0.x, u0.values, d, sig))
 
 
+def _warn(tag: str, diag: Diagnostics, dx: float) -> None:
+    """Name on stderr what makes a kernel's run on cells of width dx a poor guide.
+
+    Breakdown detected on the initial state of smooth catalog data means a
+    grid too coarse for the 0.08/dx rule; density through the right edge
+    means the run left the model's domain.
+    """
+    report = diag.blowup
+    if report.t_detect == 0.0:
+        print(
+            f"warning: kernel {tag}: breakdown detected at t = 0: the initial gradient "
+            f"indicator {diag.grad_indicator[0]:.3g} reaches {BLOWUP_GRADIENT_FACTOR:g}/dx = "
+            f"{BLOWUP_GRADIENT_FACTOR / dx:.3g}; raise --n-cells",
+            file=sys.stderr,
+        )
+    if report.boundary_contact_t is not None:
+        print(
+            f"warning: kernel {tag}: density leaves through the right edge from "
+            f"t = {report.boundary_contact_t:g}",
+            file=sys.stderr,
+        )
+
+
 def run_experiment(exp: Experiment, out_dir) -> ExperimentResult:
     """Execute one recipe and write its bundle under out_dir/<name>/.
 
     Every kernel is evolved before the first file is written, so a run that
-    is refused or fails leaves no partial bundle.
+    is refused or fails leaves no partial bundle.  Each kernel's warnings
+    go to stderr once every kernel has evolved.
     """
     u0 = exp.datum.sample(exp.n_cells)
     grid = u0.grid
@@ -210,6 +237,8 @@ def run_experiment(exp: Experiment, out_dir) -> ExperimentResult:
         snap_files[fname] = t
     result = classify_initial_data(u0)
     runs = [(config.kernel, *evolve(u0, config)) for config in configs]
+    for kernel, _, diag in runs:
+        _warn(kernel.tag, diag, grid.dx)
 
     root = Path(out_dir) / exp.name
     root.mkdir(parents=True, exist_ok=True)

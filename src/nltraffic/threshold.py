@@ -11,13 +11,13 @@ sigma solves the singular ODE
 with sigma(0) = 0, sigma'(0) = 1.  The product x (1 - x) satisfies the ODE
 identically, so sigma(u) = u (1 - u) is the implementation.  The tests keep
 an RK4 integration of the ODE from its series seed as an independent
-oracle.
+oracle.  A curve costs nothing to build, so default_curve() builds one per
+call; write_threshold_csv tabulates it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -49,15 +49,7 @@ class ThresholdCurve:
         out = arr * (1.0 - arr)
         return float(out) if np.ndim(u) == 0 else out
 
-    def sample(self, n_samples: int) -> np.ndarray:
-        """(n_samples, 2) array of (u, sigma(u)) pairs on a uniform u grid."""
-        if n_samples < 2:
-            raise ValueError("need at least the two endpoints")
-        us = np.linspace(0.0, 1.0, n_samples)
-        return np.column_stack([us, self.eval(us)])
 
-
-@lru_cache(maxsize=None)
 def default_curve() -> ThresholdCurve:
     return ThresholdCurve()
 
@@ -100,4 +92,8 @@ def classify_initial_data(u0: GridFunction) -> Classification:
 
 
 def write_threshold_csv(curve: ThresholdCurve, path, n_samples: int = 1001) -> None:
-    write_csv(path, "u,sigma", curve.sample(n_samples).T)
+    """Tabulate (u, sigma(u)) at n_samples >= 2 evenly spaced u in [0, 1]."""
+    if n_samples < 2:
+        raise ValueError("need at least the two endpoints")
+    us = np.linspace(0.0, 1.0, n_samples)
+    write_csv(path, "u,sigma", (us, curve.eval(us)))

@@ -5,6 +5,8 @@ collected into the terminal summary) and then asserts, so a red criterion
 is visible both in the log and in the exit status.
 """
 
+import contextlib
+import io
 import math
 import time
 
@@ -42,20 +44,23 @@ def record(num: int, name: str, ok: bool, detail: str = ""):
     assert ok, line + (f" ({detail})" if detail else "")
 
 
+def _timed_run(name: str, out):
+    """(result, wall time, stderr) of one recipe's run at its own resolution."""
+    err = io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stderr(err):
+        result = run_experiment(RECIPES[name], out)
+    return result, time.perf_counter() - start, err.getvalue()
+
+
 @pytest.fixture(scope="module")
 def sup_run(tmp_path_factory):
-    out = tmp_path_factory.mktemp("sup")
-    start = time.perf_counter()
-    result = run_experiment(RECIPES["supercritical-compare"], out)
-    return result, time.perf_counter() - start
+    return _timed_run("supercritical-compare", tmp_path_factory.mktemp("sup"))
 
 
 @pytest.fixture(scope="module")
 def sub_run(tmp_path_factory):
-    out = tmp_path_factory.mktemp("sub")
-    start = time.perf_counter()
-    result = run_experiment(RECIPES["subcritical-compare"], out)
-    return result, time.perf_counter() - start
+    return _timed_run("subcritical-compare", tmp_path_factory.mktemp("sub"))
 
 
 def test_criterion_1_threshold_consistency():
@@ -164,7 +169,7 @@ def test_criterion_5_conservation_and_max_principle(sup_run, sub_run):
     ok = True
     detail = []
     runs = (("supercritical-compare", sup_run, 60.0), ("subcritical-compare", sub_run, 60.0))
-    for name, (result, elapsed), t_budget in runs:
+    for name, (result, elapsed, _), t_budget in runs:
         n = 4000
         for tag, diag in result.diagnostics.items():
             drift = diag.max_mass_drift
@@ -176,7 +181,7 @@ def test_criterion_5_conservation_and_max_principle(sup_run, sub_run):
 
 
 def test_criterion_6_subcritical_kernel_separation(sub_run):
-    result, _ = sub_run
+    result, _, _ = sub_run
     reports = {tag: result.diagnostics[tag].blowup for tag in COMPARE_TAGS}
     fire_ok = all(
         reports[tag].detected and reports[tag].t_detect <= 20.0
@@ -189,7 +194,7 @@ def test_criterion_6_subcritical_kernel_separation(sub_run):
 
 
 def test_criterion_7_supercritical_breakdown_and_fronts(sup_run):
-    result, _ = sup_run
+    result, _, _ = sup_run
     detect_ok = all(
         result.diagnostics[tag].blowup.detected
         and result.diagnostics[tag].blowup.t_detect <= 4.0
@@ -207,10 +212,12 @@ def test_criterion_7_supercritical_breakdown_and_fronts(sup_run):
 
 
 def test_compare_recipes_keep_density_inside(sup_run, sub_run):
-    """No reference run loses density through the right edge."""
-    for name, (result, _) in (("supercritical-compare", sup_run), ("subcritical-compare", sub_run)):
+    """No reference run loses density through the right edge, and none warns."""
+    for name, (result, _, err) in (("supercritical-compare", sup_run),
+                                   ("subcritical-compare", sub_run)):
         contact = {tag: d.blowup.boundary_contact_t for tag, d in result.diagnostics.items()}
         assert contact == dict.fromkeys(COMPARE_TAGS), name
+        assert err == "", name
 
 
 def test_criterion_8_reduction_limits():

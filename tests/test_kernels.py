@@ -35,9 +35,9 @@ def fine_grid():
 
 
 def ubar_at(gf, kernel, x0):
-    field = nonlocal_field(gf, kernel)
+    ubar = nonlocal_field(gf, kernel)
     i = int(np.argmin(np.abs(gf.x - x0)))
-    return float(field.ubar.values[i])
+    return float(ubar[i])
 
 
 def test_parse_kernel_spellings():
@@ -110,15 +110,14 @@ def test_linear_can_exceed_total_mass(fine_grid):
 
 def test_zero_kernel_is_zero(fine_grid):
     gf = box_on(fine_grid)
-    field = nonlocal_field(gf, ZERO)
-    assert np.all(field.ubar.values == 0.0)
-    assert np.all(field.factor.values == 1.0)
+    ubar = nonlocal_field(gf, ZERO)
+    assert np.all(ubar == 0.0)
+    assert np.all(np.exp(-ubar) == 1.0)
 
 
 def test_uniform_kernel_is_constant_mass(fine_grid):
     gf = box_on(fine_grid)
-    field = nonlocal_field(gf, UNIFORM)
-    np.testing.assert_allclose(field.ubar.values, total_mass(gf), rtol=0, atol=1e-14)
+    assert np.all(nonlocal_field(gf, UNIFORM) == total_mass(gf))
 
 
 def test_kernel_ordering(fine_grid):
@@ -127,7 +126,7 @@ def test_kernel_ordering(fine_grid):
     values = rng.uniform(0.0, 1.0, fine_grid.n_cells)
     values[-200:] = 0.0
     gf = GridFunction(fine_grid, values)
-    fields = {k.tag: nonlocal_field(gf, k).ubar.values for k in ALL_KERNELS}
+    fields = {k.tag: nonlocal_field(gf, k) for k in ALL_KERNELS}
     tol = 1e-12
     assert np.all(fields["zero"] <= fields["sk"] + tol)
     assert np.all(fields["sk"] <= fields["infinite"] + tol)
@@ -140,9 +139,9 @@ def test_linearity(fine_grid):
     v = rng.uniform(0.0, 1.0, fine_grid.n_cells)
     a, b = 0.3, 0.45
     for k in ALL_KERNELS:
-        left = nonlocal_field(GridFunction(fine_grid, a * u + b * v), k).ubar.values
-        right = a * nonlocal_field(GridFunction(fine_grid, u), k).ubar.values + (
-            b * nonlocal_field(GridFunction(fine_grid, v), k).ubar.values
+        left = nonlocal_field(GridFunction(fine_grid, a * u + b * v), k)
+        right = a * nonlocal_field(GridFunction(fine_grid, u), k) + (
+            b * nonlocal_field(GridFunction(fine_grid, v), k)
         )
         np.testing.assert_allclose(left, right, rtol=0, atol=1e-12)
 
@@ -152,7 +151,7 @@ def test_infinite_locality_identity(fine_grid):
     rng = np.random.default_rng(5)
     u = rng.uniform(0.0, 1.0, fine_grid.n_cells)
     gf = GridFunction(fine_grid, u)
-    ubar = nonlocal_field(gf, INFINITE).ubar.values
+    ubar = nonlocal_field(gf, INFINITE)
     lhs = np.diff(ubar)
     rhs = -fine_grid.dx * 0.5 * (u[:-1] + u[1:])
     np.testing.assert_allclose(lhs, rhs, rtol=0, atol=1e-15)
@@ -163,7 +162,7 @@ def test_factor_band(fine_grid):
     gf = GridFunction(fine_grid, rng.uniform(0.0, 1.0, fine_grid.n_cells))
     m = total_mass(gf)
     for k in ALL_KERNELS:
-        f = nonlocal_field(gf, k).factor.values
+        f = np.exp(-nonlocal_field(gf, k))
         assert np.all(f <= 1.0 + 1e-14)
         assert np.all(f >= np.exp(-k.weight_sup * m) - 1e-14)
 
@@ -171,7 +170,7 @@ def test_factor_band(fine_grid):
 def test_sk_scaled_shrinks_to_zero_kernel(fine_grid):
     gf = box_on(fine_grid)
     for L in (1e-3, 1e-2):
-        ubar = nonlocal_field(gf, sk_scaled(L)).ubar.values
+        ubar = nonlocal_field(gf, sk_scaled(L))
         assert float(ubar.max()) <= L * float(gf.values.max()) + 1e-15
 
 
@@ -192,7 +191,7 @@ def test_ubar_bounds_property(seed, kind):
     rng = np.random.default_rng(seed)
     gf = GridFunction(grid, rng.uniform(0.0, 1.0, 200))
     kernel = next(k for k in ALL_KERNELS if k.kind == kind)
-    ubar = nonlocal_field(gf, kernel).ubar.values
+    ubar = nonlocal_field(gf, kernel)
     assert np.all(ubar >= -1e-14)
     assert np.all(ubar <= kernel.weight_sup * total_mass(gf) + 1e-12)
 
@@ -235,7 +234,7 @@ def correlate_oracle(values, dx, kernel):
 )
 def test_primitive_matches_correlation_oracle(datum, n, kernel):
     u = CATALOG[datum].sample(n)
-    got = lookahead_average(u.values, u.grid.dx, kernel)
+    got = lookahead_average(u.values, u.grid.dx, kernel, total_mass(u))
     want = correlate_oracle(u.values, u.grid.dx, kernel)
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
@@ -252,5 +251,6 @@ def test_clamped_ubar_nonnegative(seed, n, length, kind):
     rng = np.random.default_rng(seed)
     values = rng.uniform(0.0, 1.0, n) * (rng.uniform(size=n) < 0.1)
     kernel = sk_scaled(length) if kind == "sk_scaled" else LINEAR
-    ubar = lookahead_average(values, 5.0 / n, kernel)
+    dx = 5.0 / n
+    ubar = lookahead_average(values, dx, kernel, dx * values.sum())
     assert np.all(ubar >= 0.0)

@@ -2,7 +2,9 @@
 
 import json
 import math
+import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +25,11 @@ from nltraffic.scenarios import (
 from nltraffic.solver import gradient_indicator
 from nltraffic.threshold import classify_initial_data
 from oracles import CATALOG_VERDICTS, random_compact_bump
+from test_cli import run_python
+
+SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "run_experiments.py"
+# the t = 0 warning as the CI step matches it
+T0_WARNING = re.compile(r"^warning: kernel .*: breakdown detected at t = 0: .*--n-cells$")
 
 
 # --------------------------------------------------------------- profiles
@@ -210,6 +217,21 @@ def test_bundle_layout(tmp_path):
     assert json.loads((root / "metadata.json").read_text())["left_tail_mass"] == 0.005
     row = (root / "kernel_zero" / "diagnostics.csv").read_text().split("\n")[1]
     assert float(row.split(",")[1]) == total_mass(CATALOG["subinit"].sample(400))
+
+
+def test_coarse_bundle_warns_once_per_kernel(tmp_path, capsys):
+    """At n = 400 every kernel's subinit run fires on its initial state and says so."""
+    run_experiment(customized(RECIPES["subcritical-compare"], n_cells=400), tmp_path)
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 4 and all(T0_WARNING.match(line) for line in lines), lines
+
+
+def test_experiment_script_warns_for_every_coarse_kernel(tmp_path):
+    """Both compare recipes warn for each of their four kernels at n = 400."""
+    proc = run_python([str(SCRIPT), str(tmp_path), "400"], timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 8 and all(T0_WARNING.match(line) for line in lines), lines
 
 
 def test_contour_recipe_skips_evolution(tmp_path):

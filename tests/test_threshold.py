@@ -82,9 +82,12 @@ def test_sigma_below_diagonal(curve):
     assert np.all(curve.eval(us) <= us + 1e-12)
 
 
-def test_sample_three_nodes(curve):
-    pts = curve.sample(3)
-    np.testing.assert_allclose(pts, [(0.0, 0.0), (0.5, 0.25), (1.0, 0.0)], atol=1e-9)
+def test_sample_three_nodes(curve, tmp_path):
+    path = tmp_path / "curve.csv"
+    write_threshold_csv(curve, path, n_samples=3)
+    assert path.read_bytes() == b"u,sigma\n0,0\n0.5,0.25\n1,0\n"
+    with pytest.raises(ValueError):
+        write_threshold_csv(curve, path, n_samples=1)
 
 
 def test_boost_bound(curve):
