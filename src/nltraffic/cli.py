@@ -257,8 +257,6 @@ def dispatch(args) -> int:
         files.append("trajectory.csv")
 
     elif args.subcommand == "threshold-curve":
-        if args.samples < 2:
-            raise ValueError("--samples must be at least 2")
         write_threshold_csv(default_curve(), out / "threshold_curve.csv", args.samples)
         files.append("threshold_curve.csv")
 

@@ -155,12 +155,6 @@ RECIPES = {exp.name: exp for exp in (
         t_end=20.0,
         snapshot_times=(0.0, 5.0, 10.0, 15.0, 20.0),
     ),
-    Experiment(
-        name="threshold-contour",
-        datum=CATALOG["bump"],
-        kernels=(),
-        t_end=1.0,
-    ),
 )}
 
 

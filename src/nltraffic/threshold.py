@@ -94,6 +94,6 @@ def classify_initial_data(u0: GridFunction) -> Classification:
 def write_threshold_csv(curve: ThresholdCurve, path, n_samples: int = 1001) -> None:
     """Tabulate (u, sigma(u)) at n_samples >= 2 evenly spaced u in [0, 1]."""
     if n_samples < 2:
-        raise ValueError("need at least the two endpoints")
+        raise ValueError(f"samples must be at least 2, got {n_samples}")
     us = np.linspace(0.0, 1.0, n_samples)
     write_csv(path, "u,sigma", (us, curve.eval(us)))

@@ -127,6 +127,7 @@ def test_threshold_curve_bundle(tmp_path):
 
 def test_threshold_curve_rejects_single_sample(tmp_path, capsys):
     assert main(["threshold-curve", "--samples", "1", "--out", str(tmp_path)]) == 2
+    assert "samples" in capsys.readouterr().err
 
 
 def test_bounds_bundle(tmp_path, capsys):

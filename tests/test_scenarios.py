@@ -9,6 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from nltraffic import scenarios
+from nltraffic.cli import main
 from nltraffic.grid import GridFunction, GridSpec, total_mass
 from nltraffic.kernels import INFINITE, ZERO
 from nltraffic.scenarios import (
@@ -158,7 +160,8 @@ def test_recipe_catalog():
     assert sub.datum.name == "subinit"
     assert sub.t_end == 20.0
     assert sub.snapshot_times == (0.0, 5.0, 10.0, 15.0, 20.0)
-    assert RECIPES["threshold-contour"].kernels == ()
+    # the classification bundle alone is `classify`'s, which evolves no kernel
+    assert set(RECIPES) == {"supercritical-compare", "subcritical-compare"}
     assert all(name == exp.name for name, exp in RECIPES.items())
 
 
@@ -234,11 +237,16 @@ def test_experiment_script_warns_for_every_coarse_kernel(tmp_path):
     assert len(lines) == 8 and all(T0_WARNING.match(line) for line in lines), lines
 
 
-def test_contour_recipe_skips_evolution(tmp_path):
-    exp = customized(RECIPES["threshold-contour"], n_cells=300)
-    result = run_experiment(exp, tmp_path)
-    assert result.diagnostics == {}
-    assert not list((tmp_path / exp.name).glob("kernel_*"))
+def test_contour_recipe_skips_evolution(tmp_path, capsys, monkeypatch):
+    def no_evolve(*args):
+        raise AssertionError("classify evolved a kernel")
+
+    monkeypatch.setattr(scenarios, "evolve", no_evolve)
+    assert main(["classify", "--datum", "bump", "--n-cells", "300", "--out", str(tmp_path)]) == 0
+    bundle = tmp_path / "classify-bump"
+    assert sorted(p.name for p in bundle.iterdir()) == [
+        "classification.json", "metadata.json", "threshold_curve.csv", "threshold_overlay.csv",
+    ]
 
 
 def test_right_tail_guard(tmp_path):

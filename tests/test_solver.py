@@ -3,6 +3,7 @@
 import json
 import math
 import tracemalloc
+from array import array
 from dataclasses import asdict
 
 import numpy as np
@@ -130,7 +131,7 @@ def test_flux_scalar_and_vector_forms():
 # ---------------------------------------------------------------- stepping
 
 
-@pytest.mark.parametrize("kernel", [ZERO, SK_UNIT, INFINITE], ids=lambda k: k.tag)
+@pytest.mark.parametrize("kernel", [ZERO, SK_UNIT, INFINITE, UNIFORM, LINEAR], ids=lambda k: k.tag)
 def test_evolve_matches_allocating_reference(kernel):
     """The two reused state buffers give what fresh arrays per step give."""
     grid = scenario_grid(400)
@@ -588,6 +589,38 @@ def test_diagnostics_csv_layout(tmp_path):
         assert row[0] == prev[0] + row[7]
         assert row[7] <= 0.45 * grid.dx / row[8] * (1 + 1e-15)
     assert rows[1][8] == diag.max_speed[1] > 0
+
+
+def test_diagnostics_columns_are_float64_arrays():
+    """One row per state, held as packed doubles rather than float objects."""
+    steps = []
+    advance = solver._advance
+
+    def counting(*args):
+        steps.append(None)
+        return advance(*args)
+
+    u0 = GridFunction.from_callable(scenario_grid(400), bump_init)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "_advance", counting)
+        _, diag = evolve(u0, SolverConfig(kernel=SK_UNIT, t_end=2.0, stop_on_blowup=False))
+    assert len(steps) > 100
+    for name in Diagnostics.COLUMNS:
+        column = getattr(diag, name)
+        assert isinstance(column, array) and column.typecode == "d", name
+        assert len(column) == len(steps) + 1, name
+
+    rows = 2000
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        diag = Diagnostics()
+        for k in range(rows):
+            diag.add_row(*[k + 0.125 * j for j in range(len(Diagnostics.COLUMNS))])
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained < 12 * rows * len(Diagnostics.COLUMNS)
 
 
 def test_diagnostics_csv_values_full_precision(tmp_path):

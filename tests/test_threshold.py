@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nltraffic.cli import main
 from nltraffic.grid import GridFunction, GridSpec
-from nltraffic.scenarios import RECIPES, customized, run_experiment
 from nltraffic.threshold import (
     SUBCRITICAL,
     STRICTNESS_TAU,
@@ -156,9 +156,9 @@ def test_classify_rejects_jumps():
         classify_initial_data(GridFunction(grid, values))
 
 
-def test_classification_json_keys(tmp_path):
-    run_experiment(customized(RECIPES["threshold-contour"], n_cells=400), tmp_path)
-    data = json.loads((tmp_path / "threshold-contour" / "classification.json").read_text())
+def test_classification_json_keys(tmp_path, capsys):
+    assert main(["classify", "--datum", "bump", "--n-cells", "400", "--out", str(tmp_path)]) == 0
+    data = json.loads((tmp_path / "classify-bump" / "classification.json").read_text())
     assert set(data) == {"verdict", "x0", "u0_at_x0", "d0_at_x0", "margin"}
     assert data["verdict"] == SUPERCRITICAL
 
