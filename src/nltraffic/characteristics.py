@@ -19,7 +19,7 @@ Quantities derived from the phase plane:
   equation d' >= 2 exp(-m) (d - d_-)(d - d_+) with d_pm = (3 pm
   sqrt(9 + 8 u1))/4 * u1, which gives an explicit blow-up time.
 * slope_floor: supercritical paths keep d >= C_* = (d0 - sigma(u0)) *
-  u2^3 / u0^3 with u2 the boost bound from the threshold curve.
+  min(u2, u0)^3 / u0^3 with u2 the boost bound from the threshold curve.
 
 Both paths are closed form: d(u) in the phase plane (see PhaseTrajectory)
 and (d, u) in time (see integrate_characteristic); the tests step the ODEs
@@ -304,8 +304,10 @@ def blowup_time_bound(
 def slope_floor(d0: float, u0: float) -> float:
     """Uniform lower bound C_* on the slope of a supercritical path.
 
-    C_* = (d0 - sigma(u0)) * u2^3 / u0^3 where u2 is the boost bound of
-    the threshold curve; the margin must be strictly positive.
+    C_* = (d0 - sigma(u0)) * min(u2, u0)^3 / u0^3 where u2 is the boost
+    bound of the threshold curve; the margin must be strictly positive.
+    Below u2 the margin itself is the floor: w = d - sigma(u) has w' =
+    (2 w^2 + u (1 + u) w) f >= 0 while w >= 0, and sigma >= 0.
     """
     _require_finite(d0=d0, u0=u0)
     if not (0.0 < u0 < 1.0):
@@ -315,11 +317,7 @@ def slope_floor(d0: float, u0: float) -> float:
     if margin <= 0.0:
         raise ValueError(f"slope floor needs a strictly supercritical start, d0 > sigma(u0) = "
                          f"{d0 - margin:g}; got d0 = {d0:g}")
-    cube = u0**3
-    c_star = margin * curve.u_boost**3 / cube if cube > 0.0 else math.inf
-    if not math.isfinite(c_star):
-        raise ValueError(f"u0 = {u0} is too small: the slope floor overflows")
-    return c_star
+    return margin * curve.u_boost**3 / u0**3 if u0 > curve.u_boost else margin
 
 
 @dataclass(frozen=True)

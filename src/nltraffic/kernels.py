@@ -21,13 +21,13 @@ boundary).  Off-grid density to the right is taken to be zero, so the
 solver evaluates the average on its occupied cells alone, handing the
 uniform kernel the whole line's mass.
 
-Every variant costs O(n) per call, whatever L/dx: with P the primitive of
-the reconstruction and R that of P, sk and sk:L give ubar(x) = P(x + L) -
-P(x) and linear, by parts, ubar(x) = 2 [R(x + 1) - R(x) - P(x)].  On a
-uniform grid every window end lies the same whole number of cells plus the
-same fraction past its cell center.  Cancellation can leave ubar at -1e-16;
-it is clamped to zero.  The solver calls lookahead_average; nonlocal_field,
-the benchmark's entry point, averages a GridFunction behind a density guard.
+The four look-ahead variants cost O(n) whatever L/dx: all come from the
+density ahead Q(x) = int_x^inf u, a suffix sum and so exactly 0 past the
+data, and S(x) = int_x^inf Q.  With e = x + L, sk, sk:L and infinite give
+ubar(x) = Q(x) - Q(e) and linear, by parts, 2 [Q(x) - S(x) + S(e)], set to
+exactly 0 where Q(x) = Q(e).  Cancellation can leave ubar at -1e-16; it is
+clamped to zero.  The solver calls lookahead_average; nonlocal_field, the
+benchmark's entry point, averages a GridFunction behind a density guard.
 """
 
 from __future__ import annotations
@@ -118,40 +118,30 @@ def lookahead_average(values: np.ndarray, dx: float, kernel: Kernel, mass: float
     average.
     """
     n = len(values)
-    kind = kernel.kind
-    if kind == "zero":
+    if kernel.kind == "zero":
         return np.zeros(n)
-    if kind == "uniform":
+    if kernel.kind == "uniform":
         return np.full(n, mass)
-    if kind == "infinite":
-        # suffix sums: int_{x_i}^{inf} u = dx * (sum_{j>i} u_j + u_i / 2)
-        suffix = np.cumsum(values[::-1])[::-1]
-        return dx * (suffix - 0.5 * values)
-
     # cell units with edges at the integers: x_i sits at i + 1/2, the window
-    # end at i + q + f; the first m window ends lie inside the domain
-    end = 0.5 + kernel.window / dx
+    # end at i + q + f; the first m window ends lie inside the domain, the
+    # rest past all data, where Q and S are 0
+    end = 0.5 + min(kernel.window / dx, n)
     q, f = int(end), end % 1.0
-    m = max(n - q, 0)
-    cum = np.zeros(n + 1)  # P at the cell edges, in units of dx
-    np.cumsum(values, out=cum[1:])
-    ubar = np.empty(n)
-    if kind == "linear":
-        # R at the cell edges, in units of dx**2 (trapezoid rule is exact on P)
-        cum2 = np.zeros(n + 1)
-        np.cumsum(0.5 * (cum[:-1] + cum[1:]), out=cum2[1:])
-        ubar[:m] = cum2[q:n] + f * cum[q:n] + (0.5 * f * f) * values[q:]
-        ubar[m:] = cum2[n] + (np.arange(m, n) + (q + f - n)) * cum[n]
-        ubar -= cum2[:-1] + 0.5 * cum[:-1] + 0.125 * values
-        ubar *= dx
-        ubar -= cum[:-1] + 0.5 * values
-        ubar *= 2.0 * dx
-    else:
-        np.subtract(cum[q:n], cum[:m], out=ubar[:m])
-        ubar[:m] += f * values[q:]
-        np.subtract(cum[n], cum[m:n], out=ubar[m:])
-        ubar -= 0.5 * values
-        ubar *= dx
+    m = n - q
+    Q = np.cumsum(values[::-1])[::-1]  # at the left cell edges, in units of dx
+    ubar = Q - 0.5 * values  # Q(x_i)
+    box = ubar.copy() if kernel.kind == "linear" else ubar
+    box[:m] -= Q[q:] - f * values[q:]  # Q(x_i) - Q(e_i)
+    if kernel.kind == "linear":
+        # S at the left cell edges, in units of dx**2 (the midpoint rule is exact on Q)
+        S = np.cumsum(ubar[::-1])[::-1]
+        area = S - 0.5 * Q + 0.125 * values  # S(x_i) - S(e_i)
+        area[:m] -= S[q:] - f * Q[q:] + (0.5 * f * f) * values[q:]
+        area *= dx
+        ubar -= area
+        ubar[box == 0.0] = 0.0
+        ubar *= 2.0
+    ubar *= dx
     return np.maximum(ubar, 0.0, out=ubar)
 
 

@@ -29,9 +29,7 @@ the factor at a that of every cell before it.  It receives at most F(uL, 0)
 occupied one and grows as cell b - 2 fills.  The averages on u[a:b] add the
 same numbers in the same order, the ones off it being exact zeros.  The mass
 (a pairwise sum) would round differently on a sub-range, so it sums all
-cells and gives the uniform kernel its average.  linear's average ahead of
-the support, a difference of second primitives, is not exactly 0: linear
-steps all cells.
+cells and gives the uniform kernel its average.
 
 Boundaries are zero-gradient outflow.  Time stepping is forward Euler under
 dt = CFL dx / max wave speed, which makes the scheme monotone, hence
@@ -169,7 +167,7 @@ def _buffers(n: int):
 def _stepped_cells(values, kernel: Kernel, dx: float) -> slice:
     """The cells [a, b) that evolve() steps first; see the module docstring."""
     occupied = np.flatnonzero(values.view(np.int64))  # +0.0 is the one double of no set bit
-    if kernel.kind == "linear" or not len(occupied):
+    if not len(occupied):
         return slice(0, len(values))
     window = kernel.window if math.isfinite(kernel.window) else 0.0
     a = int(occupied[0]) - 3 - math.ceil(min(window / dx, len(values)))

@@ -293,14 +293,22 @@ def test_supercritical_bounds_fields():
 
 
 def test_supercritical_bounds_actually_bound():
-    """Blow-up happens before the composite certificate time."""
-    for d0, u0 in ((0.4, 0.5), (0.3, 0.3), (0.9, 0.7)):
-        b = supercritical_bounds(d0, u0, m=0.0)
-        traj = integrate_characteristic(
-            d0, u0, ConstantFactor(1.0), t_end=1.5 * b.T_star_sharp
-        )
-        assert traj.blowup_time is not None
-        assert traj.blowup_time <= b.T_star_sharp
+    """Under the slowest factor exp(-m), blow-up happens before the certificate time.
+
+    The grid spans u0 far below the boost bound 1/4, where a floor scaled by
+    (1/4 / u0)^3 would exceed d0 and certify blow-up too early.
+    """
+    u0s = np.concatenate([np.geomspace(1e-3, 0.25, 10), np.linspace(0.3, 0.95, 6)])
+    for u0 in u0s:
+        for shift in np.geomspace(1e-4, 5.0, 8):
+            d0 = u0 * (1.0 - u0) + shift
+            for m in (0.0, 0.5, 2.0):
+                b = supercritical_bounds(d0, u0, m)
+                assert b.C_star <= d0
+                slowest = ConstantFactor(math.exp(-m))
+                traj = integrate_characteristic(d0, u0, slowest, t_end=1.5 * b.T_star_sharp)
+                assert traj.blowup_time is not None
+                assert traj.blowup_time <= b.T_star_sharp, (d0, u0, m)
 
 
 def test_char_state_validation():
@@ -366,9 +374,11 @@ def test_bounds_reject_overflowing_m(bound, args):
         bound(*args)
 
 
-def test_slope_floor_rejects_underflowing_u0():
-    with pytest.raises(ValueError, match="u0 = 1e-120 is too small"):
-        slope_floor(1.0, 1e-120)
+def test_slope_floor_is_the_margin_below_u_boost(curve):
+    """For u0 <= 1/4 the floor is d0 - sigma(u0), however small u0 is."""
+    for u0 in (0.25, 0.1, 0.05, 1e-3, 1e-120):
+        d0 = curve.eval(u0) + 0.0485
+        assert slope_floor(d0, u0) == d0 - curve.eval(u0)
 
 
 # ------------------------------------------- oracle: the DOP853 of scipy.integrate

@@ -244,13 +244,19 @@ def test_primitive_matches_correlation_oracle(datum, n, kernel):
     seed=st.integers(0, 2**31),
     n=st.integers(4, 300),
     length=st.floats(1e-4, 20.0),
-    kind=st.sampled_from(["sk_scaled", "linear"]),
+    kind=st.sampled_from(["sk_scaled", "linear", "infinite"]),
 )
 def test_clamped_ubar_nonnegative(seed, n, length, kind):
     # sparse data: most window differences cancel to (almost) zero
     rng = np.random.default_rng(seed)
     values = rng.uniform(0.0, 1.0, n) * (rng.uniform(size=n) < 0.1)
-    kernel = sk_scaled(length) if kind == "sk_scaled" else LINEAR
+    kernel = {"sk_scaled": sk_scaled(length), "linear": LINEAR, "infinite": INFINITE}[kind]
     dx = 5.0 / n
     ubar = lookahead_average(values, dx, kernel, dx * values.sum())
     assert np.all(ubar >= 0.0)
+    # a window [x_i, x_i + L] overlaps cells i .. i + ceil(L/dx - 1/2); one
+    # that holds no non-zero cell averages to exactly 0
+    reach = math.ceil(min(kernel.window / dx, n) - 0.5)
+    nonzero = np.concatenate([[0], np.cumsum(values != 0.0)])
+    empty = nonzero[np.minimum(np.arange(n) + reach + 1, n)] == nonzero[:n]
+    assert np.all(ubar[empty] == 0.0)

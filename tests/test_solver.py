@@ -235,9 +235,7 @@ def test_stepped_range_matches_full_grid_bit_for_bit(kernel, name, domain, n, pr
     assert _bits(diag.max_mass_drift) == _bits(ref.max_mass_drift)
     assert diag.blowup == ref.blowup
     (a, b), stop = ranges[0], ranges[-1][1]
-    if kernel.kind == "linear":
-        assert set(ranges) == {(0, n)}
-    elif name == "left-edge":
+    if name == "left-edge":
         assert a == 0 and b < n == stop
     elif name == "right-edge":
         assert 0 < a and b < n == stop
