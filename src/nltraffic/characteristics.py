@@ -148,8 +148,7 @@ def _blowup_root(w0: float, u0: float) -> tuple[float, float]:
     return u0 / (1.0 + u0 * k_star), k_star + math.log1p(u0 / s)
 
 
-def integrate_characteristic(d0: float, u0: float, factor, t_end: float,
-                             t_eval=None) -> Trajectory:
+def integrate_characteristic(d0: float, u0: float, factor, t_end: float) -> Trajectory:
     """The characteristic from (d0, u0) at t = 0 until t_end or the blow-up of its slope.
 
     In closed form: with F(t) the integral of the factor from 0 and Phi(v) =
@@ -157,17 +156,13 @@ def integrate_characteristic(d0: float, u0: float, factor, t_end: float,
     supercritical start (d0 > sigma(u0)) blows up at the T* where F reaches
     Phi(u*) - Phi(u0); _blowup_root gives u* and that advance.  Rows are
     PHASE_SAMPLES evenly spaced times from 0 to t_end, or to T* with the last
-    row (T*, inf, u*); with t_eval, its times before T*.
+    row (T*, inf, u*).
     """
     _require_finite(d0=d0, u0=u0, t_end=t_end)
     if not (0.0 <= u0 <= 1.0):
         raise ValueError(f"u0 must lie in [0, 1], got {u0}")
     if t_end <= 0.0:
         raise ValueError(f"t_end must be positive, got {t_end}")
-    if t_eval is not None:
-        t_eval = np.asarray(t_eval, dtype=float)
-        if not (np.all(np.diff(t_eval) > 0) and 0.0 <= t_eval[0] and t_eval[-1] <= t_end):
-            raise ValueError("t_eval must increase within [0, t_end]")
 
     w0 = d0 - u0 * (1.0 - u0)
     t_star = u_star = math.inf
@@ -175,13 +170,9 @@ def integrate_characteristic(d0: float, u0: float, factor, t_end: float,
         u_star, f_star = _blowup_root(w0, u0)
         t_star = factor.reach(f_star)
     blown_up = t_star <= t_end
-    if t_eval is None:
-        t = np.linspace(0.0, min(t_end, t_star), PHASE_SAMPLES)
-        smooth = t[:-1] if blown_up else t
-    else:
-        t = smooth = t_eval[t_eval < t_star]
-    d, u = _time_path(w0, u0, factor.integral(smooth))
-    if len(smooth) < len(t):
+    t = np.linspace(0.0, min(t_end, t_star), PHASE_SAMPLES)
+    d, u = _time_path(w0, u0, factor.integral(t[:-1] if blown_up else t))
+    if blown_up:
         d, u = np.append(d, math.inf), np.append(u, u_star)
     return Trajectory(t=t, d=d, u=u, blowup_time=t_star if blown_up else None)
 
@@ -219,7 +210,7 @@ def phase_trajectory(d0: float, u0: float, u_end: float) -> PhaseTrajectory:
     The factor cancels from d(u), so this is the exact phase portrait.
     Degenerate starts u0 in {0, 1} are rejected: there u is stationary and
     d(u) is not a curve.  A supercritical start (d0 > sigma(u0)) blows up
-    where D has its single root u* in (0, u0); RuntimeError if u_end <= u*.
+    where D has its single root u* in (0, u0); ValueError if u_end <= u*.
     """
     _require_finite(d0=d0, u0=u0, u_end=u_end)
     if not (0.0 < u0 < 1.0):
@@ -229,7 +220,7 @@ def phase_trajectory(d0: float, u0: float, u_end: float) -> PhaseTrajectory:
     w0 = d0 - u0 * (1.0 - u0)
     if w0 > 0.0 and _phase_denominator(w0, u0, u_end) <= 0.0:
         u_star, _ = _blowup_root(w0, u0)
-        raise RuntimeError(f"the slope blows up at u* = {u_star:.6g}, above u_end = {u_end:g}")
+        raise ValueError(f"the slope blows up at u* = {u_star:.6g}, above u_end = {u_end:g}")
     u = np.geomspace(u0, u_end, PHASE_SAMPLES)
     d = _phase_path(d0, u0, u)
     d[0] = d0  # the start exactly, not its rounded image

@@ -290,12 +290,11 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except RuntimeError as exc:
-        dump = exc.dump if isinstance(exc, SolverFailure) else {}
+    except SolverFailure as exc:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         path = out / "failure_dump.json"
-        write_json(path, {"error": str(exc), **dump})
+        write_json(path, {"error": str(exc), **exc.dump})
         print(f"numerical failure: {exc} (dump: {path})", file=sys.stderr)
         return 3
 

@@ -73,16 +73,16 @@ class Kernel:
         return 2.0 if self.kind == "linear" else (0.0 if self.kind == "zero" else 1.0)
 
     def __str__(self) -> str:
-        if self.kind == "sk_scaled":
-            return f"sk:L={self.length:g}"
-        return self.kind
+        """The CLI spelling, which parse_kernel reads back to this kernel."""
+        if self.kind != "sk_scaled":
+            return self.kind
+        short = f"{self.length:g}"  # where %g is exact, else the shortest exact digits
+        return f"sk:L={short if float(short) == self.length else repr(self.length)}"
 
     @property
     def tag(self) -> str:
         """Filesystem-safe label, used in experiment bundle directories."""
-        if self.kind == "sk_scaled":
-            return f"sk_L{self.length:g}"
-        return self.kind
+        return str(self).replace(":L=", "_L")
 
 
 ZERO = Kernel("zero")

@@ -274,7 +274,5 @@ def run_experiment(exp: Experiment, out_dir) -> ExperimentResult:
 
 
 def customized(recipe: Experiment, **overrides) -> Experiment:
-    """Recipe with fields replaced (datum may be given by name)."""
-    if "datum" in overrides and isinstance(overrides["datum"], str):
-        overrides["datum"] = get_datum(overrides["datum"])
+    """Recipe with fields replaced."""
     return replace(recipe, **overrides)

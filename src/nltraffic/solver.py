@@ -99,19 +99,14 @@ class SolverConfig:
         object.__setattr__(self, "snapshot_times", times)
 
 
-def numerical_flux(u_left, u_right, factor, out=None, work=None):
-    """Godunov interface flux for local flux g(u) = u (1 - u) * factor.
+def numerical_flux(u_left, u_right, factor, out, work):
+    """Godunov interface flux for local flux g(u) = u (1 - u) * factor, into out.
 
-    Returns min(D(u_left), S(u_right)) * factor with the demand D(u) =
+    Writes min(D(u_left), S(u_right)) * factor with the demand D(u) =
     m (1 - m), m = min(u, 1/2), and the supply S(u) = m (1 - m), m = max(u,
-    1/2); a float for scalar inputs.  out receives the flux and work is
-    scratch of the same shape; neither may overlap the inputs.  With both
-    given, nothing is allocated.
+    1/2), and returns out.  work is scratch of out's shape; neither may
+    overlap the inputs.
     """
-    if out is None or work is None:
-        shape = np.broadcast_shapes(np.shape(u_left), np.shape(u_right), np.shape(factor))
-        out = np.empty(shape) if out is None else out
-        work = np.empty(shape) if work is None else work
     np.maximum(u_right, 0.5, out=out)
     np.subtract(1.0, out, out=work)
     out *= work
@@ -122,7 +117,7 @@ def numerical_flux(u_left, u_right, factor, out=None, work=None):
     work *= u_left
     np.minimum(out, work, out=out)
     out *= factor
-    return float(out) if out.ndim == 0 else out
+    return out
 
 
 def _advance(pad, new, factor, cells: slice, t: float, dx: float, config: SolverConfig, work):
@@ -284,6 +279,17 @@ def evolve(u0: GridFunction, config: SolverConfig):
                 f"mass {tail:.3e}); the infinite kernel truncates whatever lies beyond it"
             )
 
+    # _checked_measure keeps u within DENSITY_TOL of [0, 1] and the factor at
+    # most 1 + 1e-10, so no wave speed exceeds 1 + 3e-8 and every step but the
+    # last is at least CFL dx / (1 + 3e-8) long: this bounds the step count
+    steps = config.t_end * (1.0 + 3e-8) / (CFL * dx)
+    if steps > MAX_STEPS:
+        raise ValueError(
+            f"cells of width dx = {dx:.3g} may take up to {steps:.3g} steps to "
+            f"t_end = {config.t_end:g}, over the budget of {MAX_STEPS}; widen "
+            f"--x-left/--x-right or lower --n-cells"
+        )
+
     pad, new, work = _buffers(grid.n_cells)
     pad[1:-1] = u0.values
     cells = _stepped_cells(u0.values, config.kernel, dx)
@@ -315,17 +321,8 @@ def evolve(u0: GridFunction, config: SolverConfig):
             snapshots.append((tgt, GridFunction(grid, pick)))
         if t >= config.t_end - 1e-12 or (t_detect is not None and config.stop_on_blowup):
             break
-        if len(diag.t) > MAX_STEPS:
-            raise SolverFailure("step budget exhausted", dump={"t": t})
         t_prev, mass_prev = t, mass
         dt, speed, (f_left, f_right) = _advance(pad, new, factor, cells, t_prev, dx, config, work)
-        if len(diag.t) == 1 and config.t_end / dt > MAX_STEPS:
-            raise ValueError(
-                f"the first CFL step dt = {dt:.3g} projects about "
-                f"{config.t_end / dt:.3g} steps to t_end = {config.t_end:g}, over "
-                f"the budget of {MAX_STEPS}; widen --x-left/--x-right or lower "
-                f"--n-cells (dx = {dx:.3g})"
-            )
         # the next step overwrites u_prev, after this one has taken its snapshots
         pad, new = new, pad
         u_prev, u = new[1:-1], pad[1:-1]

@@ -108,11 +108,7 @@ def test_criterion_3_invariant_region_and_blowup(curve):
     for _ in range(100):
         u0 = float(rng.uniform(0.05, 0.95))
         d0 = curve.eval(u0) - float(rng.uniform(0.02, 0.6))
-        traj = integrate_characteristic(
-            d0, u0, ConstantFactor(1.0),
-            t_end=50.0,
-            t_eval=np.linspace(0.0, 50.0, 1001),
-        )
+        traj = integrate_characteristic(d0, u0, ConstantFactor(1.0), t_end=50.0)
         worst = max(worst, float(np.max(traj.d - curve.eval(traj.u))))
     below_ok = worst <= 1e-6
 
@@ -258,18 +254,12 @@ def test_criterion_8_reduction_limits():
 
 
 def test_criterion_9_factor_independent_phase_paths():
-    us = np.linspace(0.45, 0.25, 15)
-    matched = []
+    # each time path, sampled where it is, lies on the one factor-free phase path
+    path = phase_trajectory(0.2, 0.5, 0.1)
+    gaps = []
     for f, t_end in ((0.3, 50.0), (1.0, 15.0)):
-        traj = integrate_characteristic(
-            0.2, 0.5, ConstantFactor(f),
-            t_end=t_end,
-            t_eval=np.linspace(0.0, t_end, 40001),
-        )
-        matched.append(np.interp(-us, -traj.u, traj.d))
-    spread = float(np.max(np.abs(matched[0] - matched[1])))
-    phase = phase_path_at(phase_trajectory(0.2, 0.5, 0.1), us)
-    phase_gap = float(np.max(np.abs(matched[1] - phase)))
-    ok = spread <= 1e-6 and phase_gap <= 1e-6
+        traj = integrate_characteristic(0.2, 0.5, ConstantFactor(f), t_end=t_end)
+        gaps.append(float(np.max(np.abs(traj.d - phase_path_at(path, traj.u)))))
+    ok = max(gaps) <= 1e-6
     record(9, "phase paths independent of the slow-down factor", ok,
-           f"spread={spread:.2e} phase_gap={phase_gap:.2e}")
+           f"phase_gap(f=0.3)={gaps[0]:.2e} phase_gap(f=1)={gaps[1]:.2e}")

@@ -76,9 +76,9 @@ def test_subcritical_seeds_stay_below_curve(curve):
 
 def test_factor_half_is_time_rescaling():
     """A constant factor only rescales time along the trajectory."""
-    t_eval = np.linspace(0.0, 4.0, 41)
-    full = integrate_characteristic(0.2, 0.6, ConstantFactor(1.0), 4.0, t_eval=t_eval / 2.0)
-    half = integrate_characteristic(0.2, 0.6, ConstantFactor(0.5), 4.0, t_eval=t_eval)
+    full = integrate_characteristic(0.2, 0.6, ConstantFactor(1.0), 2.0)
+    half = integrate_characteristic(0.2, 0.6, ConstantFactor(0.5), 4.0)
+    np.testing.assert_array_equal(half.t, 2.0 * full.t)
     np.testing.assert_allclose(half.d, full.d, atol=1e-7)
     np.testing.assert_allclose(half.u, full.u, atol=1e-7)
 
@@ -127,11 +127,8 @@ def test_time_to_level_validation():
 
 def test_solve_eta_matches_characteristic_density():
     """With a constant factor the density component solves the eta ODE."""
-    t_eval = np.linspace(0.0, 6.0, 31)
-    traj = integrate_characteristic(
-        0.0, 0.7, ConstantFactor(math.exp(-0.3)), 6.0, t_eval=t_eval
-    )
-    eta = solve_eta(0.7, 0.3, t_eval)
+    traj = integrate_characteristic(0.0, 0.7, ConstantFactor(math.exp(-0.3)), 6.0)
+    eta = solve_eta(0.7, 0.3, traj.t)
     np.testing.assert_allclose(traj.u, eta, atol=1e-7)
 
 
@@ -139,10 +136,8 @@ def test_comparison_principle_sampled_factor():
     """Factor below e^{-m} means slower decay than the eta solution."""
     times = np.linspace(0.0, 6.0, 61)
     factor = SampledFactor(times, np.full_like(times, 0.5))
-    traj = integrate_characteristic(
-        0.0, 0.7, factor, 6.0, t_eval=times
-    )
-    eta = solve_eta(0.7, 0.0, times)  # factor 1 decays fastest
+    traj = integrate_characteristic(0.0, 0.7, factor, 6.0)
+    eta = solve_eta(0.7, 0.0, traj.t)  # factor 1 decays fastest
     assert np.all(traj.u >= eta - 1e-9)
 
 
@@ -209,20 +204,12 @@ def test_blowup_bound_precondition():
 
 
 def test_phase_trajectory_factor_independence():
-    """(u, d) curves do not depend on the slow-down factor."""
-    us = np.linspace(0.45, 0.25, 15)
-    matched = []
+    """(u, d) curves do not depend on the slow-down factor: time paths lie on the phase path."""
+    path = phase_trajectory(0.2, 0.5, 0.1)
     for f, t_end in ((0.3, 50.0), (1.0, 15.0)):
-        traj = integrate_characteristic(
-            0.2, 0.5,
-            ConstantFactor(f),
-            t_end=t_end,
-            t_eval=np.linspace(0.0, t_end, 40001),
-        )
-        matched.append(np.interp(-us, -traj.u, traj.d))  # u decreases along the path
-    np.testing.assert_allclose(matched[0], matched[1], atol=1e-6)
-    d_phase = phase_path_at(phase_trajectory(0.2, 0.5, 0.1), us)
-    np.testing.assert_allclose(matched[1], d_phase, atol=1e-6)
+        traj = integrate_characteristic(0.2, 0.5, ConstantFactor(f), t_end=t_end)
+        assert traj.u[-1] < 0.25  # the path runs through u in [0.25, 0.45]
+        np.testing.assert_allclose(traj.d, phase_path_at(path, traj.u), atol=1e-6)
 
 
 def test_phase_trajectory_validation():
@@ -240,8 +227,15 @@ def test_phase_trajectory_validation():
 
 
 def test_supercritical_phase_path_blows_up():
-    with pytest.raises(RuntimeError):
+    with pytest.raises(ValueError, match="above u_end = 0.001"):
         phase_trajectory(1.0, 0.5, 1e-3)
+
+
+@pytest.mark.parametrize("u0", [0.1, 0.5, 0.9])
+def test_phase_path_on_the_curve_is_sigma(u0):
+    """From d0 = sigma(u0) the path is sigma(u) = u (1 - u) itself."""
+    path = phase_trajectory(u0 * (1.0 - u0), u0, u0 / 100.0)
+    np.testing.assert_array_equal(path.d, path.u * (1.0 - path.u))
 
 
 def test_subcritical_phase_path_stays_below_sigma_down_to_tiny_u():
@@ -335,8 +329,6 @@ def test_integrate_validation():
     for bad in NON_FINITE:
         with pytest.raises(ValueError, match="t_end must be finite"):
             integrate_characteristic(0.0, 0.5, one, t_end=bad)
-    with pytest.raises(ValueError, match="t_eval must increase within"):
-        integrate_characteristic(0.0, 0.5, one, 1.0, t_eval=[-0.5, 0.5])
 
 
 @pytest.mark.parametrize("bad", NON_FINITE)
@@ -420,10 +412,9 @@ def test_time_mode_matches_rk45_on_t_eval():
         factor = ConstantFactor(f)
         free = _dop853_time_mode(d0, u0, factor, 40.0)
         t_end = free.t_events[0][0] / 2.0 if free.t_events[0].size else 40.0
-        t_eval = np.linspace(0.0, t_end, 81)
-        ref = _dop853_time_mode(d0, u0, factor, t_end, t_eval=t_eval)
-        traj = integrate_characteristic(d0, u0, factor, t_end, t_eval=t_eval)
-        np.testing.assert_array_equal(traj.t, t_eval)
+        traj = integrate_characteristic(d0, u0, factor, t_end)
+        assert traj.blowup_time is None
+        ref = _dop853_time_mode(d0, u0, factor, t_end, t_eval=traj.t)
         assert np.max(np.abs(traj.d - ref.y[0])) <= 1e-10
         assert np.max(np.abs(traj.u - ref.y[1])) <= 1e-10
 
@@ -454,9 +445,8 @@ def test_time_mode_matches_rk45_with_sampled_factor():
     # results depend on where their steps fall at the tolerance level
     factor = SampledFactor([0.0, 20.0], [1.0, 0.4])
     for d0, u0 in ((0.1, 0.6), (0.2, 0.3)):
-        t_eval = np.linspace(0.0, 20.0, 41)
-        ref = _dop853_time_mode(d0, u0, factor, 20.0, t_eval=t_eval)
-        traj = integrate_characteristic(d0, u0, factor, 20.0, t_eval=t_eval)
+        traj = integrate_characteristic(d0, u0, factor, 20.0)
+        ref = _dop853_time_mode(d0, u0, factor, 20.0, t_eval=traj.t)
         assert np.max(np.abs(traj.d - ref.y[0])) <= 1e-10
         assert np.max(np.abs(traj.u - ref.y[1])) <= 1e-10
     free = integrate_characteristic(0.6, 0.5, factor, 20.0)
@@ -480,7 +470,7 @@ def test_phase_trajectory_matches_rk45_dense_output():
                         atol=1e-15, dense_output=True)
         if ref.status != 0:
             failed += 1
-            with pytest.raises(RuntimeError, match="blows up at u"):
+            with pytest.raises(ValueError, match="blows up at u"):
                 phase_trajectory(d0, u0, u_end)
             continue
         path = phase_trajectory(d0, u0, u_end)

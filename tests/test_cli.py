@@ -343,7 +343,8 @@ def test_phase_portrait_phase_mode(tmp_path):
 
 
 def test_phase_portrait_supercritical_phase_mode_fails(tmp_path, capsys):
-    # the phase curve has a vertical asymptote above the requested stop
+    # the phase curve has a vertical asymptote above the requested stop: the
+    # inputs decide that, so it is refused as out of the domain
     out = tmp_path / "boom"
     code = main(
         [
@@ -351,9 +352,10 @@ def test_phase_portrait_supercritical_phase_mode_fails(tmp_path, capsys):
             "--u-end", "0.005", "--out", str(out),
         ]
     )
-    assert code == 3
-    assert (out / "failure_dump.json").is_file()
-    assert "numerical failure" in capsys.readouterr().err
+    assert code == 2
+    assert not (out / "failure_dump.json").exists()
+    err = capsys.readouterr().err
+    assert err == "error: the slope blows up at u* = 0.436492, above u_end = 0.005\n"
 
 
 def run_python(args, timeout):
@@ -386,7 +388,7 @@ def test_phase_portrait_non_finite_exits_2(tmp_path, extra, message):
 
 
 def test_hopeless_step_count_exits_2_at_once(tmp_path):
-    """dx = 2.5e-7 would need ~1.8e7 steps: refused after the first, in a process killed if it runs on."""
+    """dx = 2.5e-7 may need ~1.8e7 steps: refused before the first, in a process killed if it runs on."""
     # at x = -0.99 the bump is about 1.5e-22: positive, yet 1 - 2u and the wave speed round to 1
     argv = ["evolve", "--datum", "bump", "--x-left", "-0.99", "--x-right", "-0.989999",
             "--n-cells", "4", "--t-end", "2", "--kernel", "zero"]
@@ -464,10 +466,9 @@ print(json.dumps(codes))
     proc = run_python(["-c", script], timeout=120)
     assert proc.returncode == 0, proc.stderr
     codes = json.loads(proc.stdout.strip().splitlines()[-1])
-    assert codes == [0, 0, 0, 0, 0, 0, 0, 3, 0], proc.stderr
+    assert codes == [0, 0, 0, 0, 0, 0, 0, 2, 0], proc.stderr
     # d0 = 0.3 > sigma(0.5) = 0.25: the path blows up before u reaches 1e-300
-    dump = json.loads((tmp_path / "7" / "failure_dump.json").read_text())
-    assert "u* = 0.231662" in dump["error"]
+    assert "u* = 0.231662, above u_end = 1e-300" in proc.stderr
     assert "slope blow-up at t = 1.81483" in proc.stdout
 
 
@@ -482,6 +483,30 @@ def test_solver_failure_writes_dump(tmp_path, capsys, monkeypatch):
     dump = json.loads((out / "failure_dump.json").read_text())
     assert dump["error"] == "synthetic failure"
     assert dump["t"] == 0.5
+
+
+def test_factor_band_failure_exits_3_with_dump(tmp_path, capsys, monkeypatch):
+    """A real SolverFailure of the solver's own checks: ubar < 0 puts the factor above 1."""
+    monkeypatch.setattr("nltraffic.solver.lookahead_average",
+                        lambda values, dx, kernel, mass: np.full(len(values), -1e-6))
+    out = tmp_path / "band"
+    code = main(["evolve", "--n-cells", "200", "--t-end", "0.1", "--out", str(out)])
+    assert code == 3
+    assert "numerical failure: slow-down factor left its admissible band" in capsys.readouterr().err
+    dump = json.loads((out / "failure_dump.json").read_text())
+    assert set(dump) == {"error", "t", "factor_min", "factor_max"}
+    assert dump["t"] == 0.0 and dump["factor_max"] > 1.0
+    assert not (out / "evolve-bump").exists()
+
+
+def test_evolve_smooth_run_prints_no_breakdown(tmp_path, capsys):
+    out = tmp_path / "smooth"
+    argv = ["evolve", "--datum", "subinit", "--kernel", "infinite", "--n-cells", "2000",
+            "--t-end", "1", "--out", str(out)]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == "no breakdown detected\n"
+    report = json.loads((out / "evolve-subinit" / "kernel_infinite" / "blowup.json").read_text())
+    assert report["detected"] is False
 
 
 def test_unknown_datum_exits_2(tmp_path, capsys):
@@ -523,6 +548,15 @@ def test_config_file_and_flag_precedence(tmp_path):
     assert code == 0
     rows = (out2 / "threshold_curve.csv").read_text().strip().split("\n")
     assert len(rows) == 12  # explicit flag wins over the file
+
+
+def test_config_equals_spelling(tmp_path):
+    """--config=path reads the same file as --config path."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("samples = 21\n")
+    out = tmp_path / "eq"
+    assert main(["threshold-curve", f"--config={cfg}", "--out", str(out)]) == 0
+    assert len((out / "threshold_curve.csv").read_text().strip().split("\n")) == 22
 
 
 def test_config_boolean_true(tmp_path):

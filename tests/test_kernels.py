@@ -48,6 +48,13 @@ def test_parse_kernel_spellings():
     assert parse_kernel("linear") == LINEAR
     k = parse_kernel("sk:L=2.5")
     assert k.kind == "sk_scaled" and k.length == 2.5
+    assert str(k) == "sk:L=2.5" and k.tag == "sk_L2.5" and str(sk_scaled(0.5)) == "sk:L=0.5"
+    # lengths that %g would round are spelled with every digit they need
+    for length in (2.5000001, 1 / 3):
+        k = sk_scaled(length)
+        assert parse_kernel(str(k)) == k
+        assert k.tag == "sk_L" + str(k).removeprefix("sk:L=")
+    assert str(sk_scaled(2.5000001)) == "sk:L=2.5000001"
     with pytest.raises(ValueError):
         parse_kernel("sk:L=-1")
     with pytest.raises(ValueError):

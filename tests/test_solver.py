@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from nltraffic import solver
 from nltraffic.grid import (
+    DENSITY_TOL,
     GridFunction,
     GridSpec,
     spatial_derivative,
@@ -22,7 +23,7 @@ from nltraffic.grid import (
 from nltraffic.kernels import (
     INFINITE, LINEAR, SK_UNIT, UNIFORM, ZERO, nonlocal_field, sk_scaled,
 )
-from nltraffic.scenarios import COMPARE_KERNELS, bump_init
+from nltraffic.scenarios import COMPARE_KERNELS, bump_init, get_datum
 from nltraffic.solver import (
     Diagnostics,
     SolverConfig,
@@ -51,6 +52,12 @@ def box(grid, lo, hi, height=1.0):
 # ---------------------------------------------------------------- fluxes
 
 
+def flux(u_left, u_right, factor):
+    """numerical_flux into buffers of the inputs' broadcast shape, a 0-d one for scalars."""
+    shape = np.broadcast_shapes(np.shape(u_left), np.shape(u_right), np.shape(factor))
+    return numerical_flux(u_left, u_right, factor, out=np.empty(shape), work=np.empty(shape))
+
+
 @given(
     v=st.floats(min_value=0.0, max_value=1.0),
     f=st.floats(min_value=0.05, max_value=1.0),
@@ -58,31 +65,30 @@ def box(grid, lo, hi, height=1.0):
 @settings(max_examples=60, deadline=None)
 def test_flux_consistency(v, f):
     exact = v * (1.0 - v) * f
-    assert numerical_flux(v, v, f) == pytest.approx(exact, abs=1e-15)
+    assert float(flux(v, v, f)) == pytest.approx(exact, abs=1e-15)
 
 
 def test_godunov_hand_values():
     # transonic rarefaction: min of g over [0, 1] is 0 at either endpoint
-    assert numerical_flux(0.0, 1.0, 1.0) == pytest.approx(0.0, abs=1e-15)
+    assert float(flux(0.0, 1.0, 1.0)) == pytest.approx(0.0, abs=1e-15)
     # compression spanning the sonic point: max g = g(1/2) = 1/4
-    assert numerical_flux(1.0, 0.0, 1.0) == pytest.approx(0.25)
+    assert float(flux(1.0, 0.0, 1.0)) == pytest.approx(0.25)
     # one-sided intervals never reach the sonic point
-    assert numerical_flux(0.4, 0.1, 0.5) == pytest.approx(0.4 * 0.6 * 0.5)
-    assert numerical_flux(0.9, 0.6, 1.0) == pytest.approx(0.6 * 0.4)
-    # and each is the case-split oracle's value, bit for bit, also through out=
+    assert float(flux(0.4, 0.1, 0.5)) == pytest.approx(0.4 * 0.6 * 0.5)
+    assert float(flux(0.9, 0.6, 1.0)) == pytest.approx(0.6 * 0.4)
+    # and each is the case-split oracle's value, bit for bit
     for args in [(0.0, 1.0, 1.0), (1.0, 0.0, 1.0), (0.4, 0.1, 0.5), (0.9, 0.6, 1.0)]:
-        out = np.empty(())
-        assert numerical_flux(*args) == float(numerical_flux(*args, out=out)) == godunov_flux(*args)
+        assert float(flux(*args)) == godunov_flux(*args)
 
 
 def test_flux_monotone_in_both_arguments():
     # nondecreasing in the left state, nonincreasing in the right one
     us = np.linspace(0.0, 1.0, 11)
     for uR in us:
-        vals = numerical_flux(us, np.full_like(us, uR), 0.7)
+        vals = flux(us, np.full_like(us, uR), 0.7)
         assert np.all(np.diff(vals) >= -1e-12)
     for uL in us:
-        vals = numerical_flux(np.full_like(us, uL), us, 0.7)
+        vals = flux(np.full_like(us, uL), us, 0.7)
         assert np.all(np.diff(vals) <= 1e-12)
 
 
@@ -103,12 +109,8 @@ def _random_interfaces(n, seed):
 def test_flux_matches_case_split_oracle(n):
     uL, uR, f = _random_interfaces(n, seed=n)
     expected = godunov_flux(uL, uR, f)
-    np.testing.assert_array_equal(numerical_flux(uL, uR, f), expected)
     out, work = np.full((2, n), np.nan)
-    assert numerical_flux(uL, uR, f, out=out) is out
-    np.testing.assert_array_equal(out, expected)
-    out[:] = np.nan
-    numerical_flux(uL, uR, f, out=out, work=work)
+    assert numerical_flux(uL, uR, f, out=out, work=work) is out
     np.testing.assert_array_equal(out, expected)
 
 
@@ -118,14 +120,22 @@ def test_flux_within_two_ulps_of_oracle_on_nearby_states():
     rng = np.random.default_rng(5)
     uL = rng.uniform(0.0, 0.5, 100_000)
     uR = np.nextafter(np.nextafter(uL, 1.0), 1.0)
-    np.testing.assert_allclose(numerical_flux(uL, uR, 1.0), godunov_flux(uL, uR, 1.0), rtol=5e-16)
+    np.testing.assert_allclose(flux(uL, uR, 1.0), godunov_flux(uL, uR, 1.0), rtol=5e-16)
 
 
 def test_flux_scalar_and_vector_forms():
-    out = numerical_flux(0.3, 0.3, 1.0)
-    assert isinstance(out, float)
-    arr = numerical_flux(np.array([0.3, 0.5]), np.array([0.3, 0.5]), 1.0)
-    assert arr.shape == (2,)
+    """Scalars fill a 0-d buffer and arrays one of their shape, allocating no array."""
+    n = 4000
+    for u in (0.3, np.linspace(0.0, 1.0, n)):
+        out, work = np.empty(np.shape(u)), np.empty(np.shape(u))
+        tracemalloc.start()
+        try:
+            assert numerical_flux(u, u, 1.0, out=out, work=work) is out
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n  # fewer bytes than one boolean per cell
+        np.testing.assert_array_equal(out, u * (1.0 - u))
 
 
 # ---------------------------------------------------------------- stepping
@@ -265,6 +275,38 @@ def test_non_finite_flux_fails_the_step(monkeypatch):
     assert len(calls) == 3
     assert set(info.value.dump) == {"t", "dt", "max_speed"}
     assert info.value.dump["dt"] > 0.0 and info.value.dump["max_speed"] > 0.0
+
+
+def test_density_above_one_fails_the_maximum_principle():
+    u = np.zeros(100)
+    u[40:60] = 1.0 + 2.0 * DENSITY_TOL
+    with pytest.raises(SolverFailure, match="^maximum principle violated$") as info:
+        solver._checked_measure(u, slice(None), 0.5, 0.01, 1.0, 0.1, ZERO)
+    assert info.value.dump == {"t": 0.5, "min_u": 0.0, "max_u": 1.0 + 2.0 * DENSITY_TOL}
+
+
+def test_negative_average_fails_the_factor_band(monkeypatch):
+    """ubar < 0 puts the factor exp(-ubar) above 1, out of its band."""
+    monkeypatch.setattr(solver, "lookahead_average",
+                        lambda values, dx, kernel, mass: np.full(len(values), -1e-6))
+    u = np.zeros(100)
+    u[40:60] = 0.5
+    with pytest.raises(SolverFailure, match="^slow-down factor left its admissible band$") as info:
+        solver._checked_measure(u, slice(None), 0.5, 0.01, 1.0, 0.1, SK_UNIT)
+    dump = info.value.dump
+    assert set(dump) == {"t", "factor_min", "factor_max"} and dump["t"] == 0.5
+    assert dump["factor_min"] == dump["factor_max"] > 1.0 + 1e-10
+
+
+@pytest.mark.parametrize("datum", ["bump", "subinit"])
+@pytest.mark.parametrize("kernel", [*COMPARE_KERNELS, LINEAR, sk_scaled(2.5)], ids=str)
+@given(n=st.integers(min_value=100, max_value=300), t_end=st.floats(min_value=0.05, max_value=40.0))
+@settings(max_examples=5, deadline=None)
+def test_step_count_within_the_budget_bound(datum, kernel, n, t_end):
+    """No wave speed exceeds 1 + 3e-8: at most ceil(t_end (1 + 3e-8) / (CFL dx)) steps."""
+    u0 = get_datum(datum).sample(n)
+    _, diag = evolve(u0, SolverConfig(kernel=kernel, t_end=t_end, stop_on_blowup=False))
+    assert len(diag.t) - 1 <= math.ceil(t_end * (1.0 + 3e-8) / (solver.CFL * u0.grid.dx))
 
 
 def test_vacuum_fixed_point_and_cfl_step():
