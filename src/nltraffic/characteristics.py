@@ -245,7 +245,8 @@ def time_to_level(u0: float, u1: float, m: float) -> float:
     if m < 0:
         raise ValueError(f"m must be nonnegative, got {m}")
     t1 = _exp_of_mass(m) * (_level_potential(u1) - _level_potential(u0))
-    _require_finite_bound(m, t1=t1)
+    if not math.isfinite(t1):  # 1/u overflows for a subnormal u0 or u1
+        raise ValueError(f"t1 overflows at m = {m} (u0 = {u0}, u1 = {u1})")
     return t1
 
 

@@ -7,7 +7,8 @@ manifest.json recording the effective options and the files written.
 Options may also come from a flat config file (--config) of `key = value`
 lines with `#` comments; explicit command-line flags win over the file,
 which wins over built-in defaults.  Exit codes: 0 success, 2 validation
-error, 3 numerical failure (a diagnostic dump is written).
+error or a size too large to allocate, 3 numerical failure (a diagnostic
+dump is written).
 """
 
 from __future__ import annotations
@@ -289,6 +290,9 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: {exc}; lower --n-cells or --samples", file=sys.stderr)
         return 2
     except SolverFailure as exc:
         out = Path(args.out)

@@ -14,7 +14,9 @@ The 1/x^2 left tail carries infinite support, so the recommended domain
 [-200, 40] truncates it.  The bundle's metadata.json records the truncated
 analytic tail mass (1/|x_left|) as left_tail_mass; the mass diagnostic is
 the mass on the grid.  The look-ahead average only sees density to the
-right, so the tail never enters ubar.
+right, so the tail never enters ubar.  What a cut on the right misses is
+the solver's to judge, from the sampled grid: evolve() refuses data that
+reach x_right under a kernel that looks ahead.
 """
 
 from __future__ import annotations
@@ -34,9 +36,7 @@ from .grid import (
     write_profile_csv,
 )
 from .kernels import INFINITE, SK_UNIT, UNIFORM, ZERO, Kernel
-from .solver import (
-    BLOWUP_GRADIENT_FACTOR, BOUNDARY_CONTACT_MASS, Diagnostics, SolverConfig, evolve,
-)
+from .solver import BLOWUP_GRADIENT_FACTOR, Diagnostics, SolverConfig, evolve
 from .threshold import (
     Classification,
     classify_initial_data,
@@ -81,18 +81,14 @@ class InitialDatum:
     name: str
     profile: object
     domain: tuple[float, float]
-    # analytic mass beyond a boundary, as functions of the cut position
+    # analytic mass left of the grid, as a function of x_left
     left_tail: object = None
-    right_tail: object = None
 
     def sample(self, n_cells: int) -> GridFunction:
         return GridFunction.from_callable(GridSpec(*self.domain, n_cells), self.profile)
 
     def left_tail_mass(self, x_left: float) -> float:
         return float(self.left_tail(x_left)) if self.left_tail else 0.0
-
-    def right_tail_mass(self, x_right: float) -> float:
-        return float(self.right_tail(x_right)) if self.right_tail else 0.0
 
 
 def _subinit_left_tail(x_left):
@@ -113,7 +109,6 @@ CATALOG = {
         profile=subcritical_init,
         domain=(-200.0, 40.0),
         left_tail=_subinit_left_tail,
-        right_tail=lambda x_right: np.exp(-x_right) / 9.0,
     ),
 }
 
@@ -211,12 +206,6 @@ def run_experiment(exp: Experiment, out_dir) -> ExperimentResult:
             f"[{grid.x_left:g}, {grid.x_right:g}] sample {exp.datum.name} as 0 everywhere"
         )
     tail_left = exp.datum.left_tail_mass(grid.x_left)
-    tail_right = exp.datum.right_tail_mass(grid.x_right)
-    if tail_right > BOUNDARY_CONTACT_MASS:
-        raise ValueError(
-            f"right tail mass {tail_right:.3e} beyond x_right = {grid.x_right:g} is "
-            "too large for a faithful look-ahead average"
-        )
     # built first, so that invalid solver options stop the run before any evolve
     configs = [
         SolverConfig(kernel=kernel, t_end=exp.t_end, snapshot_times=exp.snapshot_times,

@@ -267,17 +267,20 @@ def evolve(u0: GridFunction, config: SolverConfig):
     snapshots is a list of (requested_time, GridFunction) taken at the
     nearest completed step.  Breakdown detection terminates the run unless
     stop_on_blowup is False, in which case the first detection time is
-    recorded and the run continues to t_end.
+    recorded and the run continues to t_end.  A kernel that looks ahead
+    refuses u0 whose last five cells hold more than BOUNDARY_CONTACT_MASS:
+    its average would miss whatever lies past x_right.  The zero kernel's
+    flux needs nothing past it, so it runs, and boundary_contact_t reports
+    any density that leaves.
     """
     require_density(u0)
     grid, dx = u0.grid, u0.grid.dx
-    if config.kernel.kind == "infinite":
-        tail = dx * float(u0.values[-5:].sum())
-        if tail > BOUNDARY_CONTACT_MASS:
-            raise ValueError(
-                f"data reach the right boundary x_right = {grid.x_right:g} (tail "
-                f"mass {tail:.3e}); the infinite kernel truncates whatever lies beyond it"
-            )
+    tail = dx * float(u0.values[-5:].sum())
+    if config.kernel.weight_sup and tail > BOUNDARY_CONTACT_MASS:
+        raise ValueError(
+            f"data reach the right boundary x_right = {grid.x_right:g} (tail mass "
+            f"{tail:.3e}); kernel {config.kernel} looks ahead past it: raise --x-right"
+        )
 
     # _checked_measure keeps u within DENSITY_TOL of [0, 1] and the factor at
     # most 1 + 1e-10, so no wave speed exceeds 1 + 3e-8 and every step but the

@@ -16,6 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import nltraffic
+from nltraffic import scenarios
 from nltraffic.cli import main, parse_args, parse_kernel_arg
 from nltraffic.kernels import sk_scaled
 from nltraffic.solver import SolverFailure
@@ -89,7 +90,7 @@ def test_colliding_snapshot_names_exit_2(tmp_path, capsys, snapshots):
         (["bounds", "--d0", "0.4", "--u0", "0.5", "--m", "-1"], "m"),
         (["bounds", "--d0", "0.1", "--u0", "0.5"], "d0"),
         (["evolve", "--datum", "bump", "--x-right", "0.5", "--kernel", "infinite"], "x_right"),
-        (["classify", "--datum", "subinit", "--x-right", "5"], "x_right"),
+        (["evolve", "--datum", "subinit", "--x-right", "5", "--kernel", "sk"], "x_right"),
         (["classify", "--datum", "subinit", "--x-left", "-2.5"], "x_left"),
         # no cell center lies in |x| < 1, so the sampled bump is 0 everywhere
         (["classify", "--datum", "bump", "--x-right", "1e6", "--n-cells", "100"], "n_cells"),
@@ -422,6 +423,43 @@ def test_infinite_kernel_right_tail_exits_2_without_output(tmp_path, capsys):
     assert main(argv + ["--out", str(tmp_path)]) == 2
     assert "tail mass" in capsys.readouterr().err
     assert list(tmp_path.rglob("*")) == []
+
+
+def test_compare_kernels_refused_at_first_lookahead_kernel(tmp_path, capsys, monkeypatch):
+    """The bump cut at x = 0.5: zero runs, sk refuses, and the kernels after it never start."""
+    ran = []
+
+    def counting_evolve(u0, config):
+        ran.append(config.kernel.tag)
+        return real_evolve(u0, config)
+
+    real_evolve = scenarios.evolve
+    monkeypatch.setattr(scenarios, "evolve", counting_evolve)
+    argv = ["compare-kernels", "--n-cells", "400", "--t-end", "1", "--x-right", "0.5"]
+    assert main(argv + ["--out", str(tmp_path)]) == 2
+    assert "x_right" in capsys.readouterr().err
+    assert ran == ["zero", "sk"]
+    assert list(tmp_path.rglob("*")) == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify", "--n-cells", str(10**15)],
+        ["threshold-curve", "--samples", str(10**15)],
+    ],
+)
+def test_unallocatable_size_exits_2(tmp_path, capsys, argv):
+    """numpy refuses 10**15 doubles at once; the error names both size options."""
+    assert main(argv + ["--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "lower --n-cells or --samples" in err, err
+
+
+def test_bounds_overflow_names_u0(tmp_path, capsys):
+    """1/u0 overflows for a subnormal u0: the message gives u0, not only m."""
+    assert main(["bounds", "--d0", "0.4", "--u0", "1e-320", "--out", str(tmp_path)]) == 2
+    assert "u0 = 1e-320" in capsys.readouterr().err
 
 
 def test_readme_library_example_runs():

@@ -12,7 +12,7 @@ import pytest
 from nltraffic import scenarios
 from nltraffic.cli import main
 from nltraffic.grid import GridFunction, GridSpec, total_mass
-from nltraffic.kernels import INFINITE, ZERO
+from nltraffic.kernels import INFINITE, SK_UNIT, ZERO
 from nltraffic.scenarios import (
     CATALOG,
     RECIPES,
@@ -98,12 +98,10 @@ def test_catalog_classifications():
 def test_subinit_tail_masses():
     sub = CATALOG["subinit"]
     assert sub.left_tail_mass(-200.0) == pytest.approx(0.005)
-    assert sub.right_tail_mass(40.0) < 1e-8
     with pytest.raises(ValueError):
         sub.left_tail_mass(-2.0)
-    # bump is compactly supported, nothing beyond either cut
+    # bump is compactly supported, nothing beyond the cut
     assert CATALOG["bump"].left_tail_mass(-6.0) == 0.0
-    assert CATALOG["bump"].right_tail_mass(10.0) == 0.0
 
 
 def test_datum_sampling():
@@ -249,12 +247,15 @@ def test_contour_recipe_skips_evolution(tmp_path, capsys, monkeypatch):
 
 
 def test_right_tail_guard(tmp_path):
+    """subinit cut at x = 10 reaches the right edge: refused under sk, run under zero."""
     bad = InitialDatum(
         name="truncated",
         profile=subcritical_init,
         domain=(-200.0, 10.0),  # e^-10/9 of mass still beyond the cut
-        right_tail=lambda x: math.exp(-x) / 9.0,
     )
-    exp = Experiment(name="bad", datum=bad, kernels=(ZERO,), n_cells=300, t_end=0.1)
+    exp = Experiment(name="bad", datum=bad, kernels=(SK_UNIT,), n_cells=300, t_end=0.1)
     with pytest.raises(ValueError, match="tail"):
-        run_experiment(exp, tmp_path)
+        run_experiment(exp, tmp_path / "sk")
+    assert not (tmp_path / "sk").exists()
+    result = run_experiment(replace(exp, kernels=(ZERO,)), tmp_path / "zero")
+    assert result.diagnostics["zero"].t[-1] == pytest.approx(0.1)

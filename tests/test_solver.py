@@ -21,7 +21,7 @@ from nltraffic.grid import (
     write_json,
 )
 from nltraffic.kernels import (
-    INFINITE, LINEAR, SK_UNIT, UNIFORM, ZERO, nonlocal_field, sk_scaled,
+    INFINITE, LINEAR, SK_UNIT, UNIFORM, ZERO, nonlocal_field, parse_kernel, sk_scaled,
 )
 from nltraffic.scenarios import COMPARE_KERNELS, bump_init, get_datum
 from nltraffic.solver import (
@@ -589,11 +589,14 @@ def test_evolve_rejects_bad_initial_data():
         evolve(GridFunction(grid, np.full(100, 1.5)), config)
 
 
-def test_infinite_kernel_rejects_right_tail():
+@pytest.mark.parametrize("spec", ["sk", "sk:L=2.5", "linear", "infinite", "uniform"])
+def test_lookahead_kernels_reject_right_tail(spec):
+    """Every kernel that looks ahead refuses data at the right edge; zero does not
+    (test_jam_fixed_point runs it there)."""
     grid = scenario_grid(400)
     u = GridFunction(grid, np.full(400, 0.5))
-    config = SolverConfig(kernel=INFINITE, t_end=1.0)
-    with pytest.raises(ValueError, match="tail"):
+    config = SolverConfig(kernel=parse_kernel(spec), t_end=1.0)
+    with pytest.raises(ValueError, match="x_right.*tail mass"):
         evolve(u, config)
 
 
