@@ -241,7 +241,7 @@ def time_to_level(u0: float, u1: float, m: float) -> float:
     """
     _require_finite(u0=u0, u1=u1, m=m)
     if not (0.0 < u1 < u0 < 1.0):
-        raise ValueError("need 0 < u1 < u0 < 1")
+        raise ValueError(f"need 0 < u1 < u0 < 1, got u0 = {u0}, u1 = {u1}")
     if m < 0:
         raise ValueError(f"m must be nonnegative, got {m}")
     t1 = _exp_of_mass(m) * (_level_potential(u1) - _level_potential(u0))

@@ -3,6 +3,8 @@
 Subcommands: classify, evolve, compare-kernels, phase-portrait,
 threshold-curve, bounds.  All output lands under --out as CSV/JSON plus a
 manifest.json recording the effective options and the files written.
+classify, evolve and compare-kernels run one Experiment and print its
+verdict, then one line per kernel: breakdown or smooth, and mass drift.
 
 Options may also come from a flat config file (--config) of `key = value`
 lines with `#` comments; explicit command-line flags win over the file,
@@ -155,32 +157,45 @@ def parse_args(argv: list[str]):
     return build_parser().parse_args(_attach_negative_values(_inject_config(list(argv))))
 
 
-def _experiment(args, name: str, kernels: tuple, **fields) -> Experiment:
-    """The Experiment that the grid options of args describe.
+def _experiment(args) -> Experiment:
+    """The Experiment that the options of classify, evolve or compare-kernels describe.
 
     --datum picks the profile, --x-left/--x-right replace the ends of its
-    recommended domain and --n-cells sets the resolution; fields set the rest.
+    recommended domain and --n-cells sets the resolution.  classify evolves
+    no kernel, evolve the one --kernel names, and compare-kernels runs the
+    datum's recipe in RECIPES, to --t-end if given.
     """
     datum = get_datum(args.datum)
-    domain = (
+    datum = replace(datum, domain=(
         datum.domain[0] if args.x_left is None else args.x_left,
         datum.domain[1] if args.x_right is None else args.x_right,
-    )
-    return Experiment(
-        name=name,
-        datum=replace(datum, domain=domain),
-        kernels=kernels,
-        n_cells=args.n_cells,
-        **fields,
-    )
+    ))
+    if args.subcommand == "classify":
+        return Experiment(name=f"classify-{datum.name}", datum=datum, kernels=(),
+                          n_cells=args.n_cells)
+    if args.subcommand == "compare-kernels":
+        recipe = next(r for r in RECIPES.values() if r.datum.name == datum.name)
+        t_end = recipe.t_end if args.t_end is None else args.t_end
+        return replace(recipe, datum=datum, n_cells=args.n_cells, t_end=t_end,
+                       snapshot_times=_even_snapshots(t_end))
+    kernel = parse_kernel_arg(args.kernel)
+    snaps = _even_snapshots(args.t_end)
+    if args.snapshots is not None:
+        try:
+            snaps = tuple(sorted(float(s) for s in args.snapshots.split(",") if s))
+        except ValueError as exc:
+            raise ValueError(f"--snapshots: {exc}") from None
+    return Experiment(name=f"evolve-{datum.name}", datum=datum, kernels=(kernel,),
+                      n_cells=args.n_cells, t_end=args.t_end, snapshot_times=snaps,
+                      stop_on_blowup=not args.run_past_blowup)
 
 
-def _write_manifest(out: Path, args, files: list[str]) -> None:
+def _recorded(args) -> dict:
+    """The command and its options, as manifest.json and failure_dump.json record them."""
     # an option that a mode ignores may be non-finite; JSON has no nan or inf
     options = {k: repr(v) if isinstance(v, float) and not math.isfinite(v) else v
                for k, v in sorted(vars(args).items())}
-    manifest = {"command": args.subcommand, "options": options, "files": sorted(files)}
-    write_json(out / "manifest.json", manifest)
+    return {"command": args.subcommand, "options": options}
 
 
 def _even_snapshots(t_end: float) -> tuple:
@@ -192,56 +207,14 @@ def dispatch(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     files: list[str] = []
 
-    if args.subcommand == "classify":
-        exp = _experiment(args, f"classify-{args.datum}", ())
-        result = run_experiment(exp, out)
+    if args.subcommand in ("classify", "evolve", "compare-kernels"):
+        result = run_experiment(_experiment(args), out)
         files += result.files
         print(result.classification.verdict)
-
-    elif args.subcommand == "evolve":
-        kernel = parse_kernel_arg(args.kernel)
-        if args.snapshots is not None:
-            try:
-                snaps = tuple(sorted(float(s) for s in args.snapshots.split(",") if s))
-            except ValueError as exc:
-                raise ValueError(f"--snapshots: {exc}") from None
-        else:
-            snaps = _even_snapshots(args.t_end)
-        exp = _experiment(
-            args,
-            f"evolve-{args.datum}",
-            (kernel,),
-            t_end=args.t_end,
-            snapshot_times=snaps,
-            stop_on_blowup=not args.run_past_blowup,
-        )
-        result = run_experiment(exp, out)
-        files += result.files
-        report = result.diagnostics[kernel.tag].blowup
-        if report.detected:
-            print(f"breakdown detected at t = {report.t_detect:g}")
-        else:
-            print("no breakdown detected")
-
-    elif args.subcommand == "compare-kernels":
-        recipe = {
-            "bump": RECIPES["supercritical-compare"],
-            "subinit": RECIPES["subcritical-compare"],
-        }[get_datum(args.datum).name]
-        t_end = args.t_end if args.t_end is not None else recipe.t_end
-        exp = _experiment(
-            args,
-            recipe.name,
-            recipe.kernels,
-            t_end=t_end,
-            snapshot_times=_even_snapshots(t_end),
-        )
-        result = run_experiment(exp, out)
-        files += result.files
         for tag, diag in result.diagnostics.items():
             rep = diag.blowup
             status = f"breakdown at t = {rep.t_detect:g}" if rep.detected else "smooth"
-            print(f"{tag}: {status}")
+            print(f"{tag}: {status}, mass drift {diag.max_mass_drift:.3e}")
 
     elif args.subcommand == "phase-portrait":
         if args.factor is not None:
@@ -270,7 +243,7 @@ def dispatch(args) -> int:
     else:  # pragma: no cover
         raise ValueError(f"unknown subcommand {args.subcommand!r}")
 
-    _write_manifest(out, args, files)
+    write_json(out / "manifest.json", {**_recorded(args), "files": sorted(files)})
     return 0
 
 
@@ -298,7 +271,7 @@ def main(argv=None) -> int:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         path = out / "failure_dump.json"
-        write_json(path, {"error": str(exc), **exc.dump})
+        write_json(path, {"error": str(exc), **exc.dump, **_recorded(args)})
         print(f"numerical failure: {exc} (dump: {path})", file=sys.stderr)
         return 3
 

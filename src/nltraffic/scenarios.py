@@ -36,7 +36,9 @@ from .grid import (
     write_profile_csv,
 )
 from .kernels import INFINITE, SK_UNIT, UNIFORM, ZERO, Kernel
-from .solver import BLOWUP_GRADIENT_FACTOR, Diagnostics, SolverConfig, evolve
+from .solver import (
+    BLOWUP_GRADIENT_FACTOR, Diagnostics, SolverConfig, evolve, require_runnable,
+)
 from .threshold import (
     Classification,
     classify_initial_data,
@@ -194,9 +196,10 @@ def _warn(tag: str, diag: Diagnostics, dx: float) -> None:
 def run_experiment(exp: Experiment, out_dir) -> ExperimentResult:
     """Execute one recipe and write its bundle under out_dir/<name>/.
 
-    Every kernel is evolved before the first file is written, so a run that
-    is refused or fails leaves no partial bundle.  Each kernel's warnings
-    go to stderr once every kernel has evolved.
+    Every kernel's run is checked before the first evolves, and evolved
+    before the first file is written, so a run that is refused or fails
+    leaves no partial bundle.  Each kernel's warnings go to stderr once
+    every kernel has evolved.
     """
     u0 = exp.datum.sample(exp.n_cells)
     grid = u0.grid
@@ -219,6 +222,8 @@ def run_experiment(exp: Experiment, out_dir) -> ExperimentResult:
             raise ValueError(f"snapshot times {snap_files[fname]!r} and {t!r} both name {fname}")
         snap_files[fname] = t
     result = classify_initial_data(u0)
+    for config in configs:  # refuse the recipe before its first kernel evolves
+        require_runnable(u0, config)
     runs = [(config.kernel, *evolve(u0, config)) for config in configs]
     for kernel, _, diag in runs:
         _warn(kernel.tag, diag, grid.dx)

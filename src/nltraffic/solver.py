@@ -261,17 +261,14 @@ def _checked_measure(u, cells: slice, t: float, dt: float, speed: float, dx: flo
     return factor, mass, amp, (t, mass, lo, hi, gi, f_min, f_max, dt, speed)
 
 
-def evolve(u0: GridFunction, config: SolverConfig):
-    """Run the scheme from u0 on its grid; returns (snapshots, diagnostics).
+def require_runnable(u0: GridFunction, config: SolverConfig) -> None:
+    """Raise ValueError unless evolve(u0, config) may start.
 
-    snapshots is a list of (requested_time, GridFunction) taken at the
-    nearest completed step.  Breakdown detection terminates the run unless
-    stop_on_blowup is False, in which case the first detection time is
-    recorded and the run continues to t_end.  A kernel that looks ahead
-    refuses u0 whose last five cells hold more than BOUNDARY_CONTACT_MASS:
-    its average would miss whatever lies past x_right.  The zero kernel's
-    flux needs nothing past it, so it runs, and boundary_contact_t reports
-    any density that leaves.
+    u0 must be a density.  A kernel that looks ahead refuses u0 whose last
+    five cells hold more than BOUNDARY_CONTACT_MASS: its average would miss
+    whatever lies past x_right.  The zero kernel's flux needs nothing past
+    it, so it runs, and boundary_contact_t reports any density that leaves.
+    The run may take at most MAX_STEPS steps.
     """
     require_density(u0)
     grid, dx = u0.grid, u0.grid.dx
@@ -293,6 +290,18 @@ def evolve(u0: GridFunction, config: SolverConfig):
             f"--x-left/--x-right or lower --n-cells"
         )
 
+
+def evolve(u0: GridFunction, config: SolverConfig):
+    """Run the scheme from u0 on its grid; returns (snapshots, diagnostics).
+
+    snapshots is a list of (requested_time, GridFunction) taken at the
+    nearest completed step.  Breakdown detection terminates the run unless
+    stop_on_blowup is False, in which case the first detection time is
+    recorded and the run continues to t_end.  require_runnable() is checked
+    before the first step.
+    """
+    require_runnable(u0, config)
+    grid, dx = u0.grid, u0.grid.dx
     pad, new, work = _buffers(grid.n_cells)
     pad[1:-1] = u0.values
     cells = _stepped_cells(u0.values, config.kernel, dx)

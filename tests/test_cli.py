@@ -19,7 +19,11 @@ import nltraffic
 from nltraffic import scenarios
 from nltraffic.cli import main, parse_args, parse_kernel_arg
 from nltraffic.kernels import sk_scaled
+from nltraffic.scenarios import RECIPES, customized, run_experiment
 from nltraffic.solver import SolverFailure
+
+# what classify, evolve and compare-kernels print for each kernel, after the verdict
+KERNEL_LINE = re.compile(r"[\w.]+: (breakdown at t = \S+|smooth), mass drift \d\.\d{3}e[-+]\d\d")
 
 
 def test_parse_defaults():
@@ -174,6 +178,40 @@ def test_classify_prints_verdict(tmp_path, capsys):
     assert report["verdict"] == "SUBCRITICAL"
 
 
+def test_classify_prints_only_the_verdict(tmp_path, capsys):
+    """classify evolves no kernel, so its report is the verdict line alone."""
+    argv = ["classify", "--datum", "bump", "--n-cells", "400", "--out", str(tmp_path)]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == "SUPERCRITICAL\n"
+
+
+def test_evolve_and_compare_kernels_print_the_same_kernel_line(tmp_path, capsys):
+    """evolve --kernel sk past breakdown is compare-kernels' sk run, and prints its line."""
+    grid = ["--n-cells", "400", "--t-end", "1"]
+    argv = ["evolve", "--kernel", "sk", "--run-past-blowup", *grid, "--out", str(tmp_path / "e")]
+    assert main(argv) == 0
+    evolved = capsys.readouterr().out.splitlines()
+    assert main(["compare-kernels", *grid, "--out", str(tmp_path / "c")]) == 0
+    compared = capsys.readouterr().out.splitlines()
+    assert len(evolved) == 2 and len(compared) == 5
+    assert evolved[0] == compared[0] == "SUPERCRITICAL"
+    assert KERNEL_LINE.fullmatch(evolved[1]) and evolved[1].startswith("sk: ")
+    assert compared[2] == evolved[1]
+
+
+def test_compare_kernels_writes_the_recipe_bundle(tmp_path, capsys):
+    """compare-kernels --datum subinit is the subcritical-compare recipe at its --n-cells."""
+    argv = ["compare-kernels", "--datum", "subinit", "--n-cells", "400"]
+    assert main(argv + ["--out", str(tmp_path / "cli")]) == 0
+    run_experiment(customized(RECIPES["subcritical-compare"], n_cells=400), tmp_path / "lib")
+    cli, lib = (tmp_path / d / "subcritical-compare" for d in ("cli", "lib"))
+    files = sorted(p.relative_to(lib) for p in lib.rglob("*") if p.is_file())
+    assert files == sorted(p.relative_to(cli) for p in cli.rglob("*") if p.is_file())
+    assert len(files) == 4 + 4 * 7
+    for rel in files:
+        assert (cli / rel).read_bytes() == (lib / rel).read_bytes(), rel
+
+
 def test_evolve_bundle_and_detection(tmp_path, capsys):
     out = tmp_path / "e"
     code = main(
@@ -184,12 +222,16 @@ def test_evolve_bundle_and_detection(tmp_path, capsys):
         ]
     )
     assert code == 0
-    assert "breakdown detected at t =" in capsys.readouterr().out
+    verdict, line = capsys.readouterr().out.splitlines()
     kdir = out / "evolve-bump" / "kernel_zero"
     assert (kdir / "snap_t0.csv").is_file()
     assert (kdir / "snap_t1.5.csv").is_file()
     report = json.loads((kdir / "blowup.json").read_text())
     assert report["detected"] and 0.0 < report["t_detect"] < 1.5
+    assert verdict == "SUPERCRITICAL"
+    assert KERNEL_LINE.fullmatch(line) and line.startswith(
+        f"zero: breakdown at t = {report['t_detect']:g}, mass drift "
+    ), line
 
 
 def test_evolve_stops_at_detection_by_default(tmp_path):
@@ -264,8 +306,11 @@ def test_compare_kernels_bundle(tmp_path, capsys):
         )
         assert code == 0
         captured = capsys.readouterr()
-        lines = captured.out.strip().split("\n")
-        assert len(lines) == 4
+        verdict, *lines = captured.out.splitlines()
+        assert verdict == "SUPERCRITICAL"
+        assert [line.split(":")[0] for line in lines] == list(tags)
+        assert all(KERNEL_LINE.fullmatch(line) for line in lines), lines
+        lines = [line.split(", mass drift ")[0] for line in lines]
         at_zero = [f"{tag}: breakdown at t = 0" for tag in tags]
         if coarse:
             assert lines == at_zero
@@ -426,7 +471,7 @@ def test_infinite_kernel_right_tail_exits_2_without_output(tmp_path, capsys):
 
 
 def test_compare_kernels_refused_at_first_lookahead_kernel(tmp_path, capsys, monkeypatch):
-    """The bump cut at x = 0.5: zero runs, sk refuses, and the kernels after it never start."""
+    """The bump cut at x = 0.5: sk refuses it, and no kernel starts, zero included."""
     ran = []
 
     def counting_evolve(u0, config):
@@ -438,7 +483,7 @@ def test_compare_kernels_refused_at_first_lookahead_kernel(tmp_path, capsys, mon
     argv = ["compare-kernels", "--n-cells", "400", "--t-end", "1", "--x-right", "0.5"]
     assert main(argv + ["--out", str(tmp_path)]) == 2
     assert "x_right" in capsys.readouterr().err
-    assert ran == ["zero", "sk"]
+    assert ran == []
     assert list(tmp_path.rglob("*")) == []
 
 
@@ -460,6 +505,12 @@ def test_bounds_overflow_names_u0(tmp_path, capsys):
     """1/u0 overflows for a subnormal u0: the message gives u0, not only m."""
     assert main(["bounds", "--d0", "0.4", "--u0", "1e-320", "--out", str(tmp_path)]) == 2
     assert "u0 = 1e-320" in capsys.readouterr().err
+
+
+def test_bounds_at_the_smallest_u0_names_u0(tmp_path, capsys):
+    """u1 = u0/2 underflows to 0 for the smallest subnormal u0: the message gives both."""
+    assert main(["bounds", "--d0", "0.26", "--u0", "5e-324", "--out", str(tmp_path)]) == 2
+    assert "got u0 = 5e-324, u1 = 0.0" in capsys.readouterr().err
 
 
 def test_readme_library_example_runs():
@@ -511,16 +562,25 @@ print(json.dumps(codes))
 
 
 def test_solver_failure_writes_dump(tmp_path, capsys, monkeypatch):
+    """The dump records the command and options in the form of manifest.json."""
     def boom(exp, out_dir):
         raise SolverFailure("synthetic failure", dump={"t": 0.5})
 
     monkeypatch.setattr("nltraffic.cli.run_experiment", boom)
     out = tmp_path / "sf"
-    code = main(["classify", "--out", str(out)])
+    argv = ["classify", "--n-cells", "300", "--x-left", "nan", "--x-right", "4", "--out", str(out)]
+    code = main(argv)
     assert code == 3
     dump = json.loads((out / "failure_dump.json").read_text())
     assert dump["error"] == "synthetic failure"
     assert dump["t"] == 0.5
+    assert dump["command"] == "classify" and dump["options"]["x_left"] == "nan"
+    monkeypatch.undo()
+    argv[argv.index("nan")] = "-6"
+    assert main(argv) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert dump["command"] == manifest["command"]
+    assert dump["options"] == {**manifest["options"], "x_left": "nan"}
 
 
 def test_factor_band_failure_exits_3_with_dump(tmp_path, capsys, monkeypatch):
@@ -532,7 +592,7 @@ def test_factor_band_failure_exits_3_with_dump(tmp_path, capsys, monkeypatch):
     assert code == 3
     assert "numerical failure: slow-down factor left its admissible band" in capsys.readouterr().err
     dump = json.loads((out / "failure_dump.json").read_text())
-    assert set(dump) == {"error", "t", "factor_min", "factor_max"}
+    assert set(dump) == {"error", "t", "factor_min", "factor_max", "command", "options"}
     assert dump["t"] == 0.0 and dump["factor_max"] > 1.0
     assert not (out / "evolve-bump").exists()
 
@@ -542,7 +602,9 @@ def test_evolve_smooth_run_prints_no_breakdown(tmp_path, capsys):
     argv = ["evolve", "--datum", "subinit", "--kernel", "infinite", "--n-cells", "2000",
             "--t-end", "1", "--out", str(out)]
     assert main(argv) == 0
-    assert capsys.readouterr().out == "no breakdown detected\n"
+    verdict, line = capsys.readouterr().out.splitlines()
+    assert verdict == "SUBCRITICAL"
+    assert KERNEL_LINE.fullmatch(line) and line.startswith("infinite: smooth, mass drift "), line
     report = json.loads((out / "evolve-subinit" / "kernel_infinite" / "blowup.json").read_text())
     assert report["detected"] is False
 

@@ -4,7 +4,6 @@ import json
 import math
 import re
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,9 +26,7 @@ from nltraffic.scenarios import (
 from nltraffic.solver import gradient_indicator
 from nltraffic.threshold import classify_initial_data
 from oracles import CATALOG_VERDICTS, random_compact_bump
-from test_cli import run_python
 
-SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "run_experiments.py"
 # the t = 0 warning as the CI step matches it
 T0_WARNING = re.compile(r"^warning: kernel .*: breakdown detected at t = 0: .*--n-cells$")
 
@@ -226,12 +223,13 @@ def test_coarse_bundle_warns_once_per_kernel(tmp_path, capsys):
     assert len(lines) == 4 and all(T0_WARNING.match(line) for line in lines), lines
 
 
-def test_experiment_script_warns_for_every_coarse_kernel(tmp_path):
+def test_experiment_script_warns_for_every_coarse_kernel(tmp_path, capsys):
     """Both compare recipes warn for each of their four kernels at n = 400."""
-    proc = run_python([str(SCRIPT), str(tmp_path), "400"], timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    lines = proc.stderr.splitlines()
-    assert len(lines) == 8 and all(T0_WARNING.match(line) for line in lines), lines
+    for datum in ("bump", "subinit"):
+        argv = ["compare-kernels", "--datum", datum, "--n-cells", "400", "--out", str(tmp_path)]
+        assert main(argv) == 0
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 4 and all(T0_WARNING.match(line) for line in lines), lines
 
 
 def test_contour_recipe_skips_evolution(tmp_path, capsys, monkeypatch):
