@@ -251,18 +251,24 @@ def time_to_level(u0: float, u1: float, m: float) -> float:
 
 
 @dataclass(frozen=True)
-class BlowupBound:
-    """Riccati blow-up estimate once the density sits below u1."""
+class AnalyticBounds:
+    """Composite blow-up certificate for a supercritical start.
 
+    C_star is the slope at t1 that the Riccati comparison starts from:
+    slope_floor's C_* in supercritical_bounds, d_at_t1 in blowup_time_bound.
+    """
+
+    t1: float
     d_minus: float
     d_plus: float
-    sharp: float
-    coarse: float
+    T_star_sharp: float
+    T_star_coarse: float
+    C_star: float
 
 
 def blowup_time_bound(
     d_at_t1: float, u1: float, m: float, t1: float = 0.0
-) -> BlowupBound:
+) -> AnalyticBounds:
     """Explicit upper bounds for the blow-up time of a dominating slope.
 
     For u <= u1 the slope obeys d' >= 2 exp(-m) (d - d_-)(d - d_+) with
@@ -290,7 +296,8 @@ def blowup_time_bound(
     sharp = t1 + log_ratio / rate if rate > 0.0 else math.inf
     _require_finite_bound(m, sharp=sharp, coarse=coarse)
     assert sharp <= coarse + 1e-12, "sharp bound exceeded the coarse bound"
-    return BlowupBound(d_minus=d_minus, d_plus=d_plus, sharp=sharp, coarse=coarse)
+    return AnalyticBounds(t1=t1, d_minus=d_minus, d_plus=d_plus, T_star_sharp=sharp,
+                          T_star_coarse=coarse, C_star=d_at_t1)
 
 
 def slope_floor(d0: float, u0: float) -> float:
@@ -312,18 +319,6 @@ def slope_floor(d0: float, u0: float) -> float:
     return margin * curve.u_boost**3 / u0**3 if u0 > curve.u_boost else margin
 
 
-@dataclass(frozen=True)
-class AnalyticBounds:
-    """Composite blow-up certificate for a supercritical start."""
-
-    t1: float
-    d_minus: float
-    d_plus: float
-    T_star_sharp: float
-    T_star_coarse: float
-    C_star: float
-
-
 def supercritical_bounds(d0: float, u0: float, m: float) -> AnalyticBounds:
     """Chain slope_floor -> time_to_level -> blowup_time_bound.
 
@@ -333,16 +328,6 @@ def supercritical_bounds(d0: float, u0: float, m: float) -> AnalyticBounds:
     so the result certifies blow-up no later than T_star_sharp for every
     path starting at (d0, u0) with factor >= exp(-m).
     """
-    _require_finite(d0=d0, u0=u0, m=m)
     c_star = slope_floor(d0, u0)
     u1 = min(c_star / 4.0, u0 / 2.0)
-    t1 = time_to_level(u0, u1, m)
-    bound = blowup_time_bound(c_star, u1, m, t1)
-    return AnalyticBounds(
-        t1=t1,
-        d_minus=bound.d_minus,
-        d_plus=bound.d_plus,
-        T_star_sharp=bound.sharp,
-        T_star_coarse=bound.coarse,
-        C_star=c_star,
-    )
+    return blowup_time_bound(c_star, u1, m, time_to_level(u0, u1, m))

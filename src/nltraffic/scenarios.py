@@ -10,13 +10,13 @@ Two analytic profiles anchor the study:
   curve; with the infinite look-ahead kernel it evolves smoothly forever,
   while kernels with bounded horizon still break down.
 
-The 1/x^2 left tail carries infinite support, so the recommended domain
-[-200, 40] truncates it.  The bundle's metadata.json records the truncated
-analytic tail mass (1/|x_left|) as left_tail_mass; the mass diagnostic is
-the mass on the grid.  The look-ahead average only sees density to the
-right, so the tail never enters ubar.  What a cut on the right misses is
-the solver's to judge, from the sampled grid: evolve() refuses data that
-reach x_right under a kernel that looks ahead.
+Each datum is a profile on its recommended domain, and a run sees only the
+profile sampled on the grid, mass included; metadata.json records the
+domain.  subinit's 1/x^2 tail has infinite support, which [-200, 40] cuts;
+the look-ahead average only sees density to the right, so a cut on the left
+never enters ubar.  What a cut on the right misses is the solver's to judge,
+from the sampled grid: evolve() refuses data that reach x_right under a
+kernel that looks ahead.
 """
 
 from __future__ import annotations
@@ -78,26 +78,14 @@ def subcritical_init(x):
 
 @dataclass(frozen=True)
 class InitialDatum:
-    """Analytic initial profile with its recommended truncation."""
+    """Analytic initial profile on its recommended domain."""
 
     name: str
     profile: object
     domain: tuple[float, float]
-    # analytic mass left of the grid, as a function of x_left
-    left_tail: object = None
 
     def sample(self, n_cells: int) -> GridFunction:
         return GridFunction.from_callable(GridSpec(*self.domain, n_cells), self.profile)
-
-    def left_tail_mass(self, x_left: float) -> float:
-        return float(self.left_tail(x_left)) if self.left_tail else 0.0
-
-
-def _subinit_left_tail(x_left):
-    if x_left > -3.0:
-        raise ValueError(f"subinit domains must start in the 1/x^2 branch, x_left <= -3; "
-                         f"got x_left = {x_left:g}")
-    return 1.0 / abs(x_left)  # int_{-inf}^{x_left} x^-2 dx
 
 
 CATALOG = {
@@ -110,7 +98,6 @@ CATALOG = {
         name="subinit",
         profile=subcritical_init,
         domain=(-200.0, 40.0),
-        left_tail=_subinit_left_tail,
     ),
 }
 
@@ -208,7 +195,6 @@ def run_experiment(exp: Experiment, out_dir) -> ExperimentResult:
             f"the n_cells = {exp.n_cells} cell centers on [x_left, x_right] = "
             f"[{grid.x_left:g}, {grid.x_right:g}] sample {exp.datum.name} as 0 everywhere"
         )
-    tail_left = exp.datum.left_tail_mass(grid.x_left)
     # built first, so that invalid solver options stop the run before any evolve
     configs = [
         SolverConfig(kernel=kernel, t_end=exp.t_end, snapshot_times=exp.snapshot_times,
@@ -256,7 +242,6 @@ def run_experiment(exp: Experiment, out_dir) -> ExperimentResult:
         "t_end": exp.t_end,
         "snapshot_times": list(exp.snapshot_times),
         "kernels": [str(k) for k in exp.kernels],
-        "left_tail_mass": tail_left,
     })
 
     return ExperimentResult(

@@ -14,6 +14,8 @@ roots in d of the quadratic that drives the slope along a characteristic.
 godunov_flux is the case-split Godunov flux that solver.numerical_flux
 replaced, and reference_evolve a step loop on it that allocates every array
 afresh, against which the solver's reused work buffers are checked.
+exact_cell_averages is the bump's exact solution before it breaks, under
+the three kernels whose characteristics are explicit.
 
 Two helpers the tests share close the module: random_compact_bump draws
 random smooth initial data, and front_position reads a front off a profile.
@@ -27,6 +29,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from nltraffic.characteristics import _phase_path, time_to_level
+from nltraffic.scenarios import bump_init
 from nltraffic.solver import CFL, Diagnostics, _checked_measure
 
 SEED_X = 1e-3
@@ -291,6 +294,43 @@ def reference_evolve(u0, config):
         diag.add_row(*row)
         drift = abs(mass - mass_prev + dt * (flux[-1] - flux[0]))
         diag.max_mass_drift = max(diag.max_mass_drift, drift)
+
+
+EXACT_LABELS = 400_001
+
+
+def exact_cell_averages(grid, kernel, T: float) -> np.ndarray:
+    """Cell averages on grid of the bump's exact solution at a time T before it breaks.
+
+    Under the zero, uniform and infinite kernels the smooth solution is
+    explicit along the characteristics x' = (1 - 2u) exp(-ubar), mapped
+    from EXACT_LABELS labels x0 on the bump's support [-1, 1]:
+    * zero: X = x0 + (1 - 2 u0) T and U = u0;
+    * uniform: X = x0 + exp(-m) (1 - 2 u0) T and U = u0, m the bump's mass;
+    * infinite: K = exp(ubar0) / (1 - u0) is constant along each path, so
+      1/U = 1/u0 + T/K and X = x0 + T/K - log1p((T/K) / (1/u0 - 1)).
+    Characteristics are not particle paths, so the averages come from the
+    cumulative trapezoid of U dX along the mapped labels, read at the cell
+    edges, and not from the mass between labels.
+    """
+    x0 = np.linspace(-1.0, 1.0, EXACT_LABELS)
+    u0 = bump_init(x0)
+    pieces = 0.5 * (u0[:-1] + u0[1:]) * np.diff(x0)
+    ubar0 = np.concatenate((np.cumsum(pieces[::-1])[::-1], [0.0]))  # int_x0^inf u0
+    if kernel.kind in ("zero", "uniform"):
+        f = math.exp(-ubar0[0]) if kernel.kind == "uniform" else 1.0
+        X, U = x0 + f * (1.0 - 2.0 * u0) * T, u0
+    elif kernel.kind == "infinite":
+        s = T * (1.0 - u0) / np.exp(ubar0)  # T/K
+        with np.errstate(divide="ignore", over="ignore"):  # u0 is 0 or subnormal near +-1
+            inv_u0 = 1.0 / u0
+        X, U = x0 + s - np.log1p(s / (inv_u0 - 1.0)), 1.0 / (inv_u0 + s)
+    else:
+        raise ValueError(f"no exact profile for kernel {kernel.kind!r}")
+    assert np.all(np.diff(X) > 0.0), "characteristics crossed: T is past breaking"
+    C = np.concatenate(([0.0], np.cumsum(0.5 * (U[:-1] + U[1:]) * np.diff(X))))
+    edges = grid.x_left + np.arange(grid.n_cells + 1) * grid.dx
+    return np.diff(np.interp(edges, X, C)) / grid.dx
 
 
 def random_compact_bump(seed: int, radius: float = 3.0):

@@ -145,7 +145,7 @@ def test_criterion_4_analytic_oracles():
     escape.direction = 1
     sol = solve_ivp(
         lambda t, y: 2.0 * (y[0] - dm) * (y[0] - dp),
-        (0.0, 10.0 * bound.sharp),
+        (0.0, 10.0 * bound.T_star_sharp),
         [0.4],
         events=escape,
         rtol=1e-10,
@@ -153,7 +153,7 @@ def test_criterion_4_analytic_oracles():
     )
     riccati_ok = (
         sol.t_events[0].size == 1
-        and abs(sol.t_events[0][0] - bound.sharp) <= 0.01 * bound.sharp
+        and abs(sol.t_events[0][0] - bound.T_star_sharp) <= 0.01 * bound.T_star_sharp
     )
 
     roots_ok = slope_roots(1.0) == (-1.0, 0.0) and slope_roots(0.0) == (0.0, 0.0)

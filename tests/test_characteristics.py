@@ -184,17 +184,24 @@ def test_blowup_bound_matches_riccati_ode():
         escape.terminal = True
         escape.direction = 1
         cap = solve_ivp(
-            rhs, (0.0, 10 * bound.sharp), [d1], events=escape, rtol=1e-10, atol=1e-12
+            rhs, (0.0, 10 * bound.T_star_sharp), [d1], events=escape, rtol=1e-10, atol=1e-12
         )
         assert cap.t_events[0].size == 1
-        assert cap.t_events[0][0] == pytest.approx(bound.sharp, rel=0.01)
+        assert cap.t_events[0][0] == pytest.approx(bound.T_star_sharp, rel=0.01)
 
 
 def test_blowup_bound_sharp_below_coarse():
     for u1 in np.linspace(0.02, 0.9, 20):
         dp = (3.0 + math.sqrt(9.0 + 8.0 * u1)) / 4.0 * float(u1)
         bound = blowup_time_bound(2.5 * dp, float(u1), m=0.3)
-        assert bound.sharp <= bound.coarse + 1e-12
+        assert bound.T_star_sharp <= bound.T_star_coarse + 1e-12
+
+
+def test_blowup_bound_is_a_certificate_from_its_start():
+    """A direct call starts the comparison at (t1, d_at_t1), and says so."""
+    bound = blowup_time_bound(1.0, 0.2, 0.0, t1=3.0)
+    assert bound.t1 == 3.0 and bound.C_star == 1.0
+    assert 3.0 < bound.T_star_sharp <= bound.T_star_coarse
 
 
 def test_blowup_bound_precondition():

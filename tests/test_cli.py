@@ -95,7 +95,8 @@ def test_colliding_snapshot_names_exit_2(tmp_path, capsys, snapshots):
         (["bounds", "--d0", "0.1", "--u0", "0.5"], "d0"),
         (["evolve", "--datum", "bump", "--x-right", "0.5", "--kernel", "infinite"], "x_right"),
         (["evolve", "--datum", "subinit", "--x-right", "5", "--kernel", "sk"], "x_right"),
-        (["classify", "--datum", "subinit", "--x-left", "-2.5"], "x_left"),
+        # any left cut of subinit is a density; one at its right end leaves no domain
+        (["classify", "--datum", "subinit", "--x-left", "40"], "x_left"),
         # no cell center lies in |x| < 1, so the sampled bump is 0 everywhere
         (["classify", "--datum", "bump", "--x-right", "1e6", "--n-cells", "100"], "n_cells"),
         (["evolve", "--datum", "bump", "--x-right", "1e6", "--n-cells", "100"], "x_right"),
@@ -460,6 +461,18 @@ def test_subinit_far_left_end_prints_no_warning(tmp_path, x_left, code):
         assert proc.stderr == ""
     else:
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "--datum", "subinit"],
+    ["evolve", "--datum", "subinit", "--kernel", "zero", "--t-end", "1"],
+])
+def test_subinit_cut_inside_the_quintic_runs(tmp_path, capsys, argv):
+    """The quintic on (-3, 0] is a valid density, so subinit on [-2.5, 40] runs."""
+    assert main(argv + ["--x-left", "-2.5", "--n-cells", "400", "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().err == ""
+    (meta,) = tmp_path.glob("*-subinit/metadata.json")
+    assert json.loads(meta.read_text())["domain"] == [-2.5, 40.0]
 
 
 def test_infinite_kernel_right_tail_exits_2_without_output(tmp_path, capsys):

@@ -92,15 +92,6 @@ def test_catalog_classifications():
         assert got == CATALOG_VERDICTS[name], name
 
 
-def test_subinit_tail_masses():
-    sub = CATALOG["subinit"]
-    assert sub.left_tail_mass(-200.0) == pytest.approx(0.005)
-    with pytest.raises(ValueError):
-        sub.left_tail_mass(-2.0)
-    # bump is compactly supported, nothing beyond the cut
-    assert CATALOG["bump"].left_tail_mass(-6.0) == 0.0
-
-
 def test_datum_sampling():
     gf = CATALOG["bump"].sample(500)
     assert gf.grid.n_cells == 500
@@ -199,19 +190,24 @@ def test_bundle_layout(tmp_path):
     assert set(result.diagnostics) == {"zero", "infinite"}
 
     meta = json.loads((root / "metadata.json").read_text())
-    assert meta["datum"] == "bump"
-    assert meta["n_cells"] == 400
-    assert meta["left_tail_mass"] == 0.0
-    assert meta["kernels"] == ["zero", "infinite"]
+    assert meta == {
+        "name": "smoke",
+        "datum": "bump",
+        "domain": [-6.0, 10.0],
+        "n_cells": 400,
+        "t_end": 0.5,
+        "snapshot_times": [0.0, 0.5],
+        "kernels": ["zero", "infinite"],
+    }
 
     overlay = (root / "threshold_overlay.csv").read_text().split("\n", 1)[0]
     assert overlay == "x,u,d,sigma"
 
-    # subinit's truncated left tail is recorded, not added: mass is the grid's
+    # subinit's cut left tail is not added anywhere: mass is the grid's, and the domain says where
     sub = customized(exp, name="smoke-sub", datum=get_datum("subinit"), kernels=(ZERO,))
     run_experiment(sub, tmp_path)
     root = tmp_path / "smoke-sub"
-    assert json.loads((root / "metadata.json").read_text())["left_tail_mass"] == 0.005
+    assert json.loads((root / "metadata.json").read_text())["domain"] == [-200.0, 40.0]
     row = (root / "kernel_zero" / "diagnostics.csv").read_text().split("\n")[1]
     assert float(row.split(",")[1]) == total_mass(CATALOG["subinit"].sample(400))
 

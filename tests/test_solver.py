@@ -35,7 +35,9 @@ from nltraffic.solver import (
     gradient_indicator,
     numerical_flux,
 )
-from oracles import front_position, godunov_flux, random_compact_bump, reference_evolve
+from oracles import (
+    exact_cell_averages, front_position, godunov_flux, random_compact_bump, reference_evolve,
+)
 
 DOMAIN = (-6.0, 10.0)
 
@@ -526,6 +528,19 @@ def test_first_order_convergence():
     err = [_l1_error(run(n), ref) for n in (600, 1200)]
     ratio = err[0] / err[1]
     assert 1.6 <= ratio <= 2.4
+
+
+@pytest.mark.parametrize("kernel", [ZERO, UNIFORM, INFINITE], ids=str)
+def test_converges_to_the_exact_profile(kernel):
+    """Before the bump breaks, the L1 error against its exact solution halves with dx."""
+    errors = []
+    for n in (1000, 2000, 4000):
+        u0 = get_datum("bump").sample(n)
+        snaps, _ = evolve(u0, SolverConfig(kernel=kernel, t_end=0.5, snapshot_times=(0.5,),
+                                           stop_on_blowup=False))
+        exact = exact_cell_averages(u0.grid, kernel, 0.5)
+        errors.append(u0.grid.dx * float(np.abs(dict(snaps)[0.5].values - exact).sum()))
+    assert errors[0] / errors[1] >= 1.8 and errors[1] / errors[2] >= 1.8, errors
 
 
 def test_uniform_kernel_is_time_rescaled_lwr():
