@@ -15,7 +15,7 @@ from .characteristics import supercritical_bounds
 from .grid import GridFunction, GridSpec
 from .kernels import INFINITE
 from .scenarios import bump_init
-from .solver import SolverConfig, evolve
+from .solver import evolve
 from .threshold import classify_initial_data, default_curve
 
 __version__ = "0.1.0"

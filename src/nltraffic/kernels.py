@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GridFunction, total_mass
+from .grid import GridFunction, require_density, total_mass
 
 _KINDS = ("zero", "sk", "sk_scaled", "infinite", "uniform", "linear")
 
@@ -146,11 +146,6 @@ def lookahead_average(values: np.ndarray, dx: float, kernel: Kernel, mass: float
 
 
 def nonlocal_field(u: GridFunction, kernel: Kernel) -> np.ndarray:
-    """ubar = K * u on the cells of u's grid, for one of the kernel variants.
-
-    Requires u >= -1e-6 componentwise; a more negative value signals a
-    corrupted density rather than roundoff.
-    """
-    if float(u.values.min()) < -1e-6:
-        raise ValueError(f"negative density (min {u.values.min():.3e}) in ubar")
+    """ubar = K * u on the cells of u's grid, for one of the kernel variants and a density u."""
+    require_density(u)
     return lookahead_average(u.values, u.grid.dx, kernel, total_mass(u))

@@ -14,9 +14,11 @@ Each datum is a profile on its recommended domain, and a run sees only the
 profile sampled on the grid, mass included; metadata.json records the
 domain.  subinit's 1/x^2 tail has infinite support, which [-200, 40] cuts;
 the look-ahead average only sees density to the right, so a cut on the left
-never enters ubar.  What a cut on the right misses is the solver's to judge,
-from the sampled grid: evolve() refuses data that reach x_right under a
-kernel that looks ahead.
+never enters ubar, though the solver's left edge lets in the flux of the
+first cell.  What a cut on the right misses is the solver's to judge, from
+the sampled grid: require_runnable() refuses data that reach x_right under
+a kernel that looks ahead, and run_experiment asks it of every kernel
+before the first evolves.
 """
 
 from __future__ import annotations
@@ -36,9 +38,7 @@ from .grid import (
     write_profile_csv,
 )
 from .kernels import INFINITE, SK_UNIT, UNIFORM, ZERO, Kernel
-from .solver import (
-    BLOWUP_GRADIENT_FACTOR, Diagnostics, SolverConfig, evolve, require_runnable,
-)
+from .solver import BLOWUP_GRADIENT_FACTOR, Diagnostics, evolve, require_runnable
 from .threshold import (
     Classification,
     classify_initial_data,
@@ -153,7 +153,7 @@ class ExperimentResult:
 def _write_overlay(u0: GridFunction, path) -> None:
     curve = default_curve()
     d = spatial_derivative(u0).values
-    sig = curve.eval(np.clip(u0.values, 0.0, 1.0))
+    sig = curve.eval(u0.values)
     write_csv(path, "x,u,d,sigma", (u0.x, u0.values, d, sig))
 
 
@@ -183,10 +183,10 @@ def _warn(tag: str, diag: Diagnostics, dx: float) -> None:
 def run_experiment(exp: Experiment, out_dir) -> ExperimentResult:
     """Execute one recipe and write its bundle under out_dir/<name>/.
 
-    Every kernel's run is checked before the first evolves, and evolved
-    before the first file is written, so a run that is refused or fails
-    leaves no partial bundle.  Each kernel's warnings go to stderr once
-    every kernel has evolved.
+    Every kernel's run is checked by require_runnable before u0 is
+    classified or any kernel evolves, and evolved before the first file is
+    written, so a run that is refused or fails leaves no partial bundle.
+    Each kernel's warnings go to stderr once every kernel has evolved.
     """
     u0 = exp.datum.sample(exp.n_cells)
     grid = u0.grid
@@ -195,12 +195,8 @@ def run_experiment(exp: Experiment, out_dir) -> ExperimentResult:
             f"the n_cells = {exp.n_cells} cell centers on [x_left, x_right] = "
             f"[{grid.x_left:g}, {grid.x_right:g}] sample {exp.datum.name} as 0 everywhere"
         )
-    # built first, so that invalid solver options stop the run before any evolve
-    configs = [
-        SolverConfig(kernel=kernel, t_end=exp.t_end, snapshot_times=exp.snapshot_times,
-                     stop_on_blowup=exp.stop_on_blowup)
-        for kernel in exp.kernels
-    ]
+    for kernel in exp.kernels:  # refuse the recipe before its first kernel evolves
+        require_runnable(u0, kernel, exp.t_end, exp.snapshot_times)
     snap_files: dict[str, float] = {}  # file name -> time, in snapshot_times order
     for t in exp.snapshot_times:
         fname = f"snap_t{t:g}.csv"
@@ -208,9 +204,10 @@ def run_experiment(exp: Experiment, out_dir) -> ExperimentResult:
             raise ValueError(f"snapshot times {snap_files[fname]!r} and {t!r} both name {fname}")
         snap_files[fname] = t
     result = classify_initial_data(u0)
-    for config in configs:  # refuse the recipe before its first kernel evolves
-        require_runnable(u0, config)
-    runs = [(config.kernel, *evolve(u0, config)) for config in configs]
+    runs = [
+        (kernel, *evolve(u0, kernel, exp.t_end, exp.snapshot_times, exp.stop_on_blowup))
+        for kernel in exp.kernels
+    ]
     for kernel, _, diag in runs:
         _warn(kernel.tag, diag, grid.dx)
 

@@ -31,7 +31,11 @@ same numbers in the same order, the ones off it being exact zeros.  The mass
 (a pairwise sum) would round differently on a sub-range, so it sums all
 cells and gives the uniform kernel its average.
 
-Boundaries are zero-gradient outflow.  Time stepping is forward Euler under
+Each ghost cell copies its neighbour (zero gradient), so an edge passes
+g(u) f of its end cell: the right edge lets density out, and the left one
+lets it in.  Data cut where u(x_left) > 0 take in g(u(x_left)) f per unit
+time, as if the cut state went on to the left, and no report names this
+inflow.  Time stepping is forward Euler under
 dt = CFL dx / max wave speed, which makes the scheme monotone, hence
 mass-conservative up to boundary flux and maximum-principle preserving to
 roundoff.
@@ -81,24 +85,6 @@ class SolverFailure(RuntimeError):
         self.dump = dump or {}
 
 
-@dataclass(frozen=True)
-class SolverConfig:
-    kernel: Kernel
-    t_end: float
-    snapshot_times: tuple = ()
-    stop_on_blowup: bool = True
-
-    def __post_init__(self):
-        if not (0.0 < self.t_end < math.inf):
-            raise ValueError(f"t_end must be positive and finite, got {self.t_end}")
-        times = tuple(float(t) for t in self.snapshot_times)
-        if not all(0.0 <= t <= self.t_end + 1e-12 for t in times):
-            raise ValueError(f"snapshot_times must lie in [0, t_end], got {times}")
-        if list(times) != sorted(times):
-            raise ValueError("snapshot times must be sorted")
-        object.__setattr__(self, "snapshot_times", times)
-
-
 def numerical_flux(u_left, u_right, factor, out, work):
     """Godunov interface flux for local flux g(u) = u (1 - u) * factor, into out.
 
@@ -120,15 +106,15 @@ def numerical_flux(u_left, u_right, factor, out, work):
     return out
 
 
-def _advance(pad, new, factor, cells: slice, t: float, dx: float, config: SolverConfig, work):
+def _advance(pad, new, factor, cells: slice, t: float, dx: float, t_end: float, work):
     """One CFL step of forward Euler on the cells of pad[1:-1] into new[1:-1].
 
     pad and new hold a state on cells of width dx between two ghost cells.
-    The cells' ghosts are their outer neighbours, set here (zero-gradient
-    outflow); off a domain edge those are vacuum beside vacuum of one factor.
-    factor is the cells' lagged slow-down factor and work _buffers()'s
-    scratch.  Returns (dt, speed, boundary_flux), the fluxes being the left
-    and right outflow rates.
+    The cells' ghosts are their outer neighbours, set here (zero gradient);
+    off a domain edge those are vacuum beside vacuum of one factor.  factor
+    is the cells' lagged slow-down factor and work _buffers()'s scratch.
+    Returns (dt, speed, boundary_flux), the fluxes being the rightward ones
+    through the left edge (inflow) and the right edge (outflow).
     """
     pad, new = pad[cells.start : cells.stop + 2], new[cells.start : cells.stop + 2]
     c = work[0, : len(pad)]
@@ -144,7 +130,7 @@ def _advance(pad, new, factor, cells: slice, t: float, dx: float, config: Solver
     np.maximum(c[:-1], c[1:], out=alpha)
     alpha *= fi
     speed = 2.0 * float(alpha.max())
-    dt = min(CFL * dx / max(speed, SPEED_FLOOR), config.t_end - t)
+    dt = min(CFL * dx / max(speed, SPEED_FLOOR), t_end - t)
     numerical_flux(pad[:-1], pad[1:], fi, out=flux, work=alpha)  # alpha is read: scratch
     u_new = new[1:-1]
     np.subtract(flux[1:], flux[:-1], out=u_new)
@@ -173,7 +159,6 @@ def _stepped_cells(values, kernel: Kernel, dx: float) -> slice:
 class BlowupReport:
     detected: bool
     t_detect: float | None
-    max_gradient: float
     # first t at which the mass that left through the right edge exceeds
     # BOUNDARY_CONTACT_MASS: the run has left the model's domain of validity
     boundary_contact_t: float | None
@@ -233,7 +218,7 @@ def _checked_measure(u, cells: slice, t: float, dt: float, speed: float, dx: flo
 
     t is the state's time, dt and speed those of the step that produced it
     (0 for the initial state).  Returns the factor of the stepped cells, and
-    the state's mass, amplitude and diagnostics row.
+    the state's mass and diagnostics row.
     """
     v = u[cells]
     lo, hi = float(v.min()), float(v.max())  # nan and +-inf propagate into both
@@ -258,63 +243,74 @@ def _checked_measure(u, cells: slice, t: float, dt: float, speed: float, dx: flo
         )
     amp = max(hi, -lo)  # = max |u|
     gi = 0.0 if amp <= 1e-14 else _max_slope(u, dx, cells) / amp
-    return factor, mass, amp, (t, mass, lo, hi, gi, f_min, f_max, dt, speed)
+    return factor, mass, (t, mass, lo, hi, gi, f_min, f_max, dt, speed)
 
 
-def require_runnable(u0: GridFunction, config: SolverConfig) -> None:
-    """Raise ValueError unless evolve(u0, config) may start.
+def require_runnable(u0: GridFunction, kernel: Kernel, t_end: float,
+                     snapshot_times=()) -> None:
+    """Raise ValueError unless evolve(u0, kernel, t_end, snapshot_times) may start.
 
-    u0 must be a density.  A kernel that looks ahead refuses u0 whose last
-    five cells hold more than BOUNDARY_CONTACT_MASS: its average would miss
-    whatever lies past x_right.  The zero kernel's flux needs nothing past
-    it, so it runs, and boundary_contact_t reports any density that leaves.
-    The run may take at most MAX_STEPS steps.
+    t_end must be positive and finite, the snapshot times sorted in [0,
+    t_end] and u0 a density.  A kernel that looks ahead refuses u0 whose
+    last five cells hold more than BOUNDARY_CONTACT_MASS: its average would
+    miss whatever lies past x_right.  The zero kernel's flux needs nothing
+    past it, so it runs, and boundary_contact_t reports any density that
+    leaves.  The run may take at most MAX_STEPS steps.
     """
+    if not (0.0 < t_end < math.inf):
+        raise ValueError(f"t_end must be positive and finite, got {t_end}")
+    times = tuple(float(t) for t in snapshot_times)
+    if not all(0.0 <= t <= t_end + 1e-12 for t in times):
+        raise ValueError(f"snapshot_times must lie in [0, t_end], got {times}")
+    if list(times) != sorted(times):
+        raise ValueError("snapshot times must be sorted")
     require_density(u0)
     grid, dx = u0.grid, u0.grid.dx
     tail = dx * float(u0.values[-5:].sum())
-    if config.kernel.weight_sup and tail > BOUNDARY_CONTACT_MASS:
+    if kernel.weight_sup and tail > BOUNDARY_CONTACT_MASS:
         raise ValueError(
             f"data reach the right boundary x_right = {grid.x_right:g} (tail mass "
-            f"{tail:.3e}); kernel {config.kernel} looks ahead past it: raise --x-right"
+            f"{tail:.3e}); kernel {kernel} looks ahead past it: raise --x-right"
         )
 
     # _checked_measure keeps u within DENSITY_TOL of [0, 1] and the factor at
     # most 1 + 1e-10, so no wave speed exceeds 1 + 3e-8 and every step but the
     # last is at least CFL dx / (1 + 3e-8) long: this bounds the step count
-    steps = config.t_end * (1.0 + 3e-8) / (CFL * dx)
+    steps = t_end * (1.0 + 3e-8) / (CFL * dx)
     if steps > MAX_STEPS:
         raise ValueError(
             f"cells of width dx = {dx:.3g} may take up to {steps:.3g} steps to "
-            f"t_end = {config.t_end:g}, over the budget of {MAX_STEPS}; widen "
+            f"t_end = {t_end:g}, over the budget of {MAX_STEPS}; widen "
             f"--x-left/--x-right or lower --n-cells"
         )
 
 
-def evolve(u0: GridFunction, config: SolverConfig):
-    """Run the scheme from u0 on its grid; returns (snapshots, diagnostics).
+def evolve(u0: GridFunction, kernel: Kernel, t_end: float, snapshot_times=(),
+           stop_on_blowup: bool = True):
+    """Run the scheme from u0 on its grid to t_end; returns (snapshots, diagnostics).
 
-    snapshots is a list of (requested_time, GridFunction) taken at the
-    nearest completed step.  Breakdown detection terminates the run unless
-    stop_on_blowup is False, in which case the first detection time is
-    recorded and the run continues to t_end.  require_runnable() is checked
-    before the first step.
+    snapshots lists (requested_time, GridFunction) for each of the
+    snapshot_times that the run reaches, taken at the nearest completed
+    step.  Breakdown detection terminates the run unless stop_on_blowup is
+    False, in which case the first detection time is recorded and the run
+    continues to t_end.  require_runnable() is checked before the first
+    step.
     """
-    require_runnable(u0, config)
+    require_runnable(u0, kernel, t_end, snapshot_times)
     grid, dx = u0.grid, u0.grid.dx
     pad, new, work = _buffers(grid.n_cells)
     pad[1:-1] = u0.values
-    cells = _stepped_cells(u0.values, config.kernel, dx)
+    cells = _stepped_cells(u0.values, kernel, dx)
     u = u_prev = pad[1:-1]
     # dt = 0 marks the initial state, which closes no step and adds no outflow
-    t = t_prev = dt = speed = f_left = f_right = mass_prev = outflow = max_gradient = 0.0
+    t = t_prev = dt = speed = f_left = f_right = mass_prev = outflow = 0.0
     t_detect = contact_t = None
     grid_scale = BLOWUP_GRADIENT_FACTOR / dx
-    pending = list(config.snapshot_times)
+    pending = [float(s) for s in snapshot_times]
     snapshots: list[tuple[float, GridFunction]] = []
     diag = Diagnostics()
     while True:
-        factor, mass, amp, row = _checked_measure(u, cells, t, dt, speed, dx, config.kernel)
+        factor, mass, row = _checked_measure(u, cells, t, dt, speed, dx, kernel)
         diag.add_row(*row)
         if dt:  # the step's mass balance against its boundary fluxes
             drift = abs(mass - mass_prev + dt * (f_right - f_left))
@@ -323,18 +319,16 @@ def evolve(u0: GridFunction, config: SolverConfig):
             outflow += dt * f_right
             if outflow > BOUNDARY_CONTACT_MASS:
                 contact_t = t
-        gi = row[4]
-        max_gradient = max(max_gradient, gi * amp)
-        if t_detect is None and gi >= grid_scale:
+        if t_detect is None and row[4] >= grid_scale:  # the gradient indicator
             t_detect = t
         while pending and pending[0] <= t + 1e-12:
             tgt = pending.pop(0)
             pick = u_prev if abs(t_prev - tgt) < abs(t - tgt) else u
             snapshots.append((tgt, GridFunction(grid, pick)))
-        if t >= config.t_end - 1e-12 or (t_detect is not None and config.stop_on_blowup):
+        if t >= t_end - 1e-12 or (t_detect is not None and stop_on_blowup):
             break
         t_prev, mass_prev = t, mass
-        dt, speed, (f_left, f_right) = _advance(pad, new, factor, cells, t_prev, dx, config, work)
+        dt, speed, (f_left, f_right) = _advance(pad, new, factor, cells, t_prev, dx, t_end, work)
         # the next step overwrites u_prev, after this one has taken its snapshots
         pad, new = new, pad
         u_prev, u = new[1:-1], pad[1:-1]
@@ -343,5 +337,5 @@ def evolve(u0: GridFunction, config: SolverConfig):
             cells = slice(cells.start, cells.stop + 1)
 
     diag.blowup = BlowupReport(detected=t_detect is not None, t_detect=t_detect,
-                               max_gradient=max_gradient, boundary_contact_t=contact_t)
+                               boundary_contact_t=contact_t)
     return snapshots, diag

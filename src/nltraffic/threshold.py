@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GridFunction, require_density, spatial_derivative, write_csv
+from .grid import DENSITY_TOL, GridFunction, require_density, spatial_derivative, write_csv
 
 # verdict dead band: |margin| <= tau is treated as "on the curve"
 STRICTNESS_TAU = 1e-10
@@ -41,9 +41,9 @@ class ThresholdCurve:
     u_boost = 0.25
 
     def eval(self, u):
-        """sigma(u) for scalar or array u in [0, 1]."""
+        """sigma(u) for scalar or array u in [0, 1]; u within DENSITY_TOL of it is clipped."""
         arr = np.asarray(u, dtype=float)
-        if np.any(arr < -1e-12) or np.any(arr > 1.0 + 1e-12):
+        if np.any(arr < -DENSITY_TOL) or np.any(arr > 1.0 + DENSITY_TOL):
             raise ValueError("sigma is only defined for densities in [0, 1]")
         arr = np.clip(arr, 0.0, 1.0)
         out = arr * (1.0 - arr)
@@ -82,7 +82,7 @@ def classify_initial_data(u0: GridFunction) -> Classification:
     if len(values) > 1 and float(np.max(np.abs(np.diff(values)))) > 0.5:
         raise ValueError("initial profile under-resolved: adjacent jump > 0.5")
     d = spatial_derivative(u0).values
-    margins = d - default_curve().eval(np.clip(values, 0.0, 1.0))
+    margins = d - default_curve().eval(values)
     i = int(np.argmax(margins))
     top = float(margins[i])
     witness = (float(u0.x[i]), float(values[i]), float(d[i]))

@@ -14,8 +14,8 @@ roots in d of the quadratic that drives the slope along a characteristic.
 godunov_flux is the case-split Godunov flux that solver.numerical_flux
 replaced, and reference_evolve a step loop on it that allocates every array
 afresh, against which the solver's reused work buffers are checked.
-exact_cell_averages is the bump's exact solution before it breaks, under
-the three kernels whose characteristics are explicit.
+exact_cell_averages is the exact solution of a catalog datum before it
+breaks, under the three kernels whose characteristics are explicit.
 
 Two helpers the tests share close the module: random_compact_bump draws
 random smooth initial data, and front_position reads a front off a profile.
@@ -29,7 +29,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from nltraffic.characteristics import _phase_path, time_to_level
-from nltraffic.scenarios import bump_init
+from nltraffic.scenarios import get_datum
 from nltraffic.solver import CFL, Diagnostics, _checked_measure
 
 SEED_X = 1e-3
@@ -260,7 +260,7 @@ def godunov_flux(u_left, u_right, factor):
     return float(out) if out.ndim == 0 else out
 
 
-def reference_evolve(u0, config):
+def reference_evolve(u0, kernel, t_end: float, snapshot_times=()):
     """evolve() for stop_on_blowup=False, with fresh arrays in every step.
 
     Returns (snapshots, diagnostics) like evolve() except that the blow-up
@@ -269,28 +269,28 @@ def reference_evolve(u0, config):
     """
     dx = u0.grid.dx
     t, u = 0.0, u0.values
-    factor, mass, _, row = _checked_measure(u, slice(None), t, 0.0, 0.0, dx, config.kernel)
+    factor, mass, row = _checked_measure(u, slice(None), t, 0.0, 0.0, dx, kernel)
     diag = Diagnostics()
     diag.add_row(*row)
-    pending = list(config.snapshot_times)
+    pending = list(snapshot_times)
     snapshots = []
     t_prev, u_prev = t, u
     while True:
         while pending and pending[0] <= t + 1e-12:
             tgt = pending.pop(0)
             snapshots.append((tgt, u_prev if abs(t_prev - tgt) < abs(t - tgt) else u))
-        if t >= config.t_end - 1e-12:
+        if t >= t_end - 1e-12:
             return snapshots, diag
         fi = np.concatenate([factor[:1], 0.5 * (factor[:-1] + factor[1:]), factor[-1:]])
         uL = np.concatenate([u[:1], u])
         uR = np.concatenate([u, u[-1:]])
         speed = float((np.maximum(np.abs(1.0 - 2.0 * uL), np.abs(1.0 - 2.0 * uR)) * fi).max())
-        dt = min(CFL * dx / max(speed, 1e-12), config.t_end - t)
+        dt = min(CFL * dx / max(speed, 1e-12), t_end - t)
         flux = godunov_flux(uL, uR, fi)
         t_prev, u_prev, mass_prev = t, u, mass
         u = u - (dt / dx) * (flux[1:] - flux[:-1])
         t = t + dt
-        factor, mass, _, row = _checked_measure(u, slice(None), t, dt, speed, dx, config.kernel)
+        factor, mass, row = _checked_measure(u, slice(None), t, dt, speed, dx, kernel)
         diag.add_row(*row)
         drift = abs(mass - mass_prev + dt * (flux[-1] - flux[0]))
         diag.max_mass_drift = max(diag.max_mass_drift, drift)
@@ -299,22 +299,26 @@ def reference_evolve(u0, config):
 EXACT_LABELS = 400_001
 
 
-def exact_cell_averages(grid, kernel, T: float) -> np.ndarray:
-    """Cell averages on grid of the bump's exact solution at a time T before it breaks.
+def exact_cell_averages(grid, kernel, T: float, datum: str = "bump") -> np.ndarray:
+    """Cell averages on grid of a datum's exact solution at a time T before it breaks.
 
     Under the zero, uniform and infinite kernels the smooth solution is
     explicit along the characteristics x' = (1 - 2u) exp(-ubar), mapped
-    from EXACT_LABELS labels x0 on the bump's support [-1, 1]:
+    from EXACT_LABELS labels x0: on the bump's support [-1, 1], or for
+    subinit, whose support is the whole line, on the grid's domain, since
+    the solver sees only the cut:
     * zero: X = x0 + (1 - 2 u0) T and U = u0;
-    * uniform: X = x0 + exp(-m) (1 - 2 u0) T and U = u0, m the bump's mass;
+    * uniform: X = x0 + exp(-m) (1 - 2 u0) T and U = u0, m the labels' mass;
     * infinite: K = exp(ubar0) / (1 - u0) is constant along each path, so
       1/U = 1/u0 + T/K and X = x0 + T/K - log1p((T/K) / (1/u0 - 1)).
     Characteristics are not particle paths, so the averages come from the
     cumulative trapezoid of U dX along the mapped labels, read at the cell
-    edges, and not from the mass between labels.
+    edges, and not from the mass between labels.  Left of the first label's
+    path the average is 0.
     """
-    x0 = np.linspace(-1.0, 1.0, EXACT_LABELS)
-    u0 = bump_init(x0)
+    support = (-1.0, 1.0) if datum == "bump" else (grid.x_left, grid.x_right)
+    x0 = np.linspace(*support, EXACT_LABELS)
+    u0 = get_datum(datum).profile(x0)
     pieces = 0.5 * (u0[:-1] + u0[1:]) * np.diff(x0)
     ubar0 = np.concatenate((np.cumsum(pieces[::-1])[::-1], [0.0]))  # int_x0^inf u0
     if kernel.kind in ("zero", "uniform"):

@@ -27,7 +27,7 @@ from nltraffic.characteristics import (
 from nltraffic.grid import GridFunction, total_mass
 from nltraffic.kernels import UNIFORM, ZERO, sk_scaled
 from nltraffic.scenarios import CATALOG, RECIPES, run_experiment
-from nltraffic.solver import SolverConfig, evolve
+from nltraffic.solver import evolve
 from nltraffic.threshold import classify_initial_data, default_curve
 from oracles import (
     CATALOG_VERDICTS, build_table, eta_crossing_time, front_position, phase_path_at,
@@ -225,11 +225,7 @@ def test_criterion_8_reduction_limits():
     t_fast = math.exp(-m)
 
     def final_profile(u_init, kernel, t_end):
-        config = SolverConfig(
-            kernel=kernel, t_end=t_end,
-            snapshot_times=(t_end,), stop_on_blowup=False,
-        )
-        snaps, _ = evolve(u_init, config)
+        snaps, _ = evolve(u_init, kernel, t_end, (t_end,), stop_on_blowup=False)
         return dict(snaps)[t_end]
 
     uni = final_profile(u0, UNIFORM, 1.0)

@@ -85,23 +85,31 @@ def test_colliding_snapshot_names_exit_2(tmp_path, capsys, snapshots):
     assert not any(p.is_file() for p in out.rglob("*"))
 
 
+# each case's id is its own, so deleting a case renames no other
 @pytest.mark.parametrize(
     "argv, name",
     [
-        (["evolve", "--n-cells", "2"], "n_cells"),
-        (["classify", "--x-left", "5", "--x-right", "1"], "x_left"),
-        (["evolve", "--t-end", "4", "--snapshots", "5"], "snapshot_times"),
-        (["bounds", "--d0", "0.4", "--u0", "0.5", "--m", "-1"], "m"),
-        (["bounds", "--d0", "0.1", "--u0", "0.5"], "d0"),
-        (["evolve", "--datum", "bump", "--x-right", "0.5", "--kernel", "infinite"], "x_right"),
-        (["evolve", "--datum", "subinit", "--x-right", "5", "--kernel", "sk"], "x_right"),
+        pytest.param(["evolve", "--n-cells", "2"], "n_cells", id="argv0-n_cells"),
+        pytest.param(["classify", "--x-left", "5", "--x-right", "1"], "x_left",
+                     id="argv1-x_left"),
+        pytest.param(["evolve", "--t-end", "4", "--snapshots", "5"], "snapshot_times",
+                     id="argv2-snapshot_times"),
+        pytest.param(["bounds", "--d0", "0.4", "--u0", "0.5", "--m", "-1"], "m", id="argv3-m"),
+        pytest.param(["bounds", "--d0", "0.1", "--u0", "0.5"], "d0", id="argv4-d0"),
+        pytest.param(["evolve", "--datum", "bump", "--x-right", "0.5", "--kernel", "infinite"],
+                     "x_right", id="argv5-x_right"),
+        pytest.param(["evolve", "--datum", "subinit", "--x-right", "5", "--kernel", "sk"],
+                     "x_right", id="argv6-x_right"),
         # any left cut of subinit is a density; one at its right end leaves no domain
-        (["classify", "--datum", "subinit", "--x-left", "40"], "x_left"),
+        pytest.param(["classify", "--datum", "subinit", "--x-left", "40"], "x_left",
+                     id="argv7-x_left"),
         # no cell center lies in |x| < 1, so the sampled bump is 0 everywhere
-        (["classify", "--datum", "bump", "--x-right", "1e6", "--n-cells", "100"], "n_cells"),
-        (["evolve", "--datum", "bump", "--x-right", "1e6", "--n-cells", "100"], "x_right"),
-        (["phase-portrait", "--d0", "0.2", "--u0", "0.5", "--factor", "1", "--t-end", "-1"],
-         "t_end"),
+        pytest.param(["classify", "--datum", "bump", "--x-right", "1e6", "--n-cells", "100"],
+                     "n_cells", id="argv8-n_cells"),
+        pytest.param(["evolve", "--datum", "bump", "--x-right", "1e6", "--n-cells", "100"],
+                     "x_right", id="argv9-x_right"),
+        pytest.param(["phase-portrait", "--d0", "0.2", "--u0", "0.5", "--factor", "1",
+                      "--t-end", "-1"], "t_end", id="argv10-t_end"),
     ],
 )
 def test_out_of_domain_option_is_named(tmp_path, capsys, argv, name):
@@ -487,9 +495,9 @@ def test_compare_kernels_refused_at_first_lookahead_kernel(tmp_path, capsys, mon
     """The bump cut at x = 0.5: sk refuses it, and no kernel starts, zero included."""
     ran = []
 
-    def counting_evolve(u0, config):
-        ran.append(config.kernel.tag)
-        return real_evolve(u0, config)
+    def counting_evolve(u0, kernel, *args):
+        ran.append(kernel.tag)
+        return real_evolve(u0, kernel, *args)
 
     real_evolve = scenarios.evolve
     monkeypatch.setattr(scenarios, "evolve", counting_evolve)
@@ -716,12 +724,15 @@ def test_manifest_records_options_and_files(tmp_path):
         assert (out / rel).is_file()
 
 
+# each case's id is its own, so deleting a case renames no other
 @pytest.mark.parametrize(
     "argv, name",
     [
-        (["classify", "--x-right", "inf"], "x_right"),
-        (["evolve", "--x-left", "-inf", "--t-end", "0.5"], "x_left"),
-        (["classify", "--x-left", "-1e308", "--x-right", "1e308"], "x_left, x_right"),
+        pytest.param(["classify", "--x-right", "inf"], "x_right", id="argv0-x_right"),
+        pytest.param(["evolve", "--x-left", "-inf", "--t-end", "0.5"], "x_left",
+                     id="argv1-x_left"),
+        pytest.param(["classify", "--x-left", "-1e308", "--x-right", "1e308"], "x_left, x_right",
+                     id="argv2-x_left, x_right"),
     ],
 )
 def test_non_finite_domain_exits_2(tmp_path, capsys, argv, name):

@@ -46,15 +46,18 @@ def test_grid_spec_validation():
         GridSpec(0.0, 1.0, 3)
 
 
+# each case's id is its own, so deleting a case renames no other
 @pytest.mark.parametrize(
     "ends, name",
     [
-        ((0.0, math.inf), "x_right"),
-        ((-math.inf, 0.0), "x_left"),
-        ((math.nan, 1.0), "x_left"),
-        ((0.0, math.nan), "x_right"),
-        ((-1e308, 1e308), "x_left, x_right"),  # the width overflows
-        ((0.0, 5e-324), "x_left, x_right"),  # the cell width underflows to 0
+        pytest.param((0.0, math.inf), "x_right", id="ends0-x_right"),
+        pytest.param((-math.inf, 0.0), "x_left", id="ends1-x_left"),
+        pytest.param((math.nan, 1.0), "x_left", id="ends2-x_left"),
+        pytest.param((0.0, math.nan), "x_right", id="ends3-x_right"),
+        # the width overflows
+        pytest.param((-1e308, 1e308), "x_left, x_right", id="ends4-x_left, x_right"),
+        # the cell width underflows to 0
+        pytest.param((0.0, 5e-324), "x_left, x_right", id="ends5-x_left, x_right"),
     ],
 )
 def test_grid_spec_rejects_non_finite_ends(ends, name):

@@ -26,7 +26,6 @@ from nltraffic.kernels import (
 from nltraffic.scenarios import COMPARE_KERNELS, bump_init, get_datum
 from nltraffic.solver import (
     Diagnostics,
-    SolverConfig,
     SolverFailure,
     _advance,
     _buffers,
@@ -34,6 +33,7 @@ from nltraffic.solver import (
     evolve,
     gradient_indicator,
     numerical_flux,
+    require_runnable,
 )
 from oracles import (
     exact_cell_averages, front_position, godunov_flux, random_compact_bump, reference_evolve,
@@ -149,18 +149,15 @@ def test_evolve_matches_allocating_reference(kernel):
     grid = scenario_grid(400)
     u0 = GridFunction.from_callable(grid, bump_init)
     before = u0.values.copy()
-    config = SolverConfig(
-        kernel=kernel, t_end=2.0, stop_on_blowup=False,
-        snapshot_times=tuple(np.linspace(0.0, 2.0, 41)),
-    )
-    ref_snaps, ref_diag = reference_evolve(u0, config)
+    times = tuple(np.linspace(0.0, 2.0, 41))
+    ref_snaps, ref_diag = reference_evolve(u0, kernel, 2.0, times)
     t = np.array(ref_diag.t)
     # snapshot times fall both nearer the step before and nearer the step after
-    inner = np.array(config.snapshot_times[1:-1])
+    inner = np.array(times[1:-1])
     k = np.searchsorted(t, inner)
     nearer_prev = np.abs(t[k - 1] - inner) < np.abs(t[k] - inner)
     assert nearer_prev.any() and not nearer_prev.all()
-    runs = [evolve(u0, config), evolve(u0, config)]
+    runs = [evolve(u0, kernel, 2.0, times, stop_on_blowup=False) for _ in range(2)]
     for snaps, diag in runs:
         assert [s for s, _ in snaps] == [s for s, _ in ref_snaps]
         for (_, snap), (_, ref) in zip(snaps, ref_snaps):
@@ -175,7 +172,6 @@ def test_evolve_matches_allocating_reference(kernel):
 def test_step_allocates_no_grid_sized_array():
     n = 4000
     grid = scenario_grid(n)
-    config = SolverConfig(kernel=ZERO, t_end=1.0)
     pad, new, work = _buffers(n)
     pad[1:-1] = GridFunction.from_callable(grid, bump_init).values
     # the whole grid, and the strict sub-range that evolve() steps for the bump
@@ -183,10 +179,10 @@ def test_step_allocates_no_grid_sized_array():
     assert 0 < part.start and part.stop < n
     for cells in (slice(0, n), part):
         factor = np.ones(cells.stop - cells.start)
-        _advance(pad, new, factor, cells, 0.0, grid.dx, config, work)
+        _advance(pad, new, factor, cells, 0.0, grid.dx, 1.0, work)
         tracemalloc.start()
         try:
-            _advance(pad, new, factor, cells, 0.0, grid.dx, config, work)
+            _advance(pad, new, factor, cells, 0.0, grid.dx, 1.0, work)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -225,8 +221,7 @@ def _recorded_run(u0, kernel, full_grid):
         mp.setattr(solver, "_checked_measure", recording)
         if full_grid:
             mp.setattr(solver, "_stepped_cells", lambda values, kernel, dx: slice(0, len(values)))
-        config = SolverConfig(kernel=kernel, t_end=3.0, stop_on_blowup=False)
-        _, diag = evolve(u0, config)
+        _, diag = evolve(u0, kernel, 3.0, stop_on_blowup=False)
     return np.array(states), ranges, diag
 
 
@@ -271,9 +266,8 @@ def test_non_finite_flux_fails_the_step(monkeypatch):
 
     monkeypatch.setattr(solver, "numerical_flux", flux_with_nan)
     grid = scenario_grid(400)
-    config = SolverConfig(kernel=ZERO, t_end=1.0, stop_on_blowup=False)
     with pytest.raises(SolverFailure, match="^non-finite state during update$") as info:
-        evolve(GridFunction.from_callable(grid, bump_init), config)
+        evolve(GridFunction.from_callable(grid, bump_init), ZERO, 1.0, stop_on_blowup=False)
     assert len(calls) == 3
     assert set(info.value.dump) == {"t", "dt", "max_speed"}
     assert info.value.dump["dt"] > 0.0 and info.value.dump["max_speed"] > 0.0
@@ -307,14 +301,13 @@ def test_negative_average_fails_the_factor_band(monkeypatch):
 def test_step_count_within_the_budget_bound(datum, kernel, n, t_end):
     """No wave speed exceeds 1 + 3e-8: at most ceil(t_end (1 + 3e-8) / (CFL dx)) steps."""
     u0 = get_datum(datum).sample(n)
-    _, diag = evolve(u0, SolverConfig(kernel=kernel, t_end=t_end, stop_on_blowup=False))
+    _, diag = evolve(u0, kernel, t_end, stop_on_blowup=False)
     assert len(diag.t) - 1 <= math.ceil(t_end * (1.0 + 3e-8) / (solver.CFL * u0.grid.dx))
 
 
 def test_vacuum_fixed_point_and_cfl_step():
     grid = scenario_grid(200)
-    config = SolverConfig(kernel=ZERO, t_end=1.0, snapshot_times=(1.0,))
-    snaps, diag = evolve(GridFunction(grid, np.zeros(200)), config)
+    snaps, diag = evolve(GridFunction(grid, np.zeros(200)), ZERO, 1.0, (1.0,))
     np.testing.assert_array_equal(dict(snaps)[1.0].values, 0.0)
     # vacuum wave speed is |1 - 0| * 1, so dt is exactly CFL * dx
     assert diag.t[1] == pytest.approx(0.45 * grid.dx, rel=1e-14)
@@ -322,8 +315,7 @@ def test_vacuum_fixed_point_and_cfl_step():
 
 def test_jam_fixed_point():
     grid = scenario_grid(200)
-    config = SolverConfig(kernel=ZERO, t_end=1.0, snapshot_times=(1.0,))
-    snaps, diag = evolve(GridFunction(grid, np.ones(200)), config)
+    snaps, diag = evolve(GridFunction(grid, np.ones(200)), ZERO, 1.0, (1.0,))
     assert len(diag.t) > 2
     np.testing.assert_array_equal(dict(snaps)[1.0].values, 1.0)
 
@@ -339,10 +331,7 @@ def test_gradient_indicator_matches_spatial_derivative():
 def test_stepwise_mass_conservation():
     grid = scenario_grid(400)
     u = GridFunction.from_callable(grid, random_compact_bump(7))
-    config = SolverConfig(
-        kernel=ZERO, t_end=1.5, snapshot_times=(1.5,), stop_on_blowup=False
-    )
-    snaps, diag = evolve(u, config)
+    snaps, diag = evolve(u, ZERO, 1.5, (1.5,), stop_on_blowup=False)
     assert len(diag.mass) > 60
     assert diag.mass[0] == total_mass(u)
     assert max(np.abs(np.diff(diag.mass))) <= 1e-12 * grid.n_cells
@@ -355,8 +344,7 @@ def test_stepwise_mass_conservation():
 def test_max_principle_through_shock():
     grid = scenario_grid(800)
     u0 = GridFunction.from_callable(grid, random_compact_bump(3))
-    config = SolverConfig(kernel=ZERO, t_end=2.0, stop_on_blowup=False)
-    _, diag = evolve(u0, config)
+    _, diag = evolve(u0, ZERO, 2.0, stop_on_blowup=False)
     assert min(diag.min_u) >= -1e-8
     assert max(diag.max_u) <= 1.0 + 1e-8
     assert diag.max_mass_drift <= 1e-12 * grid.n_cells
@@ -373,19 +361,14 @@ def test_factor_band_recorded(grid_bump_run):
 def grid_bump_run():
     grid = scenario_grid(600)
     u0 = GridFunction.from_callable(grid, bump_init)
-    config = SolverConfig(kernel=INFINITE, t_end=1.0, stop_on_blowup=False)
-    _, diag = evolve(u0, config)
+    _, diag = evolve(u0, INFINITE, 1.0, stop_on_blowup=False)
     return diag, total_mass(u0)
 
 
 def test_infinite_kernel_factor_monotone():
     grid = scenario_grid(600)
     u0 = GridFunction.from_callable(grid, bump_init)
-    config = SolverConfig(
-        kernel=INFINITE, t_end=0.5, snapshot_times=(0.5,),
-        stop_on_blowup=False,
-    )
-    snaps, _ = evolve(u0, config)
+    snaps, _ = evolve(u0, INFINITE, 0.5, (0.5,), stop_on_blowup=False)
     factor = np.exp(-nonlocal_field(dict(snaps)[0.5], INFINITE))
     assert np.all(np.diff(factor) >= -1e-14)
 
@@ -395,8 +378,7 @@ def test_infinite_kernel_factor_monotone():
 
 def test_box_detected_immediately():
     grid = scenario_grid(1600)
-    config = SolverConfig(kernel=ZERO, t_end=1.0, snapshot_times=(0.0,))
-    snaps, diag = evolve(box(grid, 0.0, 1.0), config)
+    snaps, diag = evolve(box(grid, 0.0, 1.0), ZERO, 1.0, (0.0,))
     report = diag.blowup
     assert report.detected
     assert report.t_detect == 0.0
@@ -406,14 +388,12 @@ def test_box_detected_immediately():
 
 def test_box_run_past_detection():
     grid = scenario_grid(1600)
-    config = SolverConfig(
-        kernel=ZERO, t_end=0.5, stop_on_blowup=False,
-    )
-    _, diag = evolve(box(grid, 0.0, 1.0), config)
+    _, diag = evolve(box(grid, 0.0, 1.0), ZERO, 0.5, stop_on_blowup=False)
     assert diag.t[-1] == pytest.approx(0.5, abs=1e-12)
     assert diag.blowup.t_detect == 0.0
     # a unit jump over one cell is the sharpest profile the grid can hold
-    assert diag.blowup.max_gradient == pytest.approx(0.5 / grid.dx, rel=1e-12)
+    slopes = [gi * max(hi, -lo) for gi, lo, hi in zip(diag.grad_indicator, diag.min_u, diag.max_u)]
+    assert max(slopes) == pytest.approx(0.5 / grid.dx, rel=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -425,7 +405,7 @@ def test_stopping_at_detection_truncates_the_full_run(kernel, t_detect):
     grid = scenario_grid(1600)
     u0 = GridFunction.from_callable(grid, bump_init)
     stopped, full = (
-        evolve(u0, SolverConfig(kernel=kernel, t_end=2.0, stop_on_blowup=stop))[1]
+        evolve(u0, kernel, 2.0, stop_on_blowup=stop)[1]
         for stop in (True, False)
     )
     k = len(stopped.t)
@@ -440,8 +420,7 @@ def test_stopping_at_detection_truncates_the_full_run(kernel, t_detect):
 def test_smooth_short_run_not_detected():
     grid = scenario_grid(1000)
     u0 = GridFunction.from_callable(grid, lambda x: 0.1 * bump_init(x))
-    config = SolverConfig(kernel=ZERO, t_end=0.5)
-    _, diag = evolve(u0, config)
+    _, diag = evolve(u0, ZERO, 0.5)
     assert not diag.blowup.detected
     assert diag.blowup.t_detect is None
     assert diag.t[-1] == pytest.approx(0.5, abs=1e-12)
@@ -449,12 +428,11 @@ def test_smooth_short_run_not_detected():
 
 def test_blowup_report_json(tmp_path):
     grid = scenario_grid(1600)
-    config = SolverConfig(kernel=ZERO, t_end=1.0)
-    _, diag = evolve(box(grid, 0.0, 1.0), config)
+    _, diag = evolve(box(grid, 0.0, 1.0), ZERO, 1.0)
     path = tmp_path / "blowup.json"
     write_json(path, asdict(diag.blowup))  # as run_experiment writes it
     data = json.loads(path.read_text())
-    assert set(data) == {"detected", "t_detect", "max_gradient", "boundary_contact_t"}
+    assert set(data) == {"detected", "t_detect", "boundary_contact_t"}
     assert data["detected"] is True and data["t_detect"] == 0.0
     assert data["boundary_contact_t"] is None
 
@@ -518,10 +496,7 @@ def test_first_order_convergence():
 
     def run(n):
         grid = scenario_grid(n)
-        config = SolverConfig(
-            kernel=ZERO, t_end=0.5, snapshot_times=(0.5,),
-        )
-        snaps, _ = evolve(GridFunction.from_callable(grid, gentle), config)
+        snaps, _ = evolve(GridFunction.from_callable(grid, gentle), ZERO, 0.5, (0.5,))
         return dict(snaps)[0.5]
 
     ref = run(4800)
@@ -536,11 +511,26 @@ def test_converges_to_the_exact_profile(kernel):
     errors = []
     for n in (1000, 2000, 4000):
         u0 = get_datum("bump").sample(n)
-        snaps, _ = evolve(u0, SolverConfig(kernel=kernel, t_end=0.5, snapshot_times=(0.5,),
-                                           stop_on_blowup=False))
+        snaps, _ = evolve(u0, kernel, 0.5, (0.5,), stop_on_blowup=False)
         exact = exact_cell_averages(u0.grid, kernel, 0.5)
         errors.append(u0.grid.dx * float(np.abs(dict(snaps)[0.5].values - exact).sum()))
     assert errors[0] / errors[1] >= 1.8 and errors[1] / errors[2] >= 1.8, errors
+
+
+def test_subinit_converges_to_the_exact_profile():
+    """Subcritical data never break under the infinite kernel: the L1 error against
+    the exact solution halves with dx at every snapshot up to t = 20."""
+    times = (5.0, 10.0, 15.0, 20.0)
+    errors = []
+    for n in (2000, 4000, 8000):
+        u0 = get_datum("subinit").sample(n)
+        snaps, _ = evolve(u0, INFINITE, 20.0, times, stop_on_blowup=False)
+        assert tuple(t for t, _ in snaps) == times
+        exact = (exact_cell_averages(u0.grid, INFINITE, t, "subinit") for t in times)
+        errors.append([u0.grid.dx * float(np.abs(snap.values - ref).sum())
+                       for (_, snap), ref in zip(snaps, exact)])
+    for coarse, fine in zip(errors, errors[1:]):
+        assert all(c / f >= 1.8 for c, f in zip(coarse, fine)), errors
 
 
 def test_uniform_kernel_is_time_rescaled_lwr():
@@ -549,16 +539,8 @@ def test_uniform_kernel_is_time_rescaled_lwr():
     u0 = GridFunction.from_callable(grid, bump_init)
     m = total_mass(u0)
     t_fast = math.exp(-m)
-    uni = SolverConfig(
-        kernel=UNIFORM, t_end=1.0, snapshot_times=(1.0,),
-        stop_on_blowup=False,
-    )
-    zero = SolverConfig(
-        kernel=ZERO, t_end=t_fast, snapshot_times=(t_fast,),
-        stop_on_blowup=False,
-    )
-    snap_u, diag_u = evolve(u0, uni)
-    snap_z, _ = evolve(u0, zero)
+    snap_u, diag_u = evolve(u0, UNIFORM, 1.0, (1.0,), stop_on_blowup=False)
+    snap_z, _ = evolve(u0, ZERO, t_fast, (t_fast,), stop_on_blowup=False)
     diff = dict(snap_u)[1.0].values - dict(snap_z)[t_fast].values
     assert float(np.abs(diff).max()) <= 1e-10
     assert diag_u.max_mass_drift <= 1e-12 * grid.n_cells
@@ -570,11 +552,7 @@ def test_short_lookahead_reduces_to_lwr():
     length = 1e-3
     out = {}
     for kernel in (ZERO, sk_scaled(length)):
-        config = SolverConfig(
-            kernel=kernel, t_end=1.0, snapshot_times=(1.0,),
-            stop_on_blowup=False,
-        )
-        snaps, _ = evolve(u0, config)
+        snaps, _ = evolve(u0, kernel, 1.0, (1.0,), stop_on_blowup=False)
         out[kernel.kind] = dict(snaps)[1.0].values
     l1 = grid.dx * float(np.abs(out["zero"] - out["sk_scaled"]).sum())
     assert l1 <= 10.0 * length
@@ -584,24 +562,24 @@ def test_short_lookahead_reduces_to_lwr():
 
 
 def test_config_validation():
+    u0 = GridFunction.from_callable(scenario_grid(100), bump_init)
     with pytest.raises(ValueError):
-        SolverConfig(kernel=ZERO, t_end=-1.0)
+        require_runnable(u0, ZERO, -1.0)
     with pytest.raises(ValueError):
-        SolverConfig(kernel=ZERO, t_end=1.0, snapshot_times=(0.5, 0.2))
+        require_runnable(u0, ZERO, 1.0, (0.5, 0.2))
     with pytest.raises(ValueError):
-        SolverConfig(kernel=ZERO, t_end=1.0, snapshot_times=(2.0,))
+        require_runnable(u0, ZERO, 1.0, (2.0,))
     for bad in (math.nan, math.inf):
         with pytest.raises(ValueError, match="t_end"):
-            SolverConfig(kernel=ZERO, t_end=bad)
+            require_runnable(u0, ZERO, bad)
         with pytest.raises(ValueError, match="snapshot"):
-            SolverConfig(kernel=ZERO, t_end=1.0, snapshot_times=(0.0, bad))
+            require_runnable(u0, ZERO, 1.0, (0.0, bad))
 
 
 def test_evolve_rejects_bad_initial_data():
     grid = scenario_grid(100)
-    config = SolverConfig(kernel=ZERO, t_end=1.0)
     with pytest.raises(ValueError):
-        evolve(GridFunction(grid, np.full(100, 1.5)), config)
+        evolve(GridFunction(grid, np.full(100, 1.5)), ZERO, 1.0)
 
 
 @pytest.mark.parametrize("spec", ["sk", "sk:L=2.5", "linear", "infinite", "uniform"])
@@ -610,9 +588,8 @@ def test_lookahead_kernels_reject_right_tail(spec):
     (test_jam_fixed_point runs it there)."""
     grid = scenario_grid(400)
     u = GridFunction(grid, np.full(400, 0.5))
-    config = SolverConfig(kernel=parse_kernel(spec), t_end=1.0)
     with pytest.raises(ValueError, match="x_right.*tail mass"):
-        evolve(u, config)
+        evolve(u, parse_kernel(spec), 1.0)
 
 
 # ------------------------------------------------------------ diagnostics
@@ -622,8 +599,7 @@ def test_snapshots_cover_requested_times():
     grid = scenario_grid(500)
     u0 = GridFunction.from_callable(grid, lambda x: 0.1 * bump_init(x))
     times = (0.0, 0.1, 0.2, 0.3)
-    config = SolverConfig(kernel=ZERO, t_end=0.3, snapshot_times=times)
-    snaps, _ = evolve(u0, config)
+    snaps, _ = evolve(u0, ZERO, 0.3, times)
     assert tuple(t for t, _ in snaps) == times
     np.testing.assert_array_equal(snaps[0][1].values, u0.values)
 
@@ -631,8 +607,7 @@ def test_snapshots_cover_requested_times():
 def test_diagnostics_csv_layout(tmp_path):
     grid = scenario_grid(300)
     u0 = GridFunction.from_callable(grid, lambda x: 0.1 * bump_init(x))
-    config = SolverConfig(kernel=ZERO, t_end=0.1, stop_on_blowup=False)
-    _, diag = evolve(u0, config)
+    _, diag = evolve(u0, ZERO, 0.1, stop_on_blowup=False)
     path = tmp_path / "diag.csv"
     diag.write_csv(path)
     lines = path.read_text().strip().split("\n")
@@ -661,7 +636,7 @@ def test_diagnostics_columns_are_float64_arrays():
     u0 = GridFunction.from_callable(scenario_grid(400), bump_init)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(solver, "_advance", counting)
-        _, diag = evolve(u0, SolverConfig(kernel=SK_UNIT, t_end=2.0, stop_on_blowup=False))
+        _, diag = evolve(u0, SK_UNIT, 2.0, stop_on_blowup=False)
     assert len(steps) > 100
     for name in Diagnostics.COLUMNS:
         column = getattr(diag, name)

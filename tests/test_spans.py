@@ -11,7 +11,7 @@ from pathlib import Path
 from nltraffic.grid import GridFunction, GridSpec
 from nltraffic.kernels import SK_UNIT
 from nltraffic.scenarios import bump_init
-from nltraffic.solver import SolverConfig, evolve
+from nltraffic.solver import evolve
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -34,10 +34,7 @@ def test_every_traced_name_installs_and_uninstalls():
     try:
         tracer.install(spans.ALL_LAYERS)
         grid = GridSpec(-6.0, 10.0, 100)
-        evolve(
-            GridFunction.from_callable(grid, bump_init),
-            SolverConfig(kernel=SK_UNIT, t_end=0.05, stop_on_blowup=False),
-        )
+        evolve(GridFunction.from_callable(grid, bump_init), SK_UNIT, 0.05, stop_on_blowup=False)
     finally:
         tracer.uninstall()
     assert bound() == before
