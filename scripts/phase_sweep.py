@@ -19,8 +19,8 @@ from nltraffic.characteristics import (
     integrate_characteristic,
     supercritical_bounds,
 )
-from nltraffic.grid import write_csv
 from nltraffic.threshold import default_curve
+from nltraffic.writers import write_csv
 
 
 def main(argv):

@@ -23,7 +23,8 @@ Quantities derived from the phase plane:
 
 Both paths are closed form: d(u) in the phase plane (see PhaseTrajectory)
 and (d, u) in time (see integrate_characteristic); the tests step the ODEs
-with scipy's DOP853 as the oracle for both.
+with scipy's DOP853 as the oracle for both.  Paths are computed on floats with
+math and held as tuples of floats: this module never imports numpy.
 """
 
 from __future__ import annotations
@@ -31,9 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .threshold import default_curve
+from .threshold import default_curve, linspace
 
 PHASE_SAMPLES = 201
 
@@ -66,15 +65,15 @@ class ConstantFactor:
         self.value = float(value)
 
     def integral(self, t):
-        """F(t) = c t, the integral of f from 0 to each t."""
-        return self.value * np.asarray(t, dtype=float)
+        """F(t) = c t, the integral of f from 0 to each of the times t."""
+        return [self.value * s for s in t]
 
     def reach(self, value: float) -> float:
         """The time at which F reaches value."""
         return value / self.value
 
 
-def _potential_inverse(u0: float, tau):
+def _potential_inverse(u0: float, tau: float) -> float:
     """k = 1/u - 1/u0 >= 0 at which the density of a path from u0 < 1 has advanced tau.
 
     Phi(u) - Phi(u0) = k + y with y = log1p(a k), a = u0 / (1 - u0).  Newton's
@@ -86,20 +85,18 @@ def _potential_inverse(u0: float, tau):
     a = u0 / (1.0 - u0)
     log_a = math.log(a) if a > 0.0 else -math.inf
     # k <= tau bounds y by log1p(a tau) <= log1p(a) + log1p(tau); k >= 0 bounds it by tau
-    y = np.minimum(tau, np.log1p(a * tau) if a < 1.0 else math.log1p(a) + np.log1p(tau))
+    y = min(tau, math.log1p(a * tau) if a < 1.0 else math.log1p(a) + math.log1p(tau))
     for _ in range(64):
-        ae = np.exp(log_a - y)  # a e^-y, normal where e^-y alone would not be
-        step = (-np.expm1(-y) - (tau - y) * ae) / (1.0 + ae)
-        y = y - np.maximum(step, 0.0)
-        if np.all(step <= 2.0**-52 * tau):
+        ae = math.exp(log_a - y)  # a e^-y, normal where e^-y alone would not be
+        step = (-math.expm1(-y) - (tau - y) * ae) / (1.0 + ae)
+        y -= max(step, 0.0)
+        if step <= 2.0**-52 * tau:
             break
     k = tau - y
-    far = y > k
-    k[far] = np.expm1(y[far]) / a
-    return k
+    return math.expm1(y) / a if y > k else k
 
 
-def _time_path(w0: float, u0: float, tau):
+def _time_path(w0: float, u0: float, tau: float) -> tuple[float, float]:
     """(d, u) where the path from u0 with w0 = d0 - sigma(u0) has advanced tau = F(t) >= 0.
 
     In tau the excess w = d - sigma(u) solves w' = 2 w^2 + u (1 + u) w, so 1/w
@@ -111,7 +108,7 @@ def _time_path(w0: float, u0: float, tau):
     the logistic d / (d + 1) = d0 / (d0 + 1) e^(2 tau).
     """
     if u0 == 1.0:
-        P, G, R = np.zeros_like(tau), np.exp(-tau), -np.expm1(-tau)
+        P, G, R = 0.0, math.exp(-tau), -math.expm1(-tau)
     else:
         k = _potential_inverse(u0, tau)
         P = u0 * k
@@ -122,7 +119,8 @@ def _time_path(w0: float, u0: float, tau):
     den = 0.5 * G * G / s - w0 / s * R * (0.5 + 0.5 * G)
     u = u0 / (1.0 + P)
     sigma = u * (1.0 - u)
-    d = sigma if w0 == 0.0 else sigma + 0.5 * w0 / s / (1.0 + P) / den
+    # den is 0 only where F(t) rounds onto the blow-up advance: d is inf there
+    d = sigma if w0 == 0.0 else (sigma + 0.5 * w0 / s / (1.0 + P) / den if den else math.inf)
     return d, u
 
 
@@ -130,9 +128,9 @@ def _time_path(w0: float, u0: float, tau):
 class Trajectory:
     """Time samples of one characteristic."""
 
-    t: np.ndarray
-    d: np.ndarray
-    u: np.ndarray
+    t: tuple[float, ...]
+    d: tuple[float, ...]
+    u: tuple[float, ...]
     blowup_time: float | None
 
 
@@ -170,11 +168,11 @@ def integrate_characteristic(d0: float, u0: float, factor, t_end: float) -> Traj
         u_star, f_star = _blowup_root(w0, u0)
         t_star = factor.reach(f_star)
     blown_up = t_star <= t_end
-    t = np.linspace(0.0, min(t_end, t_star), PHASE_SAMPLES)
-    d, u = _time_path(w0, u0, factor.integral(t[:-1] if blown_up else t))
+    t = linspace(0.0, min(t_end, t_star), PHASE_SAMPLES)
+    d, u = zip(*(_time_path(w0, u0, tau) for tau in factor.integral(t[:-1] if blown_up else t)))
     if blown_up:
-        d, u = np.append(d, math.inf), np.append(u, u_star)
-    return Trajectory(t=t, d=d, u=u, blowup_time=t_star if blown_up else None)
+        d, u = d + (math.inf,), u + (u_star,)
+    return Trajectory(t=tuple(t), d=d, u=u, blowup_time=t_star if blown_up else None)
 
 
 def _phase_denominator(w0: float, u0: float, u):
@@ -200,8 +198,8 @@ class PhaseTrajectory:
     solves an ODE linear in u.
     """
 
-    u: np.ndarray
-    d: np.ndarray
+    u: tuple[float, ...]
+    d: tuple[float, ...]
 
 
 def phase_trajectory(d0: float, u0: float, u_end: float) -> PhaseTrajectory:
@@ -221,10 +219,10 @@ def phase_trajectory(d0: float, u0: float, u_end: float) -> PhaseTrajectory:
     if w0 > 0.0 and _phase_denominator(w0, u0, u_end) <= 0.0:
         u_star, _ = _blowup_root(w0, u0)
         raise ValueError(f"the slope blows up at u* = {u_star:.6g}, above u_end = {u_end:g}")
-    u = np.geomspace(u0, u_end, PHASE_SAMPLES)
-    d = _phase_path(d0, u0, u)
-    d[0] = d0  # the start exactly, not its rounded image
-    return PhaseTrajectory(u=u, d=d)
+    u = [10.0**y for y in linspace(math.log10(u0), math.log10(u_end), PHASE_SAMPLES)]
+    u[0], u[-1] = u0, u_end  # numpy.geomspace's points, with its exact ends
+    d = [d0] + [_phase_path(d0, u0, v) for v in u[1:]]  # the start exactly, not its rounded image
+    return PhaseTrajectory(u=tuple(u), d=tuple(d))
 
 
 def _level_potential(v: float) -> float:

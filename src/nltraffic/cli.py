@@ -10,7 +10,7 @@ Options may also come from a flat config file (--config) of `key = value`
 lines with `#` comments; explicit command-line flags win over the file,
 which wins over built-in defaults.  Exit codes: 0 success, 2 validation
 error or a size too large to allocate, 3 numerical failure (a diagnostic
-dump is written).
+dump is written).  Only classify, evolve and compare-kernels load numpy.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ import math
 import sys
 from dataclasses import asdict, replace
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .characteristics import (
     ConstantFactor,
@@ -27,11 +28,11 @@ from .characteristics import (
     phase_trajectory,
     supercritical_bounds,
 )
-from .grid import write_csv, write_json
-from .kernels import parse_kernel
-from .scenarios import RECIPES, Experiment, get_datum, run_experiment
-from .solver import SolverFailure
 from .threshold import default_curve, write_threshold_csv
+from .writers import write_csv, write_json
+
+if TYPE_CHECKING:
+    from .scenarios import Experiment, ExperimentResult
 
 
 def _inject_config(argv: list[str]) -> list[str]:
@@ -165,6 +166,7 @@ def _experiment(args) -> Experiment:
     no kernel, evolve the one --kernel names, and compare-kernels runs the
     datum's recipe in RECIPES, to --t-end if given.
     """
+    from .scenarios import RECIPES, Experiment, get_datum
     datum = get_datum(args.datum)
     datum = replace(datum, domain=(
         datum.domain[0] if args.x_left is None else args.x_left,
@@ -202,13 +204,26 @@ def _even_snapshots(t_end: float) -> tuple:
     return tuple(i * t_end / 4 for i in range(5))
 
 
+def run_experiment(exp: Experiment, out_dir) -> ExperimentResult:
+    """scenarios.run_experiment, imported at the first call: the other commands never load numpy."""
+    from .scenarios import run_experiment
+    return run_experiment(exp, out_dir)
+
+
 def dispatch(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     files: list[str] = []
 
     if args.subcommand in ("classify", "evolve", "compare-kernels"):
-        result = run_experiment(_experiment(args), out)
+        from .solver import SolverFailure
+        try:
+            result = run_experiment(_experiment(args), out)
+        except SolverFailure as exc:
+            path = out / "failure_dump.json"
+            write_json(path, {"error": str(exc), **exc.dump, **_recorded(args)})
+            print(f"numerical failure: {exc} (dump: {path})", file=sys.stderr)
+            return 3
         files += result.files
         print(result.classification.verdict)
         for tag, diag in result.diagnostics.items():
@@ -248,6 +263,7 @@ def dispatch(args) -> int:
 
 
 def parse_kernel_arg(text: str):
+    from .kernels import parse_kernel
     try:
         return parse_kernel(text)
     except ValueError as exc:
@@ -265,15 +281,9 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:
-        print(f"error: {exc}; lower --n-cells or --samples", file=sys.stderr)
+        print(f"error: {str(exc) or 'out of memory'}; lower --n-cells or --samples",
+              file=sys.stderr)
         return 2
-    except SolverFailure as exc:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        path = out / "failure_dump.json"
-        write_json(path, {"error": str(exc), **exc.dump, **_recorded(args)})
-        print(f"numerical failure: {exc} (dump: {path})", file=sys.stderr)
-        return 3
 
 
 if __name__ == "__main__":

@@ -7,14 +7,13 @@ attached to the cell center x_i = x_left + (i + 1/2)*dx.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-# admissible overshoot outside [0, 1] before a profile stops being a density
-DENSITY_TOL = 1e-8
+from .threshold import DENSITY_TOL
+from .writers import write_csv
 
 
 @dataclass(frozen=True)
@@ -26,7 +25,10 @@ class GridSpec:
     n_cells: int
 
     def __post_init__(self):
-        if not self.x_left < self.x_right:  # false for a nan end
+        for name in ("x_left", "x_right"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        if not self.x_left < self.x_right:
             raise ValueError(
                 f"need x_left < x_right, got [x_left, x_right] = [{self.x_left}, {self.x_right}]"
             )
@@ -92,25 +94,5 @@ def spatial_derivative(u: GridFunction) -> GridFunction:
     return GridFunction(u.grid, np.gradient(u.values, u.grid.dx, edge_order=2))
 
 
-# ---------------------------------------------------------------------------
-# serialization: CSV of numeric columns in full double precision, and JSON
-
-
-def write_csv(path, header: str, columns) -> None:
-    """Write header, then row i of columns with each field as "%.17g" text, which round-trips."""
-    line = ",".join(["%.17g"] * len(columns)) + "\n"
-    rows = zip(*(np.asarray(c).tolist() for c in columns))
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
-        fh.writelines(line % row for row in rows)
-
-
 def write_profile_csv(u: GridFunction, path) -> None:
     write_csv(path, "x,u", (u.x, u.values))
-
-
-def write_json(path, obj) -> None:
-    """Write obj as JSON indented by 2 with sorted keys and a final newline."""
-    with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")

@@ -131,7 +131,8 @@ def lookahead_average(values: np.ndarray, dx: float, kernel: Kernel, mass: float
     Q = np.cumsum(values[::-1])[::-1]  # at the left cell edges, in units of dx
     ubar = Q - 0.5 * values  # Q(x_i)
     box = ubar.copy() if kernel.kind == "linear" else ubar
-    box[:m] -= Q[q:] - f * values[q:]  # Q(x_i) - Q(e_i)
+    if m:  # else every window end lies past the data, where Q is 0 (always so for infinite)
+        box[:m] -= Q[q:] - f * values[q:]  # Q(x_i) - Q(e_i)
     if kernel.kind == "linear":
         # S at the left cell edges, in units of dx**2 (the midpoint rule is exact on Q)
         S = np.cumsum(ubar[::-1])[::-1]

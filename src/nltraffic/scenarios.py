@@ -29,14 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .grid import (
-    GridFunction,
-    GridSpec,
-    spatial_derivative,
-    write_csv,
-    write_json,
-    write_profile_csv,
-)
+from .grid import GridFunction, GridSpec, spatial_derivative, write_profile_csv
 from .kernels import INFINITE, SK_UNIT, UNIFORM, ZERO, Kernel
 from .solver import BLOWUP_GRADIENT_FACTOR, Diagnostics, evolve, require_runnable
 from .threshold import (
@@ -45,6 +38,7 @@ from .threshold import (
     default_curve,
     write_threshold_csv,
 )
+from .writers import write_csv, write_json
 
 COMPARE_KERNELS = (ZERO, SK_UNIT, INFINITE, UNIFORM)
 

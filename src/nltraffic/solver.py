@@ -66,9 +66,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import (  # noqa: F401  (total_mass: traced)
-    DENSITY_TOL, GridFunction, require_density, total_mass, write_csv,
+    DENSITY_TOL, GridFunction, require_density, total_mass,
 )
 from .kernels import Kernel, lookahead_average, nonlocal_field  # noqa: F401  (traced)
+from .writers import write_csv
 
 CFL = 0.45
 SPEED_FLOOR = 1e-12

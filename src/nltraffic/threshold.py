@@ -12,16 +12,22 @@ with sigma(0) = 0, sigma'(0) = 1.  The product x (1 - x) satisfies the ODE
 identically, so sigma(u) = u (1 - u) is the implementation.  The tests keep
 an RK4 integration of the ODE from its series seed as an independent
 oracle.  A curve costs nothing to build, so default_curve() builds one per
-call; write_threshold_csv tabulates it.
+call; write_threshold_csv tabulates it, on floats.  Only classify_initial_data
+loads numpy, by importing the grid when called.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
+from .writers import write_csv
 
-from .grid import DENSITY_TOL, GridFunction, require_density, spatial_derivative, write_csv
+if TYPE_CHECKING:
+    from .grid import GridFunction
+
+# admissible overshoot outside [0, 1] before a profile stops being a density
+DENSITY_TOL = 1e-8
 
 # verdict dead band: |margin| <= tau is treated as "on the curve"
 STRICTNESS_TAU = 1e-10
@@ -41,13 +47,13 @@ class ThresholdCurve:
     u_boost = 0.25
 
     def eval(self, u):
-        """sigma(u) for scalar or array u in [0, 1]; u within DENSITY_TOL of it is clipped."""
-        arr = np.asarray(u, dtype=float)
-        if np.any(arr < -DENSITY_TOL) or np.any(arr > 1.0 + DENSITY_TOL):
+        """sigma(u) for a float or an ndarray u in [0, 1]; u within DENSITY_TOL of it is clipped."""
+        scalar = isinstance(u, (int, float))
+        lo, hi = (u, u) if scalar else (u.min(), u.max())
+        if lo < -DENSITY_TOL or hi > 1.0 + DENSITY_TOL:
             raise ValueError("sigma is only defined for densities in [0, 1]")
-        arr = np.clip(arr, 0.0, 1.0)
-        out = arr * (1.0 - arr)
-        return float(out) if np.ndim(u) == 0 else out
+        u = min(max(float(u), 0.0), 1.0) if scalar else u.clip(0.0, 1.0)
+        return u * (1.0 - u)
 
 
 def default_curve() -> ThresholdCurve:
@@ -77,13 +83,14 @@ def classify_initial_data(u0: GridFunction) -> Classification:
     The slope is the second-order grid derivative of the sampled values, so
     u0 must be resolved: adjacent cell values may not jump by more than 0.5.
     """
+    from .grid import require_density, spatial_derivative
     require_density(u0)
     values = u0.values
-    if len(values) > 1 and float(np.max(np.abs(np.diff(values)))) > 0.5:
+    if len(values) > 1 and float(abs(values[1:] - values[:-1]).max()) > 0.5:
         raise ValueError("initial profile under-resolved: adjacent jump > 0.5")
     d = spatial_derivative(u0).values
     margins = d - default_curve().eval(values)
-    i = int(np.argmax(margins))
+    i = int(margins.argmax())
     top = float(margins[i])
     witness = (float(u0.x[i]), float(values[i]), float(d[i]))
     if top > STRICTNESS_TAU:
@@ -95,5 +102,15 @@ def write_threshold_csv(curve: ThresholdCurve, path, n_samples: int = 1001) -> N
     """Tabulate (u, sigma(u)) at n_samples >= 2 evenly spaced u in [0, 1]."""
     if n_samples < 2:
         raise ValueError(f"samples must be at least 2, got {n_samples}")
-    us = np.linspace(0.0, 1.0, n_samples)
-    write_csv(path, "u,sigma", (us, curve.eval(us)))
+    us = linspace(0.0, 1.0, n_samples)
+    write_csv(path, "u,sigma", (us, [curve.eval(u) for u in us]))
+
+
+def linspace(start: float, stop: float, num: int) -> list[float]:
+    """num >= 2 evenly spaced floats from start to stop, bit for bit numpy.linspace's."""
+    step = (stop - start) / (num - 1)
+    out = [0.0] * num  # one request, so that a size too large to allocate fails at once
+    for i in range(num - 1):  # the else branch is numpy's, for a step that rounds to 0
+        out[i] = (i * step if step else i / (num - 1) * (stop - start)) + start
+    out[-1] = stop
+    return out

@@ -109,7 +109,7 @@ def test_criterion_3_invariant_region_and_blowup(curve):
         u0 = float(rng.uniform(0.05, 0.95))
         d0 = curve.eval(u0) - float(rng.uniform(0.02, 0.6))
         traj = integrate_characteristic(d0, u0, ConstantFactor(1.0), t_end=50.0)
-        worst = max(worst, float(np.max(traj.d - curve.eval(traj.u))))
+        worst = max(worst, float(np.max(np.asarray(traj.d) - curve.eval(np.asarray(traj.u)))))
     below_ok = worst <= 1e-6
 
     blow_ok = True

@@ -59,7 +59,7 @@ def test_lower_bound_proposition():
     """d(t) >= min(-1, d0) whatever the factor does."""
     for d0, u0 in ((-2.0, 0.5), (-0.5, 0.7), (0.3, 0.2)):
         traj = integrate_characteristic(d0, u0, ConstantFactor(1.0), 30.0)
-        assert np.all(traj.d >= min(-1.0, d0) - 1e-6)
+        assert np.all(np.asarray(traj.d) >= min(-1.0, d0) - 1e-6)
 
 
 def test_subcritical_seeds_stay_below_curve(curve):
@@ -78,7 +78,7 @@ def test_factor_half_is_time_rescaling():
     """A constant factor only rescales time along the trajectory."""
     full = integrate_characteristic(0.2, 0.6, ConstantFactor(1.0), 2.0)
     half = integrate_characteristic(0.2, 0.6, ConstantFactor(0.5), 4.0)
-    np.testing.assert_array_equal(half.t, 2.0 * full.t)
+    np.testing.assert_array_equal(half.t, 2.0 * np.asarray(full.t))
     np.testing.assert_allclose(half.d, full.d, atol=1e-7)
     np.testing.assert_allclose(half.u, full.u, atol=1e-7)
 
@@ -242,13 +242,15 @@ def test_supercritical_phase_path_blows_up():
 def test_phase_path_on_the_curve_is_sigma(u0):
     """From d0 = sigma(u0) the path is sigma(u) = u (1 - u) itself."""
     path = phase_trajectory(u0 * (1.0 - u0), u0, u0 / 100.0)
-    np.testing.assert_array_equal(path.d, path.u * (1.0 - path.u))
+    u = np.asarray(path.u)
+    np.testing.assert_array_equal(path.d, u * (1.0 - u))
 
 
 def test_subcritical_phase_path_stays_below_sigma_down_to_tiny_u():
     path = phase_trajectory(0.1, 0.5, 1e-300)
     assert path.u[-1] == 1e-300
-    assert np.all(path.d <= path.u * (1.0 - path.u))
+    u = np.asarray(path.u)
+    assert np.all(path.d <= u * (1.0 - u))
 
 
 def test_slope_floor_homogeneity(curve):
@@ -522,12 +524,22 @@ def test_time_mode_riccati_limit_is_exact(u0):
     """
     f = 0.7
     blown = integrate_characteristic(1.0, u0, ConstantFactor(f), 10.0)
+    t = np.asarray(blown.t[:-1])
     assert blown.blowup_time == pytest.approx(1.0 / (2.0 * f), rel=1e-12)
-    assert blown.d[-1] == math.inf and np.all(blown.u == u0)
-    np.testing.assert_allclose(blown.d[:-1], 1.0 / (1.0 - 2.0 * f * blown.t[:-1]), rtol=1e-12)
+    assert blown.d[-1] == math.inf and np.all(np.asarray(blown.u) == u0)
+    np.testing.assert_allclose(blown.d[:-1], 1.0 / (1.0 - 2.0 * f * t), rtol=1e-12)
     smooth = integrate_characteristic(-1.0, u0, ConstantFactor(f), 10.0)
-    assert smooth.blowup_time is None and smooth.t[-1] == 10.0 and np.all(smooth.u == u0)
-    np.testing.assert_allclose(smooth.d, -1.0 / (1.0 + 2.0 * f * smooth.t), rtol=1e-12)
+    t = np.asarray(smooth.t)
+    assert smooth.blowup_time is None and t[-1] == 10.0 and np.all(np.asarray(smooth.u) == u0)
+    np.testing.assert_allclose(smooth.d, -1.0 / (1.0 + 2.0 * f * t), rtol=1e-12)
+
+
+def test_time_mode_one_ulp_before_blowup_ends_at_inf():
+    """t_end one ulp below T*: F(t_end) rounds onto the blow-up advance, where d is inf."""
+    t_star = integrate_characteristic(0.4, 0.5, ConstantFactor(1.0), 30.0).blowup_time
+    traj = integrate_characteristic(0.4, 0.5, ConstantFactor(1.0), math.nextafter(t_star, 0.0))
+    assert traj.blowup_time is None and traj.t[-1] < t_star
+    assert traj.d[-1] == math.inf and math.isfinite(traj.d[-2])
 
 
 @pytest.mark.filterwarnings("error")
@@ -537,10 +549,10 @@ def test_time_mode_at_full_density_is_logistic():
     for d0 in (0.5, 2.0):
         traj = integrate_characteristic(d0, 1.0, ConstantFactor(f), 10.0)
         assert traj.blowup_time == pytest.approx(0.5 * math.log(1.0 + 1.0 / d0) / f, rel=1e-12)
-        t, d = traj.t[:-1], traj.d[:-1]
+        t, d = np.asarray(traj.t[:-1]), np.asarray(traj.d[:-1])
         logistic = d0 / (d0 + 1.0) * np.exp(2.0 * f * t)
         np.testing.assert_allclose(d / (d + 1.0), logistic, rtol=1e-12)
-        assert np.all(traj.u == 1.0) and traj.d[-1] == math.inf
+        assert np.all(np.asarray(traj.u) == 1.0) and traj.d[-1] == math.inf
     for d0 in (-1.0, 0.0):  # the roots of d' = 2 f d (d + 1)
         traj = integrate_characteristic(d0, 1.0, ConstantFactor(f), 1e3)
         assert traj.blowup_time is None

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 import nltraffic
 from nltraffic import scenarios
+from nltraffic.characteristics import PHASE_SAMPLES, ConstantFactor, integrate_characteristic
 from nltraffic.cli import main, parse_args, parse_kernel_arg
 from nltraffic.kernels import sk_scaled
 from nltraffic.scenarios import RECIPES, customized, run_experiment
@@ -582,6 +583,63 @@ print(json.dumps(codes))
     assert "slope blow-up at t = 1.81483" in proc.stdout
 
 
+def test_scalar_commands_load_no_numpy(tmp_path):
+    """bounds, threshold-curve and phase-portrait compute on floats: with numpy blocked they run.
+
+    sys.modules["numpy"] = None makes any `import numpy` raise ImportError, which
+    main does not catch, so a numpy import anywhere on these paths ends the script.
+    """
+    script = f"""
+import json, sys
+sys.modules["numpy"] = None
+import nltraffic
+nltraffic.default_curve()
+from nltraffic.cli import main
+
+codes = []
+for argv in (
+    ["bounds", "--d0", "0.4", "--u0", "0.5"],
+    ["threshold-curve", "--samples", "11"],
+    ["threshold-curve", "--samples", "1001"],
+    ["phase-portrait", "--d0", "0.4", "--u0", "0.5", "--factor", "1", "--t-end", "30"],
+    ["phase-portrait", "--d0", "0.1", "--u0", "0.5", "--factor", "1", "--t-end", "1e300"],
+    ["phase-portrait", "--d0", "-1", "--u0", "0", "--factor", "1", "--t-end", "1.7e308"],
+    ["phase-portrait", "--d0", "0.1", "--u0", "0.5"],
+    ["phase-portrait", "--d0", "0.1", "--u0", "0.5", "--u-end", "1e-300"],
+    ["phase-portrait", "--d0", "0.3", "--u0", "0.5", "--u-end", "1e-300"],
+    ["phase-portrait", "--d0", "1.0", "--u0", "0.5", "--u-end", "0.005"],
+):
+    codes.append(main(argv + ["--out", {str(tmp_path)!r} + "/" + str(len(codes))]))
+print(json.dumps(codes))
+"""
+    proc = run_python(["-c", script], timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    codes = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert codes == [0, 0, 0, 0, 0, 0, 0, 0, 2, 2], proc.stderr
+    assert proc.stdout.splitlines()[:2] == [
+        "T_star_sharp = 250.117", "slope blow-up at t = 1.81483",
+    ]
+    assert proc.stderr.splitlines() == [
+        "error: the slope blows up at u* = 0.231662, above u_end = 1e-300",
+        "error: the slope blows up at u* = 0.436492, above u_end = 0.005",
+    ]
+
+
+def test_samplers_match_numpy_linspace(tmp_path):
+    """threshold_curve.csv's u and a characteristic's t are np.linspace's, bit for bit."""
+    for n in (2, 3, 7, 1001, 4097):
+        assert main(["threshold-curve", "--samples", str(n), "--out", str(tmp_path)]) == 0
+        rows = (tmp_path / "threshold_curve.csv").read_text().splitlines()[1:]
+        assert [float(row.split(",")[0]) for row in rows] == np.linspace(0.0, 1.0, n).tolist()
+    blown = integrate_characteristic(0.4, 0.5, ConstantFactor(1.0), 30.0)
+    assert blown.blowup_time is not None
+    assert list(blown.t) == np.linspace(0.0, blown.blowup_time, PHASE_SAMPLES).tolist()
+    for t_end in (30.0, 5e-324):  # 5e-324 / 200 rounds to 0: numpy's step for a denormal range
+        smooth = integrate_characteristic(0.1, 0.5, ConstantFactor(1.0), t_end)
+        assert smooth.blowup_time is None
+        assert list(smooth.t) == np.linspace(0.0, t_end, PHASE_SAMPLES).tolist()
+
+
 def test_solver_failure_writes_dump(tmp_path, capsys, monkeypatch):
     """The dump records the command and options in the form of manifest.json."""
     def boom(exp, out_dir):
@@ -736,9 +794,13 @@ def test_manifest_records_options_and_files(tmp_path):
     ],
 )
 def test_non_finite_domain_exits_2(tmp_path, capsys, argv, name):
+    """The message names the non-finite end alone, and both ends when their distance overflows."""
     out = tmp_path / "bad"
     assert main(argv + ["--n-cells", "200", "--out", str(out)]) == 2
-    assert name in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert name in err
+    for end in ("x_left", "x_right"):
+        assert (end in err) == (end in name), err
     assert not any(p.is_file() for p in out.rglob("*"))
 
 

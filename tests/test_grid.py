@@ -61,8 +61,11 @@ def test_grid_spec_validation():
     ],
 )
 def test_grid_spec_rejects_non_finite_ends(ends, name):
-    with pytest.raises(ValueError, match=name):
+    """The message names the non-finite end alone, and both ends when the width is out of range."""
+    with pytest.raises(ValueError, match=name) as info:
         GridSpec(*ends, 100)
+    for end in ("x_left", "x_right"):
+        assert (end in str(info.value)) == (end in name), info.value
 
 
 def test_grid_function_shape_mismatch():

@@ -18,7 +18,6 @@ from nltraffic.grid import (
     GridSpec,
     spatial_derivative,
     total_mass,
-    write_json,
 )
 from nltraffic.kernels import (
     INFINITE, LINEAR, SK_UNIT, UNIFORM, ZERO, nonlocal_field, parse_kernel, sk_scaled,
@@ -35,6 +34,7 @@ from nltraffic.solver import (
     numerical_flux,
     require_runnable,
 )
+from nltraffic.writers import write_json
 from oracles import (
     exact_cell_averages, front_position, godunov_flux, random_compact_bump, reference_evolve,
 )
