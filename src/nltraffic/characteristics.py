@@ -181,11 +181,13 @@ def _phase_denominator(w0: float, u0: float, u):
 
 
 def _phase_path(d0: float, u0: float, u):
-    sigma = u * (1.0 - u)
+    """d(u) = u (1 - u) N / D with N = D + w0 (1 - u), which has no cancellation as u -> 0."""
     w0 = d0 - u0 * (1.0 - u0)
     if w0 == 0.0:  # the path is sigma itself, and D(u) = u0 (1 - u0)^2 r may underflow
-        return sigma
-    return sigma + w0 * (u * (1.0 - u) ** 2 / _phase_denominator(w0, u0, u))
+        return u * (1.0 - u)
+    r = (u / u0) ** 2
+    numerator = u0 * (1.0 - u0) ** 2 * r + w0 * (u - (2.0 * u0 - 1.0) * r)
+    return u * (1.0 - u) * (numerator / _phase_denominator(w0, u0, u))
 
 
 @dataclass(frozen=True)

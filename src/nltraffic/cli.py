@@ -10,7 +10,8 @@ Options may also come from a flat config file (--config) of `key = value`
 lines with `#` comments; explicit command-line flags win over the file,
 which wins over built-in defaults.  Exit codes: 0 success, 2 validation
 error or a size too large to allocate, 3 numerical failure (a diagnostic
-dump is written).  Only classify, evolve and compare-kernels load numpy.
+dump is written).  Only evolve and compare-kernels, which step the solver,
+load numpy.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import argparse
 import math
 import sys
 from dataclasses import asdict, replace
+from importlib import import_module
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -216,10 +218,12 @@ def dispatch(args) -> int:
     files: list[str] = []
 
     if args.subcommand in ("classify", "evolve", "compare-kernels"):
-        from .solver import SolverFailure
+        exp = _experiment(args)
+        # only a run that steps can fail numerically; () catches nothing: classify loads no solver
+        failure = import_module(".solver", __package__).SolverFailure if exp.kernels else ()
         try:
-            result = run_experiment(_experiment(args), out)
-        except SolverFailure as exc:
+            result = run_experiment(exp, out)
+        except failure as exc:
             path = out / "failure_dump.json"
             write_json(path, {"error": str(exc), **exc.dump, **_recorded(args)})
             print(f"numerical failure: {exc} (dump: {path})", file=sys.stderr)

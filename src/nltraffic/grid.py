@@ -2,15 +2,17 @@
 
 Everything downstream works with cell averages on a uniform grid: cell i
 spans [x_left + i*dx, x_left + (i+1)*dx] and carries the value u_i
-attached to the cell center x_i = x_left + (i + 1/2)*dx.
+attached to the cell center x_i = x_left + (i + 1/2)*dx.  A profile is a
+function of one float, sampled once per center.  CellValues holds the
+samples as floats, which is all a classification needs; GridFunction holds
+them as the read-only array that the solver steps, and alone loads numpy.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from functools import cached_property
 
 from .threshold import DENSITY_TOL
 from .writers import write_csv
@@ -44,19 +46,39 @@ class GridSpec:
     def dx(self) -> float:
         return (self.x_right - self.x_left) / self.n_cells
 
-    @property
-    def centers(self) -> np.ndarray:
-        return self.x_left + (np.arange(self.n_cells) + 0.5) * self.dx
+    @cached_property  # every snapshot of a run writes them
+    def centers(self) -> tuple[float, ...]:
+        x_left, dx = self.x_left, self.dx
+        out = [0.0] * self.n_cells  # one request: a size too large to allocate fails at once
+        for i in range(self.n_cells):
+            out[i] = x_left + (i + 0.5) * dx
+        return tuple(out)
 
 
 @dataclass(frozen=True)
-class GridFunction:
-    """A real profile sampled at the cell centers of a GridSpec."""
+class CellValues:
+    """A real profile sampled at the cell centers of a GridSpec, as floats."""
 
     grid: GridSpec
-    values: np.ndarray
+    values: list[float]
+
+    @classmethod
+    def from_callable(cls, grid: GridSpec, f):
+        """f, a function of one float, at each cell center."""
+        return cls(grid, [f(x) for x in grid.centers])
+
+    @property
+    def x(self) -> tuple[float, ...]:
+        return self.grid.centers
+
+
+@dataclass(frozen=True)
+class GridFunction(CellValues):
+    """CellValues whose values are a finite, read-only float64 array."""
 
     def __post_init__(self):
+        import numpy as np
+
         values = np.array(self.values, dtype=float)
         if values.shape != (self.grid.n_cells,):
             raise ValueError(
@@ -66,14 +88,6 @@ class GridFunction:
             raise ValueError("non-finite values in grid function")
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
-
-    @classmethod
-    def from_callable(cls, grid: GridSpec, f) -> "GridFunction":
-        return cls(grid, np.asarray(f(grid.centers), dtype=float))
-
-    @property
-    def x(self) -> np.ndarray:
-        return self.grid.centers
 
 
 def require_density(u: GridFunction) -> None:
@@ -87,11 +101,6 @@ def require_density(u: GridFunction) -> None:
 def total_mass(u: GridFunction) -> float:
     """Midpoint-rule mass dx * sum(u_i)."""
     return float(u.grid.dx * u.values.sum())
-
-
-def spatial_derivative(u: GridFunction) -> GridFunction:
-    """Central differences inside, one-sided second-order at the two edges."""
-    return GridFunction(u.grid, np.gradient(u.values, u.grid.dx, edge_order=2))
 
 
 def write_profile_csv(u: GridFunction, path) -> None:

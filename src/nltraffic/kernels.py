@@ -28,16 +28,19 @@ ubar(x) = Q(x) - Q(e) and linear, by parts, 2 [Q(x) - S(x) + S(e)], set to
 exactly 0 where Q(x) = Q(e).  Cancellation can leave ubar at -1e-16; it is
 clamped to zero.  The solver calls lookahead_average; nonlocal_field, the
 benchmark's entry point, averages a GridFunction behind a density guard.
+Only the averages load numpy, so Kernel and parse_kernel import without it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .grid import GridFunction, require_density, total_mass
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _KINDS = ("zero", "sk", "sk_scaled", "infinite", "uniform", "linear")
 
@@ -117,6 +120,8 @@ def lookahead_average(values: np.ndarray, dx: float, kernel: Kernel, mass: float
     mass is the whole line's dx * sum of its cells, the uniform kernel's
     average.
     """
+    import numpy as np
+
     n = len(values)
     if kernel.kind == "zero":
         return np.zeros(n)

@@ -10,28 +10,29 @@ Two analytic profiles anchor the study:
   curve; with the infinite look-ahead kernel it evolves smoothly forever,
   while kernels with bounded horizon still break down.
 
-Each datum is a profile on its recommended domain, and a run sees only the
-profile sampled on the grid, mass included; metadata.json records the
-domain.  subinit's 1/x^2 tail has infinite support, which [-200, 40] cuts;
-the look-ahead average only sees density to the right, so a cut on the left
-never enters ubar, though the solver's left edge lets in the flux of the
-first cell.  What a cut on the right misses is the solver's to judge, from
-the sampled grid: require_runnable() refuses data that reach x_right under
-a kernel that looks ahead, and run_experiment asks it of every kernel
-before the first evolves.
+Each datum is a profile, a function of one float, on its recommended
+domain, and a run sees only the profile sampled at the cell centers, mass
+included; metadata.json records the domain.  subinit's 1/x^2 tail has
+infinite support, which [-200, 40] cuts; the look-ahead average only sees
+density to the right, so a cut on the left never enters ubar, though the
+solver's left edge lets in the flux of the first cell.  What a cut on the
+right misses is the solver's to judge, from the sampled grid:
+require_runnable() refuses data that reach x_right under a kernel that
+looks ahead, and run_experiment asks it of every kernel before the first
+evolves.  A run that evolves no kernel (classify) works on the samples as
+floats and loads neither the solver nor numpy.
 """
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .grid import GridFunction, GridSpec, spatial_derivative, write_profile_csv
+from .grid import CellValues, GridFunction, GridSpec, write_profile_csv
 from .kernels import INFINITE, SK_UNIT, UNIFORM, ZERO, Kernel
-from .solver import BLOWUP_GRADIENT_FACTOR, Diagnostics, evolve, require_runnable
 from .threshold import (
     Classification,
     classify_initial_data,
@@ -40,34 +41,30 @@ from .threshold import (
 )
 from .writers import write_csv, write_json
 
+if TYPE_CHECKING:
+    from .solver import Diagnostics
+
 COMPARE_KERNELS = (ZERO, SK_UNIT, INFINITE, UNIFORM)
 
 
-def bump_init(x):
+def bump_init(x: float) -> float:
     """Supercritical mollifier bump, exp(-1/(1-x^2)) inside |x| < 1."""
-    x = np.asarray(x, dtype=float)
-    out = np.zeros_like(x)
-    inside = np.abs(x) < 1.0
-    xi = x[inside]
-    out[inside] = np.exp(-1.0 / (1.0 - xi * xi))
-    return out
+    return math.exp(-1.0 / (1.0 - x * x)) if abs(x) < 1.0 else 0.0
 
 
-_POLY = np.array([3.0, 35.0, 123.0, 81.0, -162.0, 162.0]) / 1458.0
+_POLY = tuple(c / 1458.0 for c in (3.0, 35.0, 123.0, 81.0, -162.0, 162.0))
 
 
-def subcritical_init(x):
+def subcritical_init(x: float) -> float:
     """Subcritical profile: 1/x^2, quintic bridge, exp(-x)/9 (C^2 joins)."""
-    x = np.asarray(x, dtype=float)
-    out = np.empty_like(x)
-    left = x <= -3.0
-    mid = (~left) & (x <= 0.0)
-    right = x > 0.0
-    with np.errstate(over="ignore"):  # beyond |x| ~ 1e154, x^2 = inf and 1/inf = 0 is right
-        out[left] = 1.0 / x[left] ** 2
-    out[mid] = np.polyval(_POLY, x[mid])
-    out[right] = np.exp(-x[right]) / 9.0
-    return out
+    if x <= -3.0:
+        return 1.0 / (x * x)  # beyond |x| ~ 1e154, x * x = inf and 1/inf = 0 is right
+    if x <= 0.0:
+        y = 0.0
+        for c in _POLY:  # Horner, as np.polyval
+            y = y * x + c
+        return y
+    return math.exp(-x) / 9.0
 
 
 @dataclass(frozen=True)
@@ -144,11 +141,10 @@ class ExperimentResult:
     files: list[str]
 
 
-def _write_overlay(u0: GridFunction, path) -> None:
-    curve = default_curve()
-    d = spatial_derivative(u0).values
-    sig = curve.eval(u0.values)
-    write_csv(path, "x,u,d,sigma", (u0.x, u0.values, d, sig))
+def evolve(*args, **kwargs):
+    """solver.evolve, imported at the first call: a run that evolves no kernel loads no numpy."""
+    from .solver import evolve
+    return evolve(*args, **kwargs)
 
 
 def _warn(tag: str, diag: Diagnostics, dx: float) -> None:
@@ -158,6 +154,7 @@ def _warn(tag: str, diag: Diagnostics, dx: float) -> None:
     grid too coarse for the 0.08/dx rule; density through the right edge
     means the run left the model's domain.
     """
+    from .solver import BLOWUP_GRADIENT_FACTOR
     report = diag.blowup
     if report.t_detect == 0.0:
         print(
@@ -182,22 +179,26 @@ def run_experiment(exp: Experiment, out_dir) -> ExperimentResult:
     written, so a run that is refused or fails leaves no partial bundle.
     Each kernel's warnings go to stderr once every kernel has evolved.
     """
-    u0 = exp.datum.sample(exp.n_cells)
-    grid = u0.grid
-    if float(u0.values.max()) <= 0.0:
+    grid = GridSpec(*exp.datum.domain, exp.n_cells)
+    sample = CellValues.from_callable(grid, exp.datum.profile)
+    if max(sample.values) <= 0.0:
         raise ValueError(
             f"the n_cells = {exp.n_cells} cell centers on [x_left, x_right] = "
             f"[{grid.x_left:g}, {grid.x_right:g}] sample {exp.datum.name} as 0 everywhere"
         )
-    for kernel in exp.kernels:  # refuse the recipe before its first kernel evolves
-        require_runnable(u0, kernel, exp.t_end, exp.snapshot_times)
+    u0 = None
+    if exp.kernels:  # only a run that steps needs the solver and numpy's array
+        from .solver import require_runnable
+        u0 = GridFunction(grid, sample.values)
+        for kernel in exp.kernels:  # refuse the recipe before its first kernel evolves
+            require_runnable(u0, kernel, exp.t_end, exp.snapshot_times)
     snap_files: dict[str, float] = {}  # file name -> time, in snapshot_times order
     for t in exp.snapshot_times:
         fname = f"snap_t{t:g}.csv"
         if fname in snap_files:
             raise ValueError(f"snapshot times {snap_files[fname]!r} and {t!r} both name {fname}")
         snap_files[fname] = t
-    result = classify_initial_data(u0)
+    result = classify_initial_data(sample)
     runs = [
         (kernel, *evolve(u0, kernel, exp.t_end, exp.snapshot_times, exp.stop_on_blowup))
         for kernel in exp.kernels
@@ -213,8 +214,9 @@ def run_experiment(exp: Experiment, out_dir) -> ExperimentResult:
         files.append(f"{exp.name}/{rel}")
         return root / rel
 
-    write_json(bundle_path("classification.json"), asdict(result))
-    _write_overlay(u0, bundle_path("threshold_overlay.csv"))
+    write_json(bundle_path("classification.json"), result.record())
+    write_csv(bundle_path("threshold_overlay.csv"), "x,u,d,sigma",
+              (sample.x, sample.values, result.d, result.sigma))
     write_threshold_csv(default_curve(), bundle_path("threshold_curve.csv"))
 
     for kernel, snaps, diag in runs:

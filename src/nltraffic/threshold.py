@@ -12,19 +12,22 @@ with sigma(0) = 0, sigma'(0) = 1.  The product x (1 - x) satisfies the ODE
 identically, so sigma(u) = u (1 - u) is the implementation.  The tests keep
 an RK4 integration of the ODE from its series seed as an independent
 oracle.  A curve costs nothing to build, so default_curve() builds one per
-call; write_threshold_csv tabulates it, on floats.  Only classify_initial_data
-loads numpy, by importing the grid when called.
+call.  The whole module works on Python floats: write_threshold_csv
+tabulates the curve, and classify_initial_data judges a sampled profile
+with the slope np.gradient(u, dx, edge_order=2) would take.  None of it
+loads numpy.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
+from itertools import pairwise
 from typing import TYPE_CHECKING
 
 from .writers import write_csv
 
 if TYPE_CHECKING:
-    from .grid import GridFunction
+    from .grid import CellValues
 
 # admissible overshoot outside [0, 1] before a profile stops being a density
 DENSITY_TOL = 1e-8
@@ -67,7 +70,8 @@ class Classification:
     For SUPERCRITICAL the witness maximizes margin = u0'(x) - sigma(u0(x))
     and margin > 0; for SUBCRITICAL it minimizes sigma(u0) - u0' and margin
     is that minimal distance below the curve; it is negative when the point
-    lies in the dead band (0, tau] above it: too close to call.
+    lies in the dead band (0, tau] above it: too close to call.  d and sigma
+    hold every cell's slope and sigma(u0) for the overlay; record() omits them.
     """
 
     verdict: str
@@ -75,27 +79,45 @@ class Classification:
     u0_at_x0: float
     d0_at_x0: float
     margin: float
+    d: list[float] = field(default_factory=list, repr=False, compare=False)
+    sigma: list[float] = field(default_factory=list, repr=False, compare=False)
+
+    def record(self) -> dict:
+        """The verdict and its witness, as classification.json holds them."""
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.compare}
 
 
-def classify_initial_data(u0: GridFunction) -> Classification:
+def classify_initial_data(u0: CellValues) -> Classification:
     """Decide whether any point of u0 starts above the threshold curve.
 
-    The slope is the second-order grid derivative of the sampled values, so
-    u0 must be resolved: adjacent cell values may not jump by more than 0.5.
+    u0 holds floats or, as a GridFunction, an array.  The slope is the
+    second-order grid derivative of the sampled values, so u0 must be
+    resolved: adjacent cell values may not jump by more than 0.5.
     """
-    from .grid import require_density, spatial_derivative
-    require_density(u0)
-    values = u0.values
-    if len(values) > 1 and float(abs(values[1:] - values[:-1]).max()) > 0.5:
+    values = u0.values.tolist() if hasattr(u0.values, "tolist") else u0.values
+    if not all(-DENSITY_TOL <= v <= 1.0 + DENSITY_TOL for v in values):
+        raise ValueError(f"density out of range: min={min(values):.3e}, max={max(values):.3e}")
+    if any(abs(b - a) > 0.5 for a, b in pairwise(values)):
         raise ValueError("initial profile under-resolved: adjacent jump > 0.5")
-    d = spatial_derivative(u0).values
-    margins = d - default_curve().eval(values)
-    i = int(margins.argmax())
-    top = float(margins[i])
-    witness = (float(u0.x[i]), float(values[i]), float(d[i]))
+    d = gradient(values, u0.grid.dx)
+    curve = default_curve()
+    sigma = [curve.eval(v) for v in values]
+    margins = [slope - sig for slope, sig in zip(d, sigma)]
+    i = max(range(len(margins)), key=margins.__getitem__)  # the first maximum, as argmax's
+    top = margins[i]
+    witness = (u0.x[i], values[i], d[i])
     if top > STRICTNESS_TAU:
-        return Classification(SUPERCRITICAL, *witness, top)
-    return Classification(SUBCRITICAL, *witness, -top)
+        return Classification(SUPERCRITICAL, *witness, top, d, sigma)
+    return Classification(SUBCRITICAL, *witness, -top, d, sigma)
+
+
+def gradient(values: list[float], dx: float) -> list[float]:
+    """np.gradient(values, dx, edge_order=2) on floats, bit for bit: central
+    differences inside, the one-sided second-order stencils at the two ends."""
+    left = (-1.5 / dx) * values[0] + (2.0 / dx) * values[1] + (-0.5 / dx) * values[2]
+    right = (0.5 / dx) * values[-3] + (-2.0 / dx) * values[-2] + (1.5 / dx) * values[-1]
+    two_dx = 2.0 * dx
+    return [left, *[(b - a) / two_dx for a, b in zip(values, values[2:])], right]
 
 
 def write_threshold_csv(curve: ThresholdCurve, path, n_samples: int = 1001) -> None:

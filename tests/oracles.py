@@ -318,7 +318,7 @@ def exact_cell_averages(grid, kernel, T: float, datum: str = "bump") -> np.ndarr
     """
     support = (-1.0, 1.0) if datum == "bump" else (grid.x_left, grid.x_right)
     x0 = np.linspace(*support, EXACT_LABELS)
-    u0 = get_datum(datum).profile(x0)
+    u0 = np.array([get_datum(datum).profile(x) for x in x0.tolist()])
     pieces = 0.5 * (u0[:-1] + u0[1:]) * np.diff(x0)
     ubar0 = np.concatenate((np.cumsum(pieces[::-1])[::-1], [0.0]))  # int_x0^inf u0
     if kernel.kind in ("zero", "uniform"):

@@ -1,5 +1,6 @@
 import math
 from dataclasses import asdict
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from scipy.optimize import brentq
 
 from nltraffic.characteristics import (
     ConstantFactor,
+    _phase_path,
     blowup_time_bound,
     integrate_characteristic,
     phase_trajectory,
@@ -251,6 +253,27 @@ def test_subcritical_phase_path_stays_below_sigma_down_to_tiny_u():
     assert path.u[-1] == 1e-300
     u = np.asarray(path.u)
     assert np.all(path.d <= u * (1.0 - u))
+
+
+def exact_phase_path(d0: float, u0: float, u: float) -> Fraction:
+    """d(u) = sigma(u) + w0 u (1 - u)^2 / D(u) in exact rational arithmetic."""
+    d0, u0, u = Fraction(d0), Fraction(u0), Fraction(u)
+    w0 = d0 - u0 * (1 - u0)
+    r = (u / u0) ** 2
+    D = u0 * (1 - u0) ** 2 * r + w0 * ((2 * u - 1) - (2 * u0 - 1) * r)
+    return u * (1 - u) + w0 * u * (1 - u) ** 2 / D
+
+
+def test_subcritical_phase_path_is_exact_near_vacuum():
+    """Below u ~ 1e-20 d ~ -u^2 keeps every digit: within 2 ulp of the rational value."""
+    path = phase_trajectory(0.1, 0.5, 1e-300)
+    deep = [(u, d) for u, d in zip(path.u, path.d) if u <= 1e-20]
+    assert len(deep) > 150
+    deep.append((5e-10, _phase_path(0.1, 0.5, 5e-10)))
+    for u, d in deep:
+        exact = exact_phase_path(0.1, 0.5, u)
+        assert abs(Fraction(d) - exact) <= 2 * Fraction(math.ulp(float(exact))), (u, d)
+    assert all(d < 0.0 for u, d in deep if u > 1e-150)  # d ~ -u^2 until it underflows
 
 
 def test_slope_floor_homogeneity(curve):

@@ -517,7 +517,7 @@ def test_compare_kernels_refused_at_first_lookahead_kernel(tmp_path, capsys, mon
     ],
 )
 def test_unallocatable_size_exits_2(tmp_path, capsys, argv):
-    """numpy refuses 10**15 doubles at once; the error names both size options."""
+    """A list of 10**15 floats is refused at once; the error names both size options."""
     assert main(argv + ["--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "lower --n-cells or --samples" in err, err
@@ -625,6 +625,39 @@ print(json.dumps(codes))
     ]
 
 
+def test_classify_loads_no_numpy(tmp_path):
+    """classify samples and classifies on floats: with numpy blocked it runs and refuses."""
+    script = f"""
+import contextlib, io, json, sys
+sys.modules["numpy"] = None
+from nltraffic.cli import main
+
+results = []
+for argv in (
+    ["classify", "--datum", "bump"],
+    ["classify", "--datum", "subinit"],
+    ["classify", "--datum", "subinit", "--x-left", "-1e155", "--n-cells", "400"],
+    ["classify", "--datum", "subinit", "--x-left", "-1e300"],
+    ["classify", "--n-cells", "1000000000000000"],
+    ["classify", "--datum", "nope"],
+):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv + ["--out", {str(tmp_path)!r} + "/" + str(len(results))])
+    results.append((code, out.getvalue(), err.getvalue()))
+print(json.dumps(results))
+"""
+    proc = run_python(["-c", script], timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    bump, subinit, far, zero, huge, unknown = json.loads(proc.stdout)
+    assert bump == [0, "SUPERCRITICAL\n", ""]
+    assert subinit == [0, "SUBCRITICAL\n", ""]
+    assert far == [0, "SUBCRITICAL\n", ""]
+    assert zero[0] == 2 and len(zero[2].splitlines()) == 1, zero
+    assert huge[0] == 2 and "--n-cells" in huge[2], huge
+    assert unknown[0] == 2 and "unknown datum 'nope'" in unknown[2], unknown
+
+
 def test_samplers_match_numpy_linspace(tmp_path):
     """threshold_curve.csv's u and a characteristic's t are np.linspace's, bit for bit."""
     for n in (2, 3, 7, 1001, 4097):
@@ -647,13 +680,13 @@ def test_solver_failure_writes_dump(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr("nltraffic.cli.run_experiment", boom)
     out = tmp_path / "sf"
-    argv = ["classify", "--n-cells", "300", "--x-left", "nan", "--x-right", "4", "--out", str(out)]
+    argv = ["evolve", "--n-cells", "300", "--x-left", "nan", "--x-right", "4", "--out", str(out)]
     code = main(argv)
     assert code == 3
     dump = json.loads((out / "failure_dump.json").read_text())
     assert dump["error"] == "synthetic failure"
     assert dump["t"] == 0.5
-    assert dump["command"] == "classify" and dump["options"]["x_left"] == "nan"
+    assert dump["command"] == "evolve" and dump["options"]["x_left"] == "nan"
     monkeypatch.undo()
     argv[argv.index("nan")] = "-6"
     assert main(argv) == 0

@@ -24,8 +24,7 @@ ALL_KERNELS = (ZERO, SK_UNIT, INFINITE, UNIFORM, LINEAR)
 
 
 def box_on(grid, lo=0.0, hi=1.0):
-    x = grid.centers
-    return GridFunction(grid, np.where((x > lo) & (x < hi), 1.0, 0.0))
+    return GridFunction.from_callable(grid, lambda x: 1.0 if lo < x < hi else 0.0)
 
 
 @pytest.fixture
@@ -36,7 +35,7 @@ def fine_grid():
 
 def ubar_at(gf, kernel, x0):
     ubar = nonlocal_field(gf, kernel)
-    i = int(np.argmin(np.abs(gf.x - x0)))
+    i = int(np.argmin(np.abs(np.array(gf.x) - x0)))
     return float(ubar[i])
 
 

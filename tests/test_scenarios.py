@@ -41,8 +41,7 @@ def test_bump_hand_values():
     assert bump_init(-1.0) == 0.0
     # smooth cutoff: one-sided limit vanishes as well
     assert bump_init(1.0 - 1e-6) < 1e-100
-    vals = bump_init(np.array([-2.0, 0.0, 2.0]))
-    assert vals[0] == 0.0 and vals[2] == 0.0
+    assert bump_init(-2.0) == 0.0 and bump_init(2.0) == 0.0
 
 
 def test_subinit_branch_values_agree_at_joins():
@@ -64,13 +63,14 @@ def test_subinit_far_field_flatness():
     # relative slope 2/|x| of the algebraic tail
     xs = np.linspace(-200.0, -31.0, 300)
     h = 1e-5
-    d = (subcritical_init(xs + h) - subcritical_init(xs - h)) / (2 * h)
-    assert np.all(np.abs(d / subcritical_init(xs)) < 0.1)
+    for x in xs:
+        d = (subcritical_init(x + h) - subcritical_init(x - h)) / (2 * h)
+        assert abs(d / subcritical_init(x)) < 0.1
 
 
 def test_subinit_positive_and_below_one():
     xs = np.linspace(-200.0, 40.0, 20001)
-    vals = subcritical_init(xs)
+    vals = np.array([subcritical_init(x) for x in xs])
     assert np.all(vals > 0.0)
     assert np.all(vals <= 1.0)
 
@@ -100,9 +100,33 @@ def test_datum_sampling():
     assert narrow.grid.x_right == 2.0
 
 
+@pytest.mark.parametrize("name", ["bump", "subinit"])
+def test_one_sampler_and_one_classification(tmp_path, name):
+    """A datum is sampled one way, at each cell center, and classified once per run.
+
+    classify writes the same classification and overlay bytes as compare-kernels,
+    and the overlay's slope is np.gradient's, bit for bit.
+    """
+    datum = get_datum(name)
+    n = 400
+    grid = GridSpec(*datum.domain, n)
+    assert datum.sample(n).values.tolist() == [datum.profile(x) for x in grid.centers]
+    options = ["--datum", name, "--n-cells", str(n)]
+    assert main(["classify", *options, "--out", str(tmp_path / "c")]) == 0
+    assert main(["compare-kernels", *options, "--t-end", "1", "--out", str(tmp_path / "k")]) == 0
+    alone = tmp_path / "c" / f"classify-{name}"
+    recipe = next(r for r in RECIPES.values() if r.datum.name == name)
+    bundle = tmp_path / "k" / recipe.name
+    for fname in ("classification.json", "threshold_overlay.csv"):
+        assert (alone / fname).read_bytes() == (bundle / fname).read_bytes(), fname
+    overlay = np.loadtxt(alone / "threshold_overlay.csv", delimiter=",", skiprows=1)
+    np.testing.assert_array_equal(overlay[:, 0], grid.x_left + (np.arange(n) + 0.5) * grid.dx)
+    np.testing.assert_array_equal(overlay[:, 2], np.gradient(overlay[:, 1], grid.dx, edge_order=2))
+
+
 def test_subinit_gradient_indicator_matches_dense_oracle():
     xs = np.linspace(-200.0, 40.0, 200001)
-    vals = subcritical_init(xs)
+    vals = np.array([subcritical_init(x) for x in xs])
     oracle = float(np.max(np.abs(np.gradient(vals, xs))) / np.max(vals))
     got = gradient_indicator(CATALOG["subinit"].sample(8000))
     assert got == pytest.approx(oracle, rel=0.01)

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from nltraffic.threshold import (
     SUPERCRITICAL,
     classify_initial_data,
     default_curve,
+    gradient,
     write_threshold_csv,
 )
 from oracles import SEED_X, boost_bound, build_table, threshold_residual
@@ -101,8 +103,7 @@ def ramp_data(slope, center=0.5, width=0.2, n=2000):
     (center - width, center + width), clear of the vacuum where any
     positive slope is supercritical."""
     grid = GridSpec(-10.0, 10.0, n)
-    x = grid.centers
-    return GridFunction(grid, center + width * np.tanh(slope * x / width))
+    return GridFunction.from_callable(grid, lambda x: center + width * math.tanh(slope * x / width))
 
 
 def test_classify_supercritical():
@@ -140,6 +141,15 @@ def test_classify_borderline_flag():
     assert -STRICTNESS_TAU <= res.margin < 0.0  # in the dead band, above the curve
     res = classify_initial_data(spike_data(2e-10))
     assert res.verdict == SUPERCRITICAL
+
+
+@pytest.mark.parametrize("domain", [(-6.0, 10.0), (-200.0, 40.0), (0.0, 1e-3)])
+@pytest.mark.parametrize("n", [4, 5, 17, 4000, 64000])
+def test_gradient_is_numpys_bit_for_bit(domain, n):
+    grid = GridSpec(*domain, n)
+    values = np.random.default_rng(n).uniform(0.0, 1.0, n)
+    expected = np.gradient(values, grid.dx, edge_order=2)
+    np.testing.assert_array_equal(gradient(values.tolist(), grid.dx), expected)
 
 
 def test_classify_rejects_bad_density():
