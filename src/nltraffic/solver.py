@@ -61,6 +61,7 @@ rather than an unreachable threshold.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,6 +70,7 @@ from .grid import (  # noqa: F401  (total_mass: traced)
     DENSITY_TOL, GridFunction, require_density, total_mass,
 )
 from .kernels import Kernel, lookahead_average, nonlocal_field  # noqa: F401  (traced)
+from .threshold import end_slopes
 from .writers import write_csv
 
 CFL = 0.45
@@ -176,10 +178,6 @@ class Diagnostics:
                "factor_max", "dt", "max_speed")
 
     def __init__(self):
-        # imported here, so that commands which never evolve do not load the
-        # extension module, about 0.1 MiB of resident memory
-        from array import array
-
         for name in self.COLUMNS:
             setattr(self, name, array("d"))
         self.max_mass_drift = 0.0
@@ -200,9 +198,7 @@ def _max_slope(u: np.ndarray, dx: float, cells: slice) -> float:
     """
     v = u[cells]
     inner = float(np.abs(v[2:] - v[:-2]).max()) / (2.0 * dx)
-    left = (-1.5 / dx) * u[0] + (2.0 / dx) * u[1] + (-0.5 / dx) * u[2]
-    right = (0.5 / dx) * u[-3] + (-2.0 / dx) * u[-2] + (1.5 / dx) * u[-1]
-    return float(max(inner, abs(left), abs(right)))
+    return float(max(inner, *map(abs, end_slopes(u, dx))))
 
 
 def gradient_indicator(u: GridFunction) -> float:

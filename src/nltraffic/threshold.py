@@ -12,10 +12,9 @@ with sigma(0) = 0, sigma'(0) = 1.  The product x (1 - x) satisfies the ODE
 identically, so sigma(u) = u (1 - u) is the implementation.  The tests keep
 an RK4 integration of the ODE from its series seed as an independent
 oracle.  A curve costs nothing to build, so default_curve() builds one per
-call.  The whole module works on Python floats: write_threshold_csv
-tabulates the curve, and classify_initial_data judges a sampled profile
-with the slope np.gradient(u, dx, edge_order=2) would take.  None of it
-loads numpy.
+call.  The whole module works on Python floats, and none of it loads numpy:
+write_threshold_csv tabulates the curve, and classify_initial_data judges a
+sampled profile with the slope np.gradient(u, dx, edge_order=2) would take.
 """
 
 from __future__ import annotations
@@ -49,13 +48,11 @@ class ThresholdCurve:
 
     u_boost = 0.25
 
-    def eval(self, u):
-        """sigma(u) for a float or an ndarray u in [0, 1]; u within DENSITY_TOL of it is clipped."""
-        scalar = isinstance(u, (int, float))
-        lo, hi = (u, u) if scalar else (u.min(), u.max())
-        if lo < -DENSITY_TOL or hi > 1.0 + DENSITY_TOL:
+    def eval(self, u: float) -> float:
+        """sigma(u) for a density u in [0, 1]; u within DENSITY_TOL of it is clipped, nan refused."""
+        if not -DENSITY_TOL <= u <= 1.0 + DENSITY_TOL:
             raise ValueError("sigma is only defined for densities in [0, 1]")
-        u = min(max(float(u), 0.0), 1.0) if scalar else u.clip(0.0, 1.0)
+        u = min(max(float(u), 0.0), 1.0)
         return u * (1.0 - u)
 
 
@@ -113,11 +110,17 @@ def classify_initial_data(u0: CellValues) -> Classification:
 
 def gradient(values: list[float], dx: float) -> list[float]:
     """np.gradient(values, dx, edge_order=2) on floats, bit for bit: central
-    differences inside, the one-sided second-order stencils at the two ends."""
-    left = (-1.5 / dx) * values[0] + (2.0 / dx) * values[1] + (-0.5 / dx) * values[2]
-    right = (0.5 / dx) * values[-3] + (-2.0 / dx) * values[-2] + (1.5 / dx) * values[-1]
+    differences inside, end_slopes at the two ends."""
+    left, right = end_slopes(values, dx)
     two_dx = 2.0 * dx
     return [left, *[(b - a) / two_dx for a, b in zip(values, values[2:])], right]
+
+
+def end_slopes(values, dx: float) -> tuple[float, float]:
+    """np.gradient(values, dx, edge_order=2)'s one-sided end slopes, bit for bit."""
+    left = (-1.5 / dx) * values[0] + (2.0 / dx) * values[1] + (-0.5 / dx) * values[2]
+    right = (0.5 / dx) * values[-3] + (-2.0 / dx) * values[-2] + (1.5 / dx) * values[-1]
+    return left, right
 
 
 def write_threshold_csv(curve: ThresholdCurve, path, n_samples: int = 1001) -> None:
