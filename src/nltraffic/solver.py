@@ -153,7 +153,7 @@ def _stepped_cells(values, kernel: Kernel, dx: float) -> slice:
     occupied = np.flatnonzero(values.view(np.int64))  # +0.0 is the one double of no set bit
     if not len(occupied):
         return slice(0, len(values))
-    window = kernel.window if math.isfinite(kernel.window) else 0.0
+    window = kernel.length if math.isfinite(kernel.length) else 0.0
     a = int(occupied[0]) - 3 - math.ceil(min(window / dx, len(values)))
     return slice(max(a, 0), min(int(occupied[-1]) + 3, len(values)))
 

@@ -321,16 +321,17 @@ def exact_cell_averages(grid, kernel, T: float, datum: str = "bump") -> np.ndarr
     u0 = np.array([get_datum(datum).profile(x) for x in x0.tolist()])
     pieces = 0.5 * (u0[:-1] + u0[1:]) * np.diff(x0)
     ubar0 = np.concatenate((np.cumsum(pieces[::-1])[::-1], [0.0]))  # int_x0^inf u0
-    if kernel.kind in ("zero", "uniform"):
-        f = math.exp(-ubar0[0]) if kernel.kind == "uniform" else 1.0
+    name = str(kernel)
+    if name in ("zero", "uniform"):
+        f = math.exp(-ubar0[0]) if name == "uniform" else 1.0
         X, U = x0 + f * (1.0 - 2.0 * u0) * T, u0
-    elif kernel.kind == "infinite":
+    elif name == "infinite":
         s = T * (1.0 - u0) / np.exp(ubar0)  # T/K
         with np.errstate(divide="ignore", over="ignore"):  # u0 is 0 or subnormal near +-1
             inv_u0 = 1.0 / u0
         X, U = x0 + s - np.log1p(s / (inv_u0 - 1.0)), 1.0 / (inv_u0 + s)
     else:
-        raise ValueError(f"no exact profile for kernel {kernel.kind!r}")
+        raise ValueError(f"no exact profile for kernel {name!r}")
     assert np.all(np.diff(X) > 0.0), "characteristics crossed: T is past breaking"
     C = np.concatenate(([0.0], np.cumsum(0.5 * (U[:-1] + U[1:]) * np.diff(X))))
     edges = grid.x_left + np.arange(grid.n_cells + 1) * grid.dx

@@ -25,7 +25,7 @@ from nltraffic.characteristics import (
     time_to_level,
 )
 from nltraffic.grid import GridFunction, total_mass
-from nltraffic.kernels import UNIFORM, ZERO, sk_scaled
+from nltraffic.kernels import UNIFORM, ZERO, Kernel
 from nltraffic.scenarios import CATALOG, RECIPES, run_experiment
 from nltraffic.solver import evolve
 from nltraffic.threshold import classify_initial_data, default_curve
@@ -240,7 +240,7 @@ def test_criterion_8_reduction_limits():
     rescale_ok = rescale_l1 <= 2.0 * scheme_err
 
     length = 1e-3
-    sk = final_profile(u0, sk_scaled(length), 1.0)
+    sk = final_profile(u0, Kernel("box", length), 1.0)
     zero_t1 = final_profile(u0, ZERO, 1.0)
     sk_l1 = dx * float(np.abs(sk.values - zero_t1.values).sum())
     sk_ok = sk_l1 <= 10.0 * length

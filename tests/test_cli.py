@@ -19,7 +19,7 @@ import nltraffic
 from nltraffic import scenarios
 from nltraffic.characteristics import PHASE_SAMPLES, ConstantFactor, integrate_characteristic
 from nltraffic.cli import main, parse_args, parse_kernel_arg
-from nltraffic.kernels import sk_scaled
+from nltraffic.kernels import INFINITE, ZERO, Kernel
 from nltraffic.scenarios import RECIPES, customized, run_experiment
 from nltraffic.solver import SolverFailure
 
@@ -35,16 +35,22 @@ def test_parse_defaults():
     assert args.out == "out"
 
 
+# sk:L=0 and sk:L=inf are the boxes zero and infinite; these are not boxes
+BAD_KERNELS = ("sk:L=-1", "sk:L=nan", "sk:L=-inf", "sk:L=x")
+
+
 def test_parse_kernel_round_trip():
-    assert parse_kernel_arg("sk:L=2.5") == sk_scaled(2.5)
-    for bad in ("sk:L=-1", "sk:L=inf"):
+    assert parse_kernel_arg("sk:L=2.5") == Kernel("box", 2.5)
+    assert parse_kernel_arg("sk:L=0") == ZERO and parse_kernel_arg("sk:L=inf") == INFINITE
+    for bad in BAD_KERNELS:
         with pytest.raises(ValueError, match="--kernel"):
             parse_kernel_arg(bad)
 
 
-def test_bad_kernel_exits_2(tmp_path, capsys):
+@pytest.mark.parametrize("spelling", BAD_KERNELS)
+def test_bad_kernel_exits_2(tmp_path, capsys, spelling):
     code = main(
-        ["evolve", "--kernel", "sk:L=-1", "--n-cells", "200", "--out", str(tmp_path)]
+        ["evolve", "--kernel", spelling, "--n-cells", "200", "--out", str(tmp_path)]
     )
     assert code == 2
     assert "--kernel" in capsys.readouterr().err
@@ -888,7 +894,7 @@ NUMBER = st.sampled_from(SPECIAL) | st.floats(-2.0, 2.0)
 # more than a few thousand steps
 DOMAIN_END = st.sampled_from(SPECIAL) | st.integers(-8, 12).map(float)
 T_END = st.sampled_from(SPECIAL[:5]) | st.floats(0.0, 2.0)
-KERNELS = ("zero", "sk", "infinite", "uniform", "linear", "sk:L=0.5")
+KERNELS = ("zero", "sk", "infinite", "uniform", "linear", "sk:L=0.5", "sk:L=0", "sk:L=inf")
 
 
 @st.composite

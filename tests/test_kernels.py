@@ -16,7 +16,6 @@ from nltraffic.kernels import (
     lookahead_average,
     nonlocal_field,
     parse_kernel,
-    sk_scaled,
 )
 from nltraffic.scenarios import CATALOG
 
@@ -46,38 +45,48 @@ def test_parse_kernel_spellings():
     assert parse_kernel("uniform") == UNIFORM
     assert parse_kernel("linear") == LINEAR
     k = parse_kernel("sk:L=2.5")
-    assert k.kind == "sk_scaled" and k.length == 2.5
-    assert str(k) == "sk:L=2.5" and k.tag == "sk_L2.5" and str(sk_scaled(0.5)) == "sk:L=0.5"
+    assert k == Kernel("box", 2.5)
+    assert str(k) == "sk:L=2.5" and k.tag == "sk_L2.5" and str(Kernel("box", 0.5)) == "sk:L=0.5"
+    # the named points of the box family, spelled as a length
+    assert parse_kernel("sk:L=0") == ZERO
+    assert parse_kernel("sk:L=1") == SK_UNIT
+    assert parse_kernel("sk:L=inf") == INFINITE
+    assert parse_kernel("sk:L=1e400") == INFINITE  # overflows to inf
     # lengths that %g would round are spelled with every digit they need
     for length in (2.5000001, 1 / 3):
-        k = sk_scaled(length)
+        k = Kernel("box", length)
         assert parse_kernel(str(k)) == k
         assert k.tag == "sk_L" + str(k).removeprefix("sk:L=")
-    assert str(sk_scaled(2.5000001)) == "sk:L=2.5000001"
-    with pytest.raises(ValueError):
-        parse_kernel("sk:L=-1")
-    with pytest.raises(ValueError):
-        parse_kernel("bogus")
+    assert str(Kernel("box", 2.5000001)) == "sk:L=2.5000001"
+    for bad in ("sk:L=-1", "sk:L=nan", "sk:L=-inf", "sk:L=x", "bogus"):
+        with pytest.raises(ValueError):
+            parse_kernel(bad)
 
 
 def test_kernel_str_round_trip():
-    for k in ALL_KERNELS + (sk_scaled(0.25),):
+    for k in ALL_KERNELS + (Kernel("box", 0.25),):
         assert parse_kernel(str(k)) == k
+    # a box of length 0, 1 or inf prints as its name, whatever its spelling
+    for spelling, name in (("sk:L=0", "zero"), ("sk:L=1", "sk"), ("sk:L=inf", "infinite"),
+                           ("sk:L=1e400", "infinite")):
+        assert str(parse_kernel(spelling)) == name
 
 
 def test_weight_sup():
     assert ZERO.weight_sup == 0.0
     assert LINEAR.weight_sup == 2.0
-    for k in (SK_UNIT, INFINITE, UNIFORM, sk_scaled(3.0)):
+    for k in (SK_UNIT, INFINITE, UNIFORM, Kernel("box", 3.0)):
         assert k.weight_sup == 1.0
 
 
 def test_sk_scaled_validation():
-    for bad in (0.0, -1.0, math.inf, math.nan):
-        with pytest.raises(ValueError, match="window length must be finite and > 0"):
-            sk_scaled(bad)
-    with pytest.raises(ValueError):
-        Kernel("sk", length=2.0)  # unit window is fixed
+    for bad in (math.nan, -1.0, -math.inf):
+        with pytest.raises(ValueError, match=r"window length must lie in \[0, inf\]"):
+            Kernel("box", bad)
+    # linear's window is fixed at 1 and uniform's at inf
+    for shape, bad in (("linear", 2.0), ("linear", math.nan), ("uniform", 1.0), ("sk", 1.0)):
+        with pytest.raises(ValueError, match="no kernel of shape"):
+            Kernel(shape, bad)
 
 
 def test_infinite_box_anchors(fine_grid):
@@ -176,7 +185,7 @@ def test_factor_band(fine_grid):
 def test_sk_scaled_shrinks_to_zero_kernel(fine_grid):
     gf = box_on(fine_grid)
     for L in (1e-3, 1e-2):
-        ubar = nonlocal_field(gf, sk_scaled(L))
+        ubar = nonlocal_field(gf, Kernel("box", L))
         assert float(ubar.max()) <= L * float(gf.values.max()) + 1e-15
 
 
@@ -190,13 +199,13 @@ def test_negative_density_rejected(fine_grid):
 @settings(max_examples=30, deadline=None)
 @given(
     seed=st.integers(0, 2**31),
-    kind=st.sampled_from(["sk", "infinite", "uniform", "linear"]),
+    spelling=st.sampled_from(["sk", "infinite", "uniform", "linear"]),
 )
-def test_ubar_bounds_property(seed, kind):
+def test_ubar_bounds_property(seed, spelling):
     grid = GridSpec(0.0, 5.0, 200)
     rng = np.random.default_rng(seed)
     gf = GridFunction(grid, rng.uniform(0.0, 1.0, 200))
-    kernel = next(k for k in ALL_KERNELS if k.kind == kind)
+    kernel = parse_kernel(spelling)
     ubar = nonlocal_field(gf, kernel)
     assert np.all(ubar >= -1e-14)
     assert np.all(ubar <= kernel.weight_sup * total_mass(gf) + 1e-12)
@@ -225,10 +234,10 @@ def _window_weights(dx, length, primitive):
 
 def correlate_oracle(values, dx, kernel):
     """ubar as an O(n L/dx) correlation with the explicit window weights."""
-    if kernel.kind == "linear":
+    if kernel == LINEAR:
         w = _window_weights(dx, 1.0, lambda xi: 2.0 * xi - xi * xi)
     else:
-        w = _window_weights(dx, kernel.window, lambda xi: xi)
+        w = _window_weights(dx, kernel.length, lambda xi: xi)
     padded = np.concatenate([values, np.zeros(len(w) - 1)])
     return np.correlate(padded, w, mode="valid")
 
@@ -236,7 +245,7 @@ def correlate_oracle(values, dx, kernel):
 @pytest.mark.parametrize("datum", ["bump", "subinit"])
 @pytest.mark.parametrize("n", [1000, 4000, 16000])
 @pytest.mark.parametrize(
-    "kernel", [SK_UNIT, sk_scaled(1e-3), sk_scaled(0.37), sk_scaled(2.5), LINEAR], ids=str
+    "kernel", [SK_UNIT, *(Kernel("box", L) for L in (1e-3, 0.37, 2.5)), LINEAR], ids=str
 )
 def test_primitive_matches_correlation_oracle(datum, n, kernel):
     u = CATALOG[datum].sample(n)
@@ -250,19 +259,19 @@ def test_primitive_matches_correlation_oracle(datum, n, kernel):
     seed=st.integers(0, 2**31),
     n=st.integers(4, 300),
     length=st.floats(1e-4, 20.0),
-    kind=st.sampled_from(["sk_scaled", "linear", "infinite"]),
+    spelling=st.sampled_from(["sk:L={!r}", "linear", "infinite"]),
 )
-def test_clamped_ubar_nonnegative(seed, n, length, kind):
+def test_clamped_ubar_nonnegative(seed, n, length, spelling):
     # sparse data: most window differences cancel to (almost) zero
     rng = np.random.default_rng(seed)
     values = rng.uniform(0.0, 1.0, n) * (rng.uniform(size=n) < 0.1)
-    kernel = {"sk_scaled": sk_scaled(length), "linear": LINEAR, "infinite": INFINITE}[kind]
+    kernel = parse_kernel(spelling.format(length))
     dx = 5.0 / n
     ubar = lookahead_average(values, dx, kernel, dx * values.sum())
     assert np.all(ubar >= 0.0)
     # a window [x_i, x_i + L] overlaps cells i .. i + ceil(L/dx - 1/2); one
     # that holds no non-zero cell averages to exactly 0
-    reach = math.ceil(min(kernel.window / dx, n) - 0.5)
+    reach = math.ceil(min(kernel.length / dx, n) - 0.5)
     nonzero = np.concatenate([[0], np.cumsum(values != 0.0)])
     empty = nonzero[np.minimum(np.arange(n) + reach + 1, n)] == nonzero[:n]
     assert np.all(ubar[empty] == 0.0)

@@ -19,7 +19,7 @@ from nltraffic.grid import (
     total_mass,
 )
 from nltraffic.kernels import (
-    INFINITE, LINEAR, SK_UNIT, UNIFORM, ZERO, nonlocal_field, parse_kernel, sk_scaled,
+    INFINITE, LINEAR, SK_UNIT, UNIFORM, ZERO, Kernel, nonlocal_field, parse_kernel,
 )
 from nltraffic.scenarios import COMPARE_KERNELS, bump_init, get_datum
 from nltraffic.solver import (
@@ -188,7 +188,7 @@ def test_step_allocates_no_grid_sized_array():
         assert peak < n  # fewer bytes than one boolean per cell
 
 
-RANGE_KERNELS = (ZERO, SK_UNIT, sk_scaled(0.3), sk_scaled(2.5), LINEAR, INFINITE, UNIFORM)
+RANGE_KERNELS = (ZERO, SK_UNIT, Kernel("box", 0.3), Kernel("box", 2.5), LINEAR, INFINITE, UNIFORM)
 # (name, domain, n_cells, profile), each run to t = 3
 RANGE_DATA = [
     *((f"seed{seed}", DOMAIN, 400, random_compact_bump(seed)) for seed in (1, 2, 3)),
@@ -294,7 +294,7 @@ def test_negative_average_fails_the_factor_band(monkeypatch):
 
 
 @pytest.mark.parametrize("datum", ["bump", "subinit"])
-@pytest.mark.parametrize("kernel", [*COMPARE_KERNELS, LINEAR, sk_scaled(2.5)], ids=str)
+@pytest.mark.parametrize("kernel", [*COMPARE_KERNELS, LINEAR, Kernel("box", 2.5)], ids=str)
 @given(n=st.integers(min_value=100, max_value=300), t_end=st.floats(min_value=0.05, max_value=40.0))
 @settings(max_examples=5, deadline=None)
 def test_step_count_within_the_budget_bound(datum, kernel, n, t_end):
@@ -550,11 +550,31 @@ def test_short_lookahead_reduces_to_lwr():
     u0 = GridFunction.from_callable(grid, bump_init)
     length = 1e-3
     out = {}
-    for kernel in (ZERO, sk_scaled(length)):
+    for kernel in (ZERO, Kernel("box", length)):
         snaps, _ = evolve(u0, kernel, 1.0, (1.0,), stop_on_blowup=False)
-        out[kernel.kind] = dict(snaps)[1.0].values
-    l1 = grid.dx * float(np.abs(out["zero"] - out["sk_scaled"]).sum())
+        out[str(kernel)] = dict(snaps)[1.0].values
+    l1 = grid.dx * float(np.abs(out["zero"] - out["sk:L=0.001"]).sum())
     assert l1 <= 10.0 * length
+
+
+def test_box_spanning_the_domain_is_the_infinite_kernel():
+    """On [-6, 10] every window end of sk:L=16 lies past the data, so the run is
+    infinite's bit for bit, though it steps from the left edge on; sk:L=1 is sk."""
+    assert parse_kernel("sk:L=1") == SK_UNIT
+    u0 = GridFunction.from_callable(scenario_grid(4000), bump_init)
+    times = (0.5, 1.0, 1.5, 2.0)
+    (snaps, diag), (ref_snaps, ref_diag) = (
+        evolve(u0, parse_kernel(spelling), 2.0, times, stop_on_blowup=False)
+        for spelling in ("sk:L=16", "infinite")
+    )
+    assert [t for t, _ in snaps] == [t for t, _ in ref_snaps] == list(times)
+    for (_, snap), (_, ref) in zip(snaps, ref_snaps):
+        assert snap.values.tobytes() == ref.values.tobytes()
+    for name in Diagnostics.COLUMNS:
+        assert getattr(diag, name) == getattr(ref_diag, name), name
+    assert diag.max_mass_drift == ref_diag.max_mass_drift
+    assert diag.blowup == ref_diag.blowup
+    assert diag.blowup.t_detect == pytest.approx(1.2384, abs=1e-4)
 
 
 # ------------------------------------------------------------- validation
