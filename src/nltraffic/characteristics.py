@@ -24,7 +24,8 @@ Quantities derived from the phase plane:
 Both paths are closed form: d(u) in the phase plane (see PhaseTrajectory)
 and (d, u) in time (see integrate_characteristic); the tests step the ODEs
 with scipy's DOP853 as the oracle for both.  Paths are computed on floats with
-math and held as tuples of floats: this module never imports numpy.
+math and held as tuples of floats: this module never imports numpy.  Each
+function taking u0 checks it against its own band, without DENSITY_TOL.
 """
 
 from __future__ import annotations
@@ -48,12 +49,6 @@ def _exp_of_mass(m: float) -> float:
         return math.exp(m)
     except OverflowError:
         raise ValueError(f"m = {m} is too large: exp(m) overflows") from None
-
-
-def _require_finite_bound(m: float, **values: float) -> None:
-    for name, value in values.items():
-        if not math.isfinite(value):
-            raise ValueError(f"{name} overflows at m = {m}")
 
 
 class ConstantFactor:
@@ -180,9 +175,8 @@ def _phase_denominator(w0: float, u0: float, u):
     return u0 * (1.0 - u0) ** 2 * r + w0 * ((2.0 * u - 1.0) - (2.0 * u0 - 1.0) * r)
 
 
-def _phase_path(d0: float, u0: float, u):
+def _phase_path(w0: float, u0: float, u):
     """d(u) = u (1 - u) N / D with N = D + w0 (1 - u), which has no cancellation as u -> 0."""
-    w0 = d0 - u0 * (1.0 - u0)
     if w0 == 0.0:  # the path is sigma itself, and D(u) = u0 (1 - u0)^2 r may underflow
         return u * (1.0 - u)
     r = (u / u0) ** 2
@@ -223,7 +217,7 @@ def phase_trajectory(d0: float, u0: float, u_end: float) -> PhaseTrajectory:
         raise ValueError(f"the slope blows up at u* = {u_star:.6g}, above u_end = {u_end:g}")
     u = [10.0**y for y in linspace(math.log10(u0), math.log10(u_end), PHASE_SAMPLES)]
     u[0], u[-1] = u0, u_end  # numpy.geomspace's points, with its exact ends
-    d = [d0] + [_phase_path(d0, u0, v) for v in u[1:]]  # the start exactly, not its rounded image
+    d = [d0] + [_phase_path(w0, u0, v) for v in u[1:]]  # the start exactly, not its rounded image
     return PhaseTrajectory(u=tuple(u), d=tuple(d))
 
 
@@ -294,7 +288,9 @@ def blowup_time_bound(
     log_ratio = math.log((d_at_t1 - d_minus) / (d_at_t1 - d_plus))
     # for a small enough u1 the rate underflows to 0 while exp(m) is still finite
     sharp = t1 + log_ratio / rate if rate > 0.0 else math.inf
-    _require_finite_bound(m, sharp=sharp, coarse=coarse)
+    for name, value in (("sharp", sharp), ("coarse", coarse)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} overflows at m = {m}")
     assert sharp <= coarse + 1e-12, "sharp bound exceeded the coarse bound"
     return AnalyticBounds(t1=t1, d_minus=d_minus, d_plus=d_plus, T_star_sharp=sharp,
                           T_star_coarse=coarse, C_star=d_at_t1)

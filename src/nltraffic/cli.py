@@ -5,6 +5,7 @@ threshold-curve, bounds.  All output lands under --out as CSV/JSON plus a
 manifest.json recording the effective options and the files written.
 classify, evolve and compare-kernels run one Experiment and print its
 verdict, then one line per kernel: breakdown or smooth, and mass drift.
+Density is checked by ThresholdCurve.eval (classify) and require_runnable.
 
 Options may also come from a flat config file (--config) of `key = value`
 lines with `#` comments; explicit command-line flags win over the file,
@@ -80,19 +81,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add_grid_opts(p, with_kernel=False):
+    def add_grid_opts(p):
         p.add_argument("--datum", default="bump", help="initial profile name")
         p.add_argument("--n-cells", type=int, default=4000)
         p.add_argument("--x-left", type=float, default=None)
         p.add_argument("--x-right", type=float, default=None)
-        if with_kernel:
-            p.add_argument("--kernel", default="infinite", help="look-ahead kernel")
 
     p = sub.add_parser("classify", parents=[common], help="threshold verdict for a datum")
     add_grid_opts(p)
 
     p = sub.add_parser("evolve", parents=[common], help="evolve one kernel")
-    add_grid_opts(p, with_kernel=True)
+    add_grid_opts(p)
+    p.add_argument("--kernel", default="infinite", help="look-ahead kernel")
     p.add_argument("--t-end", type=float, default=4.0)
     p.add_argument("--snapshots", default=None, help="comma list of times")
     p.add_argument(
@@ -168,7 +168,8 @@ def _experiment(args) -> Experiment:
     no kernel, evolve the one --kernel names, and compare-kernels runs the
     datum's recipe in RECIPES, to --t-end if given.
     """
-    from .scenarios import RECIPES, Experiment, get_datum
+    from .kernels import parse_kernel
+    from .scenarios import RECIPES, Experiment, even_snapshots, get_datum
     datum = get_datum(args.datum)
     datum = replace(datum, domain=(
         datum.domain[0] if args.x_left is None else args.x_left,
@@ -181,9 +182,12 @@ def _experiment(args) -> Experiment:
         recipe = next(r for r in RECIPES.values() if r.datum.name == datum.name)
         t_end = recipe.t_end if args.t_end is None else args.t_end
         return replace(recipe, datum=datum, n_cells=args.n_cells, t_end=t_end,
-                       snapshot_times=_even_snapshots(t_end))
-    kernel = parse_kernel_arg(args.kernel)
-    snaps = _even_snapshots(args.t_end)
+                       snapshot_times=even_snapshots(t_end))
+    try:
+        kernel = parse_kernel(args.kernel)
+    except ValueError as exc:
+        raise ValueError(f"--kernel: {exc}") from None
+    snaps = even_snapshots(args.t_end)
     if args.snapshots is not None:
         try:
             snaps = tuple(sorted(float(s) for s in args.snapshots.split(",") if s))
@@ -200,10 +204,6 @@ def _recorded(args) -> dict:
     options = {k: repr(v) if isinstance(v, float) and not math.isfinite(v) else v
                for k, v in sorted(vars(args).items())}
     return {"command": args.subcommand, "options": options}
-
-
-def _even_snapshots(t_end: float) -> tuple:
-    return tuple(i * t_end / 4 for i in range(5))
 
 
 def run_experiment(exp: Experiment, out_dir) -> ExperimentResult:
@@ -264,14 +264,6 @@ def dispatch(args) -> int:
 
     write_json(out / "manifest.json", {**_recorded(args), "files": sorted(files)})
     return 0
-
-
-def parse_kernel_arg(text: str):
-    from .kernels import parse_kernel
-    try:
-        return parse_kernel(text)
-    except ValueError as exc:
-        raise ValueError(f"--kernel: {exc}") from None
 
 
 def main(argv=None) -> int:

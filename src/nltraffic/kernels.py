@@ -70,8 +70,10 @@ class Kernel:
             return self.shape
         if self.length in _BOX_NAMES:
             return _BOX_NAMES[self.length]
-        short = f"{self.length:g}"  # where %g is exact, else the shortest exact digits
-        return f"sk:L={short if float(short) == self.length else repr(self.length)}"
+        # %g where it reads back exactly in no more digits than repr (a subnormal's may not)
+        short, exact = f"{self.length:g}", repr(self.length)
+        digits = [len(s.split("e")[0].replace(".", "").strip("0")) for s in (short, exact)]
+        return f"sk:L={short if float(short) == self.length and digits[0] <= digits[1] else exact}"
 
     @property
     def tag(self) -> str:

@@ -79,18 +79,10 @@ class InitialDatum:
         return GridFunction.from_callable(GridSpec(*self.domain, n_cells), self.profile)
 
 
-CATALOG = {
-    "bump": InitialDatum(
-        name="bump",
-        profile=bump_init,
-        domain=(-6.0, 10.0),
-    ),
-    "subinit": InitialDatum(
-        name="subinit",
-        profile=subcritical_init,
-        domain=(-200.0, 40.0),
-    ),
-}
+CATALOG = {datum.name: datum for datum in (
+    InitialDatum(name="bump", profile=bump_init, domain=(-6.0, 10.0)),
+    InitialDatum(name="subinit", profile=subcritical_init, domain=(-200.0, 40.0)),
+)}
 
 
 def get_datum(name: str) -> InitialDatum:
@@ -115,20 +107,25 @@ class Experiment:
     stop_on_blowup: bool = False  # bundles keep evolving to t_end for figures
 
 
+def even_snapshots(t_end: float) -> tuple:
+    """Five evenly spaced snapshot times from 0 to t_end, each i * t_end / 4 exactly."""
+    return tuple(i * t_end / 4 for i in range(5))
+
+
 RECIPES = {exp.name: exp for exp in (
     Experiment(
         name="supercritical-compare",
         datum=CATALOG["bump"],
         kernels=COMPARE_KERNELS,
         t_end=4.0,
-        snapshot_times=(0.0, 1.0, 2.0, 3.0, 4.0),
+        snapshot_times=even_snapshots(4.0),
     ),
     Experiment(
         name="subcritical-compare",
         datum=CATALOG["subinit"],
         kernels=COMPARE_KERNELS,
         t_end=20.0,
-        snapshot_times=(0.0, 5.0, 10.0, 15.0, 20.0),
+        snapshot_times=even_snapshots(20.0),
     ),
 )}
 

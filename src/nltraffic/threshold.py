@@ -51,7 +51,7 @@ class ThresholdCurve:
     def eval(self, u: float) -> float:
         """sigma(u) for a density u in [0, 1]; u within DENSITY_TOL of it is clipped, nan refused."""
         if not -DENSITY_TOL <= u <= 1.0 + DENSITY_TOL:
-            raise ValueError("sigma is only defined for densities in [0, 1]")
+            raise ValueError(f"sigma is only defined for densities in [0, 1], got u = {u}")
         u = min(max(float(u), 0.0), 1.0)
         return u * (1.0 - u)
 
@@ -87,18 +87,15 @@ class Classification:
 def classify_initial_data(u0: CellValues) -> Classification:
     """Decide whether any point of u0 starts above the threshold curve.
 
-    u0 holds floats or, as a GridFunction, an array.  The slope is the
-    second-order grid derivative of the sampled values, so u0 must be
-    resolved: adjacent cell values may not jump by more than 0.5.
+    u0 holds floats or an array; ThresholdCurve.eval refuses a non-density.
+    The slope is the second-order grid derivative of the samples, so u0 must
+    be resolved: adjacent cell values may not jump by more than 0.5.
     """
     values = u0.values.tolist() if hasattr(u0.values, "tolist") else u0.values
-    if not all(-DENSITY_TOL <= v <= 1.0 + DENSITY_TOL for v in values):
-        raise ValueError(f"density out of range: min={min(values):.3e}, max={max(values):.3e}")
+    sigma = list(map(default_curve().eval, values))
     if any(abs(b - a) > 0.5 for a, b in pairwise(values)):
         raise ValueError("initial profile under-resolved: adjacent jump > 0.5")
     d = gradient(values, u0.grid.dx)
-    curve = default_curve()
-    sigma = [curve.eval(v) for v in values]
     margins = [slope - sig for slope, sig in zip(d, sigma)]
     i = max(range(len(margins)), key=margins.__getitem__)  # the first maximum, as argmax's
     top = margins[i]

@@ -226,7 +226,8 @@ def factor_at(factor, t: float) -> float:
 
 def phase_path_at(path, u):
     """A PhaseTrajectory's d(u) between its samples, from its closed form."""
-    return _phase_path(path.d[0], path.u[0], np.asarray(u, dtype=float))
+    d0, u0 = path.d[0], path.u[0]
+    return _phase_path(d0 - u0 * (1.0 - u0), u0, np.asarray(u, dtype=float))
 
 
 def slope_roots(u: float):

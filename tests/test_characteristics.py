@@ -210,6 +210,14 @@ def test_blowup_bound_precondition():
     dm, dp = slope_roots(0.3)
     with pytest.raises(ValueError):
         blowup_time_bound(1.9 * dp, 0.3, m=0.0)
+    for u1 in (0.0, 1.0, 1.5, -0.3):
+        with pytest.raises(ValueError, match="need 0 < u1 < 1"):
+            blowup_time_bound(1.0, u1, m=0.0)
+    for m, t1 in ((-1.0, 0.0), (0.0, -1.0)):
+        with pytest.raises(ValueError, match="m and t1 must be nonnegative"):
+            blowup_time_bound(1.0, 0.3, m=m, t1=t1)
+    with pytest.raises(ValueError, match="coarse overflows at m = 700.0"):
+        blowup_time_bound(1.0, 1e-10, m=700.0)
 
 
 def test_phase_trajectory_factor_independence():
@@ -269,7 +277,7 @@ def test_subcritical_phase_path_is_exact_near_vacuum():
     path = phase_trajectory(0.1, 0.5, 1e-300)
     deep = [(u, d) for u, d in zip(path.u, path.d) if u <= 1e-20]
     assert len(deep) > 150
-    deep.append((5e-10, _phase_path(0.1, 0.5, 5e-10)))
+    deep.append((5e-10, _phase_path(0.1 - 0.25, 0.5, 5e-10)))  # w0 = d0 - sigma(u0)
     for u, d in deep:
         exact = exact_phase_path(0.1, 0.5, u)
         assert abs(Fraction(d) - exact) <= 2 * Fraction(math.ulp(float(exact))), (u, d)

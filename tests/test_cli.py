@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 import nltraffic
 from nltraffic import scenarios
 from nltraffic.characteristics import PHASE_SAMPLES, ConstantFactor, integrate_characteristic
-from nltraffic.cli import main, parse_args, parse_kernel_arg
+from nltraffic.cli import _experiment, main, parse_args
 from nltraffic.kernels import INFINITE, ZERO, Kernel
 from nltraffic.scenarios import RECIPES, customized, run_experiment
 from nltraffic.solver import SolverFailure
@@ -39,12 +39,18 @@ def test_parse_defaults():
 BAD_KERNELS = ("sk:L=-1", "sk:L=nan", "sk:L=-inf", "sk:L=x")
 
 
+def evolved_kernel(spelling: str) -> Kernel:
+    """The kernel that `evolve --kernel <spelling>` runs."""
+    (kernel,) = _experiment(parse_args(["evolve", "--kernel", spelling])).kernels
+    return kernel
+
+
 def test_parse_kernel_round_trip():
-    assert parse_kernel_arg("sk:L=2.5") == Kernel("box", 2.5)
-    assert parse_kernel_arg("sk:L=0") == ZERO and parse_kernel_arg("sk:L=inf") == INFINITE
+    assert evolved_kernel("sk:L=2.5") == Kernel("box", 2.5)
+    assert evolved_kernel("sk:L=0") == ZERO and evolved_kernel("sk:L=inf") == INFINITE
     for bad in BAD_KERNELS:
         with pytest.raises(ValueError, match="--kernel"):
-            parse_kernel_arg(bad)
+            evolved_kernel(bad)
 
 
 @pytest.mark.parametrize("spelling", BAD_KERNELS)

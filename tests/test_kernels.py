@@ -64,8 +64,12 @@ def test_parse_kernel_spellings():
 
 
 def test_kernel_str_round_trip():
-    for k in ALL_KERNELS + (Kernel("box", 0.25),):
+    for k in ALL_KERNELS + (Kernel("box", 0.25), Kernel("box", 1e-320), Kernel("box", 5e-324)):
         assert parse_kernel(str(k)) == k
+    # a subnormal length in its shortest exact digits, a normal one in %g's
+    for length, spelling in ((1e-320, "sk:L=1e-320"), (5e-324, "sk:L=5e-324"),
+                             (7382550.0, "sk:L=7.38255e+06")):
+        assert str(Kernel("box", length)) == spelling
     # a box of length 0, 1 or inf prints as its name, whatever its spelling
     for spelling, name in (("sk:L=0", "zero"), ("sk:L=1", "sk"), ("sk:L=inf", "infinite"),
                            ("sk:L=1e400", "infinite")):

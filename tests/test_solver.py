@@ -309,7 +309,7 @@ def test_vacuum_fixed_point_and_cfl_step():
     snaps, diag = evolve(GridFunction(grid, np.zeros(200)), ZERO, 1.0, (1.0,))
     np.testing.assert_array_equal(dict(snaps)[1.0].values, 0.0)
     # vacuum wave speed is |1 - 0| * 1, so dt is exactly CFL * dx
-    assert diag.t[1] == pytest.approx(0.45 * grid.dx, rel=1e-14)
+    assert diag.t[1] == pytest.approx(solver.CFL * grid.dx, rel=1e-14)
 
 
 def test_jam_fixed_point():
@@ -639,7 +639,7 @@ def test_diagnostics_csv_layout(tmp_path):
     # each row carries the step that produced it: t advances by its dt
     for prev, row in zip(rows, rows[1:]):
         assert row[0] == prev[0] + row[7]
-        assert row[7] <= 0.45 * grid.dx / row[8] * (1 + 1e-15)
+        assert row[7] <= solver.CFL * grid.dx / row[8] * (1 + 1e-15)
     assert rows[1][8] == diag.max_speed[1] > 0
 
 

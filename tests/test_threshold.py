@@ -153,8 +153,13 @@ def test_gradient_is_numpys_bit_for_bit(domain, n):
 
 def test_classify_rejects_bad_density():
     grid = GridSpec(0.0, 1.0, 100)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"densities in \[0, 1\], got u = 1.2$"):
         classify_initial_data(GridFunction(grid, np.full(100, 1.2)))
+    # a non-density fails as one before its jumps are looked at
+    values = np.zeros(100)
+    values[50:] = 1.2
+    with pytest.raises(ValueError, match="got u = 1.2"):
+        classify_initial_data(GridFunction(grid, values))
 
 
 def test_classify_rejects_jumps():
