@@ -285,7 +285,8 @@ def blowup_time_bound(
         )
     rate = 2.0 * math.exp(-m) * (d_plus - d_minus)
     coarse = t1 + 2.0 * _exp_of_mass(m) / (4.0 * u1)
-    log_ratio = math.log((d_at_t1 - d_minus) / (d_at_t1 - d_plus))
+    # log((d - d_-)/(d - d_+)), without rounding the ratio to 1 when d >> d_+
+    log_ratio = math.log1p((d_plus - d_minus) / (d_at_t1 - d_plus))
     # for a small enough u1 the rate underflows to 0 while exp(m) is still finite
     sharp = t1 + log_ratio / rate if rate > 0.0 else math.inf
     for name, value in (("sharp", sharp), ("coarse", coarse)):

@@ -1,6 +1,6 @@
 """Command-line front end.
 
-Subcommands: classify, evolve, compare-kernels, phase-portrait,
+Subcommands: classify, evolve, compare-kernels, phase-portrait, phase-sweep,
 threshold-curve, bounds.  All output lands under --out as CSV/JSON plus a
 manifest.json recording the effective options and the files written.
 classify, evolve and compare-kernels run one Experiment and print its
@@ -115,6 +115,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--u-end", type=float, default=None, help="phase mode: stop density")
     p.add_argument("--factor", type=float, default=None, help="time mode: constant factor")
     p.add_argument("--t-end", type=float, default=10.0)
+
+    sub.add_parser("phase-sweep", parents=[common], help="25 characteristics straddling sigma")
 
     p = sub.add_parser(
         "threshold-curve", parents=[common], help="tabulate the critical curve"
@@ -248,6 +250,25 @@ def dispatch(args) -> int:
             traj = phase_trajectory(args.d0, args.u0, u_end)
             write_csv(out / "trajectory.csv", "u,d", (traj.u, traj.d))
         files.append("trajectory.csv")
+
+    elif args.subcommand == "phase-sweep":
+        curve = default_curve()
+        rows = []
+        for u0 in (0.2, 0.35, 0.5, 0.65, 0.8):
+            sigma = curve.eval(u0)
+            for shift in (-0.05, -0.01, 0.01, 0.05, 0.2):
+                d0 = sigma + shift
+                traj = integrate_characteristic(d0, u0, ConstantFactor(1.0), t_end=200.0)
+                sharp = math.nan
+                if shift > 0:
+                    sharp = supercritical_bounds(d0, u0, m=0.0).T_star_sharp
+                    files.append(f"traj_u{u0:g}_shift{shift:g}.csv")
+                    write_csv(out / files[-1], "t,d,u", (traj.t, traj.d, traj.u))
+                blown_up = traj.blowup_time is not None
+                t_blowup = traj.blowup_time if blown_up else math.nan
+                rows.append((u0, d0, shift, int(blown_up), t_blowup, sharp))
+        write_csv(out / "sweep.csv", "u0,d0,shift,blown_up,t_blowup,T_star_sharp", list(zip(*rows)))
+        files.append("sweep.csv")
 
     elif args.subcommand == "threshold-curve":
         write_threshold_csv(default_curve(), out / "threshold_curve.csv", args.samples)

@@ -172,7 +172,7 @@ def test_sampled_factor_integral_is_exact_and_reach_inverts_it():
 
 def test_blowup_bound_matches_riccati_ode():
     """The closed-form T* reproduces the frozen-coefficient Riccati blow-up."""
-    for u1, d1, m in ((0.2, 1.0, 0.0), (0.4, 2.5, 0.5), (0.1, 0.8, 1.0)):
+    for u1, d1, m in ((0.2, 1.0, 0.0), (0.4, 2.5, 0.5), (0.1, 0.8, 1.0), (1e-17, 1.0, 0.0)):
         bound = blowup_time_bound(d1, u1, m, t1=0.0)
         dm, dp = bound.d_minus, bound.d_plus
         f = math.exp(-m)
@@ -190,6 +190,9 @@ def test_blowup_bound_matches_riccati_ode():
         )
         assert cap.t_events[0].size == 1
         assert cap.t_events[0][0] == pytest.approx(bound.T_star_sharp, rel=0.01)
+    # from d = 1, far above d_+ ~ 1.5 u1, the escape time is 1/2 + 3 u1/8 + O(u1^2)
+    for u1 in (1e-12, 1e-17, 1e-300):
+        assert abs(blowup_time_bound(1.0, u1, 0.0).T_star_sharp - 0.5) <= u1
 
 
 def test_blowup_bound_sharp_below_coarse():

@@ -426,6 +426,30 @@ def test_phase_portrait_supercritical_phase_mode_fails(tmp_path, capsys):
     assert err == "error: the slope blows up at u* = 0.436492, above u_end = 0.005\n"
 
 
+def test_phase_sweep_bundle(tmp_path, capsys):
+    """25 seeds around sigma: exactly the supercritical ones blow up, within their certificate."""
+    out = tmp_path / "sweep"
+    assert main(["phase-sweep", "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    header, *lines = (out / "sweep.csv").read_text().splitlines()
+    assert header == "u0,d0,shift,blown_up,t_blowup,T_star_sharp"
+    assert len(lines) == 25
+    traj_files = []
+    for line in lines:
+        u0, d0, shift, blown_up, t_blowup, sharp = map(float, line.split(","))
+        assert blown_up == (shift > 0), line
+        if shift > 0:
+            assert 0.0 < t_blowup <= min(200.0, sharp), line
+            traj_files.append(f"traj_u{u0:g}_shift{shift:g}.csv")
+        else:
+            assert math.isnan(t_blowup) and math.isnan(sharp), line
+    assert len(traj_files) == 15
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["command"] == "phase-sweep"
+    assert manifest["files"] == sorted(["sweep.csv", *traj_files])
+    assert all((out / name).read_text().startswith("t,d,u\n") for name in traj_files)
+
+
 def run_python(args, timeout):
     """Run the interpreter on args in a fresh process that imports this nltraffic."""
     src = str(Path(nltraffic.__file__).resolve().parents[1])
@@ -596,7 +620,7 @@ print(json.dumps(codes))
 
 
 def test_scalar_commands_load_no_numpy(tmp_path):
-    """bounds, threshold-curve and phase-portrait compute on floats: with numpy blocked they run.
+    """The float commands (bounds, threshold-curve, phase-portrait, phase-sweep) run without numpy.
 
     sys.modules["numpy"] = None makes any `import numpy` raise ImportError, which
     main does not catch, so a numpy import anywhere on these paths ends the script.
@@ -620,6 +644,7 @@ for argv in (
     ["phase-portrait", "--d0", "0.1", "--u0", "0.5", "--u-end", "1e-300"],
     ["phase-portrait", "--d0", "0.3", "--u0", "0.5", "--u-end", "1e-300"],
     ["phase-portrait", "--d0", "1.0", "--u0", "0.5", "--u-end", "0.005"],
+    ["phase-sweep"],
 ):
     codes.append(main(argv + ["--out", {str(tmp_path)!r} + "/" + str(len(codes))]))
 print(json.dumps(codes))
@@ -627,7 +652,7 @@ print(json.dumps(codes))
     proc = run_python(["-c", script], timeout=60)
     assert proc.returncode == 0, proc.stderr
     codes = json.loads(proc.stdout.strip().splitlines()[-1])
-    assert codes == [0, 0, 0, 0, 0, 0, 0, 0, 2, 2], proc.stderr
+    assert codes == [0, 0, 0, 0, 0, 0, 0, 0, 2, 2, 0], proc.stderr
     assert proc.stdout.splitlines()[:2] == [
         "T_star_sharp = 250.117", "slope blow-up at t = 1.81483",
     ]
@@ -719,6 +744,20 @@ def test_factor_band_failure_exits_3_with_dump(tmp_path, capsys, monkeypatch):
     assert set(dump) == {"error", "t", "factor_min", "factor_max", "command", "options"}
     assert dump["t"] == 0.0 and dump["factor_max"] > 1.0
     assert not (out / "evolve-bump").exists()
+
+    # the dump replays: its options as a config file give the same failure and the same dump
+    cfg = tmp_path / "replay.cfg"
+    cfg.write_text("".join(
+        f"{key} = {value}\n" for key, value in dump["options"].items()
+        if key not in ("out", "config", "subcommand") and value is not None and value is not False
+    ))
+    other = tmp_path / "replay"
+    assert main([dump["command"], "--config", str(cfg), "--out", str(other)]) == 3
+    replayed = json.loads((other / "failure_dump.json").read_text())
+    assert replayed["options"].pop("out") == str(other)
+    assert replayed["options"].pop("config") == str(cfg)
+    del dump["options"]["out"], dump["options"]["config"]
+    assert replayed == dump
 
 
 def test_evolve_smooth_run_prints_no_breakdown(tmp_path, capsys):
@@ -906,7 +945,7 @@ KERNELS = ("zero", "sk", "infinite", "uniform", "linear", "sk:L=0.5", "sk:L=0", 
 @st.composite
 def command_lines(draw):
     sub = draw(st.sampled_from(
-        ["classify", "evolve", "bounds", "phase-portrait", "threshold-curve"]
+        ["classify", "evolve", "bounds", "phase-portrait", "phase-sweep", "threshold-curve"]
     ))
     argv = [sub]
 
