@@ -204,7 +204,7 @@ def _recorded(args) -> dict:
     """The command and its options, as manifest.json and failure_dump.json record them."""
     # an option that a mode ignores may be non-finite; JSON has no nan or inf
     options = {k: repr(v) if isinstance(v, float) and not math.isfinite(v) else v
-               for k, v in sorted(vars(args).items())}
+               for k, v in sorted(vars(args).items()) if k != "subcommand"}
     return {"command": args.subcommand, "options": options}
 
 

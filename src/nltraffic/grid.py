@@ -67,10 +67,6 @@ class CellValues:
         """f, a function of one float, at each cell center."""
         return cls(grid, [f(x) for x in grid.centers])
 
-    @property
-    def x(self) -> tuple[float, ...]:
-        return self.grid.centers
-
 
 @dataclass(frozen=True)
 class GridFunction(CellValues):
@@ -104,4 +100,4 @@ def total_mass(u: GridFunction) -> float:
 
 
 def write_profile_csv(u: GridFunction, path) -> None:
-    write_csv(path, "x,u", (u.x, u.values))
+    write_csv(path, "x,u", (u.grid.centers, u.values))

@@ -108,8 +108,8 @@ class Experiment:
 
 
 def even_snapshots(t_end: float) -> tuple:
-    """Five evenly spaced snapshot times from 0 to t_end, each i * t_end / 4 exactly."""
-    return tuple(i * t_end / 4 for i in range(5))
+    """Five evenly spaced times from 0 to t_end, each t_end * (i / 4), which cannot overflow."""
+    return tuple(t_end * (i / 4) for i in range(5))
 
 
 RECIPES = {exp.name: exp for exp in (
@@ -191,7 +191,7 @@ def run_experiment(exp: Experiment, out_dir) -> ExperimentResult:
             require_runnable(u0, kernel, exp.t_end, exp.snapshot_times)
     snap_files: dict[str, float] = {}  # file name -> time, in snapshot_times order
     for t in exp.snapshot_times:
-        fname = f"snap_t{t:g}.csv"
+        fname = f"snap_t{t + 0.0:g}.csv"  # + 0.0: -0 and 0 are one time, and name one file
         if fname in snap_files:
             raise ValueError(f"snapshot times {snap_files[fname]!r} and {t!r} both name {fname}")
         snap_files[fname] = t
@@ -213,7 +213,7 @@ def run_experiment(exp: Experiment, out_dir) -> ExperimentResult:
 
     write_json(bundle_path("classification.json"), result.record())
     write_csv(bundle_path("threshold_overlay.csv"), "x,u,d,sigma",
-              (sample.x, sample.values, result.d, result.sigma))
+              (grid.centers, sample.values, result.d, result.sigma))
     write_threshold_csv(default_curve(), bundle_path("threshold_curve.csv"))
 
     for kernel, snaps, diag in runs:

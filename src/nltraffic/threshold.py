@@ -99,7 +99,7 @@ def classify_initial_data(u0: CellValues) -> Classification:
     margins = [slope - sig for slope, sig in zip(d, sigma)]
     i = max(range(len(margins)), key=margins.__getitem__)  # the first maximum, as argmax's
     top = margins[i]
-    witness = (u0.x[i], values[i], d[i])
+    witness = (u0.grid.centers[i], values[i], d[i])
     if top > STRICTNESS_TAU:
         return Classification(SUPERCRITICAL, *witness, top, d, sigma)
     return Classification(SUBCRITICAL, *witness, -top, d, sigma)

@@ -15,7 +15,9 @@ godunov_flux is the case-split Godunov flux that solver.numerical_flux
 replaced, and reference_evolve a step loop on it that allocates every array
 afresh, against which the solver's reused work buffers are checked.
 exact_cell_averages is the exact solution of a catalog datum before it
-breaks, under the three kernels whose characteristics are explicit.
+breaks, under the three kernels whose characteristics are explicit, and
+entropy_cell_averages the bump's entropy solution under the zero kernel at
+any time, past breaking too.
 
 Two helpers the tests share close the module: random_compact_bump draws
 random smooth initial data, and front_position reads a front off a profile.
@@ -339,6 +341,54 @@ def exact_cell_averages(grid, kernel, T: float, datum: str = "bump") -> np.ndarr
     return np.diff(np.interp(edges, X, C)) / grid.dx
 
 
+HOPF_LAX_NODES = 1_600_001  # trapezoid nodes of the bump's primitive on [-1, 1]
+HOPF_LAX_SCAN = 4_001  # every 400th node
+
+
+def _bump_primitive() -> tuple[np.ndarray, np.ndarray]:
+    """Nodes y of [-1, 1] and U0(y) = int_{-1}^y bump, by the trapezoid rule."""
+    y = np.linspace(-1.0, 1.0, HOPF_LAX_NODES)
+    with np.errstate(divide="ignore"):  # exp(-1/0) = 0 at y = +-1
+        u = np.exp(-1.0 / (1.0 - y * y))
+    return y, np.concatenate(([0.0], np.cumsum(0.5 * (u[:-1] + u[1:]) * np.diff(y))))
+
+
+def entropy_cell_averages(grid, T: float) -> np.ndarray:
+    """Cell averages on grid of the bump's entropy solution under the zero kernel at a time T > 0.
+
+    The primitive U = int_{-inf}^x u solves U_t + H(U_x) = 0 with the concave
+    H(p) = p (1 - p), so the Hopf-Lax formula gives it at every time, past
+    breaking too:
+        U(x, T) = max over |x - y| <= T of U0(y) - (T - (x - y))^2 / (4 T).
+    U0 is 0 left of the bump's support [-1, 1] and its mass right of it, so
+    on either flat part the maximum sits at y = x - T, where the penalty
+    vanishes, or at the end of [-1, 1] nearest to it.  Each cell edge x takes
+    the best of y = x - T and HOPF_LAX_SCAN points of [-1, 1] in its window,
+    refined over U0's own nodes within two scan spacings of the best point.
+    Under the uniform kernel the same law holds at the time exp(-m) T.
+    """
+    if grid.x_left > -1.0 - T or grid.x_right < 1.0 + T:  # speeds 1 - 2u lie in [-1, 1]
+        raise ValueError(f"the bump's support by T = {T} leaves the grid")
+    y, U0 = _bump_primitive()
+    stride = (HOPF_LAX_NODES - 1) // (HOPF_LAX_SCAN - 1)
+    scan = np.arange(0, HOPF_LAX_NODES, stride)
+    near = np.arange(-2 * stride, 2 * stride + 1)
+
+    def objective(x, nodes):  # -inf outside the window |x - y| <= T
+        gap = x - y[nodes]
+        return np.where(np.abs(gap) <= T, U0[nodes] - (T - gap) ** 2 / (4.0 * T), -np.inf)
+
+    edges = grid.x_left + np.arange(grid.n_cells + 1) * grid.dx
+    U = np.interp(edges - T, y, U0)  # y = x - T
+    # 256 edges at a time keep each scan array near 8 MB
+    for chunk in np.array_split(np.arange(len(edges)), len(edges) // 256 + 1):
+        x = edges[chunk, None]
+        top = scan[np.argmax(objective(x, scan), axis=1)]
+        fine = np.clip(top[:, None] + near, 0, HOPF_LAX_NODES - 1)
+        U[chunk] = np.maximum(U[chunk], objective(x, fine).max(axis=1))
+    return np.diff(U) / grid.dx
+
+
 def random_compact_bump(seed: int, radius: float = 3.0):
     """Random smooth compactly supported bump: gaussians under a mollifier cap.
 
@@ -387,7 +437,7 @@ def front_position(u, level: float) -> float:
     i = int(above[-1])
     if i == len(values) - 1:
         return float(u.grid.x_right)
-    x_i = u.x[i]
+    x_i = u.grid.centers[i]
     drop = values[i] - values[i + 1]
     frac = (values[i] - level) / drop if drop > 0 else 0.0
     return float(x_i + frac * u.grid.dx)

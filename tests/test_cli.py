@@ -85,17 +85,33 @@ def test_non_finite_snapshot_exits_2(tmp_path, capsys):
     assert "error: --snapshots: could not convert string to float: 'abc'" in err
 
 
-@pytest.mark.parametrize("snapshots", ["0.05,0.050000000001", "0.05,0.05"])
-def test_colliding_snapshot_names_exit_2(tmp_path, capsys, snapshots):
+@pytest.mark.parametrize("snapshots, fname", [
+    pytest.param(snapshots, fname, id=snapshots) for snapshots, fname in [
+        ("0.05,0.050000000001", "snap_t0.05.csv"),
+        ("0.05,0.05", "snap_t0.05.csv"),
+        ("-0,0", "snap_t0.csv"),  # one time, though %g spells -0 apart
+    ]
+])
+def test_colliding_snapshot_names_exit_2(tmp_path, capsys, snapshots, fname):
     """Two times that print alike would write one file twice: refused before any output."""
     out = tmp_path / "clash"
     argv = ["evolve", "--n-cells", "200", "--t-end", "0.1", "--run-past-blowup",
-            "--snapshots", snapshots, "--out", str(out)]
+            f"--snapshots={snapshots}", "--out", str(out)]
     assert main(argv) == 2
     err = capsys.readouterr().err
-    first, second = snapshots.split(",")
-    assert f"snapshot times {first} and {second} both name snap_t0.05.csv" in err
+    first, second = (float(s) for s in snapshots.split(","))
+    assert f"snapshot times {first!r} and {second!r} both name {fname}" in err
     assert not any(p.is_file() for p in out.rglob("*"))
+
+
+def test_negative_zero_snapshot_is_named_snap_t0(tmp_path):
+    out = tmp_path / "neg0"
+    argv = ["evolve", "--n-cells", "200", "--t-end", "0.1", "--run-past-blowup",
+            "--snapshots=-0", "--out", str(out)]
+    assert main(argv) == 0
+    kdir = out / "evolve-bump" / "kernel_infinite"
+    assert (kdir / "snap_t0.csv").is_file()
+    assert not (kdir / "snap_t-0.csv").exists()
 
 
 # each case's id is its own, so deleting a case renames no other
@@ -123,6 +139,11 @@ def test_colliding_snapshot_names_exit_2(tmp_path, capsys, snapshots):
                      "x_right", id="argv9-x_right"),
         pytest.param(["phase-portrait", "--d0", "0.2", "--u0", "0.5", "--factor", "1",
                       "--t-end", "-1"], "t_end", id="argv10-t_end"),
+        # the default snapshot times of t_end = 1e308 stay finite: the step budget refuses it
+        pytest.param(["evolve", "--n-cells", "400", "--t-end", "1e308"], "n-cells",
+                     id="argv11-n-cells"),
+        pytest.param(["compare-kernels", "--n-cells", "400", "--t-end", "1e308"], "n-cells",
+                     id="argv12-n-cells"),
     ],
 )
 def test_out_of_domain_option_is_named(tmp_path, capsys, argv, name):
@@ -749,7 +770,7 @@ def test_factor_band_failure_exits_3_with_dump(tmp_path, capsys, monkeypatch):
     cfg = tmp_path / "replay.cfg"
     cfg.write_text("".join(
         f"{key} = {value}\n" for key, value in dump["options"].items()
-        if key not in ("out", "config", "subcommand") and value is not None and value is not False
+        if key not in ("out", "config") and value is not None and value is not False
     ))
     other = tmp_path / "replay"
     assert main([dump["command"], "--config", str(cfg), "--out", str(other)]) == 3
@@ -860,8 +881,9 @@ def test_manifest_records_options_and_files(tmp_path):
     assert main(["threshold-curve", "--samples", "5", "--out", str(out)]) == 0
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["options"] == {
-        "config": None, "out": str(out), "samples": 5, "subcommand": "threshold-curve",
+        "config": None, "out": str(out), "samples": 5,
     }
+    assert manifest["command"] == "threshold-curve"
     for rel in manifest["files"]:
         assert (out / rel).is_file()
 

@@ -34,7 +34,7 @@ def fine_grid():
 
 def ubar_at(gf, kernel, x0):
     ubar = nonlocal_field(gf, kernel)
-    i = int(np.argmin(np.abs(np.array(gf.x) - x0)))
+    i = int(np.argmin(np.abs(np.array(gf.grid.centers) - x0)))
     return float(ubar[i])
 
 

@@ -19,6 +19,7 @@ from nltraffic.scenarios import (
     InitialDatum,
     bump_init,
     customized,
+    even_snapshots,
     get_datum,
     run_experiment,
     subcritical_init,
@@ -173,6 +174,11 @@ def test_recipe_catalog():
     # the classification bundle alone is `classify`'s, which evolves no kernel
     assert set(RECIPES) == {"supercritical-compare", "subcritical-compare"}
     assert all(name == exp.name for name, exp in RECIPES.items())
+
+
+def test_even_snapshots_do_not_overflow():
+    """i * t_end overflows above t_end ~ 4.5e307; t_end * (i / 4) stays within [0, t_end]."""
+    assert even_snapshots(1e308) == (0.0, 2.5e307, 5e307, 7.5e307, 1e308)
 
 
 def test_customized_overrides():

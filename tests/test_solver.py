@@ -36,7 +36,8 @@ from nltraffic.solver import (
 from nltraffic.threshold import gradient
 from nltraffic.writers import write_json
 from oracles import (
-    exact_cell_averages, front_position, godunov_flux, random_compact_bump, reference_evolve,
+    entropy_cell_averages, exact_cell_averages, front_position, godunov_flux,
+    random_compact_bump, reference_evolve,
 )
 
 DOMAIN = (-6.0, 10.0)
@@ -530,6 +531,28 @@ def test_subinit_converges_to_the_exact_profile():
                        for (_, snap), ref in zip(snaps, exact)])
     for coarse, fine in zip(errors, errors[1:]):
         assert all(c / f >= 1.8 for c, f in zip(coarse, fine)), errors
+
+
+def test_entropy_oracle_is_the_exact_profile_before_breaking():
+    grid = get_datum("bump").sample(2000).grid
+    gap = entropy_cell_averages(grid, 0.5) - exact_cell_averages(grid, ZERO, 0.5)
+    assert float(np.abs(gap).max()) <= 1e-8
+
+
+@pytest.mark.parametrize("kernel", [ZERO, UNIFORM], ids=str)
+def test_converges_to_the_entropy_solution_after_breaking(kernel):
+    """At T = 2 the bump has broken (T* = 0.626 under zero, 0.976 under uniform) and
+    carries a shock; the L1 error against the Hopf-Lax entropy solution still falls
+    with dx.  Under uniform that solution is zero's at the time exp(-m) T."""
+    errors = []
+    for n in (1000, 2000, 4000):
+        u0 = get_datum("bump").sample(n)
+        snaps, _ = evolve(u0, kernel, 2.0, (2.0,), stop_on_blowup=False)
+        T = 2.0 * math.exp(-total_mass(u0)) if kernel == UNIFORM else 2.0
+        exact = entropy_cell_averages(u0.grid, T)
+        errors.append(u0.grid.dx * float(np.abs(dict(snaps)[2.0].values - exact).sum()))
+    assert errors[0] / errors[1] >= 1.6 and errors[1] / errors[2] >= 1.6, errors
+    assert errors[2] <= 2.5e-3, errors
 
 
 def test_uniform_kernel_is_time_rescaled_lwr():
