@@ -131,27 +131,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _is_negative_number(token: str) -> bool:
+def _is_negative_value(token: str) -> bool:
     if not token.startswith("-"):
         return False
     try:
-        float(token)
+        [float(s) for s in token.split(",") if s]
     except ValueError:
         return False
     return True
 
 
 def _attach_negative_values(argv: list[str]) -> list[str]:
-    """Join `--opt -inf` into `--opt=-inf`.
+    """Join `--opt -inf` and `--opt -0.5,1` into `--opt=-inf` and `--opt=-0.5,1`.
 
-    argparse takes a token such as -inf, -nan or -1e3 for an option of its
-    own, so the option would lose its value and the validation of that value
-    would never run.
+    argparse takes a token such as -inf, -nan, -1e3 or -0.5,1 for an option of
+    its own, so the option would lose its value and the validation of that
+    value would never run.
     """
     out: list[str] = []
     for tok in argv:
         prev = out[-1] if out else ""
-        if prev.startswith("--") and "=" not in prev and _is_negative_number(tok):
+        if prev.startswith("--") and "=" not in prev and _is_negative_value(tok):
             out[-1] = f"{prev}={tok}"
         else:
             out.append(tok)
@@ -192,7 +192,7 @@ def _experiment(args) -> Experiment:
     snaps = even_snapshots(args.t_end)
     if args.snapshots is not None:
         try:
-            snaps = tuple(sorted(float(s) for s in args.snapshots.split(",") if s))
+            snaps = tuple(sorted(float(s) + 0.0 for s in args.snapshots.split(",") if s))
         except ValueError as exc:
             raise ValueError(f"--snapshots: {exc}") from None
     return Experiment(name=f"evolve-{datum.name}", datum=datum, kernels=(kernel,),

@@ -89,7 +89,7 @@ def test_non_finite_snapshot_exits_2(tmp_path, capsys):
     pytest.param(snapshots, fname, id=snapshots) for snapshots, fname in [
         ("0.05,0.050000000001", "snap_t0.05.csv"),
         ("0.05,0.05", "snap_t0.05.csv"),
-        ("-0,0", "snap_t0.csv"),  # one time, though %g spells -0 apart
+        ("-0,0", "snap_t0.csv"),  # one time: the CLI reads -0 as 0
     ]
 ])
 def test_colliding_snapshot_names_exit_2(tmp_path, capsys, snapshots, fname):
@@ -99,7 +99,7 @@ def test_colliding_snapshot_names_exit_2(tmp_path, capsys, snapshots, fname):
             f"--snapshots={snapshots}", "--out", str(out)]
     assert main(argv) == 2
     err = capsys.readouterr().err
-    first, second = (float(s) for s in snapshots.split(","))
+    first, second = (float(s) + 0.0 for s in snapshots.split(","))
     assert f"snapshot times {first!r} and {second!r} both name {fname}" in err
     assert not any(p.is_file() for p in out.rglob("*"))
 
@@ -112,6 +112,21 @@ def test_negative_zero_snapshot_is_named_snap_t0(tmp_path):
     kdir = out / "evolve-bump" / "kernel_infinite"
     assert (kdir / "snap_t0.csv").is_file()
     assert not (kdir / "snap_t-0.csv").exists()
+    text = (out / "evolve-bump" / "metadata.json").read_text()
+    assert json.loads(text)["snapshot_times"] == [0.0] and "-0.0" not in text
+
+
+@pytest.mark.parametrize("spelling", ["--snapshots -0.5,0.1", "--snapshots=-0.5,0.1", "--config"])
+def test_snapshot_list_led_by_a_negative_time_exits_2(tmp_path, capsys, spelling):
+    """argparse would take -0.5,0.1 for an option: the list reaches the range check."""
+    cfg, out = tmp_path / "run.cfg", tmp_path / "neg"
+    cfg.write_text("snapshots = -0.5,0.1\n")
+    tail = ["--config", str(cfg)] if spelling == "--config" else spelling.split(" ")
+    argv = ["evolve", "--n-cells", "200", "--t-end", "0.1", "--out", str(out), *tail]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "snapshot_times must lie in [0, t_end], got (-0.5, 0.1)" in err
+    assert not any(p.is_file() for p in out.rglob("*"))
 
 
 # each case's id is its own, so deleting a case renames no other
