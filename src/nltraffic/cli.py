@@ -132,13 +132,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _is_negative_value(token: str) -> bool:
-    if not token.startswith("-"):
-        return False
     try:
         [float(s) for s in token.split(",") if s]
     except ValueError:
         return False
-    return True
+    return token.startswith("-")
 
 
 def _attach_negative_values(argv: list[str]) -> list[str]:
@@ -192,7 +190,7 @@ def _experiment(args) -> Experiment:
     snaps = even_snapshots(args.t_end)
     if args.snapshots is not None:
         try:
-            snaps = tuple(sorted(float(s) + 0.0 for s in args.snapshots.split(",") if s))
+            snaps = tuple(sorted(float(s) for s in args.snapshots.split(",") if s))
         except ValueError as exc:
             raise ValueError(f"--snapshots: {exc}") from None
     return Experiment(name=f"evolve-{datum.name}", datum=datum, kernels=(kernel,),

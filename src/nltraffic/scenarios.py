@@ -189,12 +189,13 @@ def run_experiment(exp: Experiment, out_dir) -> ExperimentResult:
         u0 = GridFunction(grid, sample.values)
         for kernel in exp.kernels:  # refuse the recipe before its first kernel evolves
             require_runnable(u0, kernel, exp.t_end, exp.snapshot_times)
-    snap_files: dict[str, float] = {}  # file name -> time, in snapshot_times order
-    for t in exp.snapshot_times:
-        fname = f"snap_t{t + 0.0:g}.csv"  # + 0.0: -0 and 0 are one time, and name one file
+    times = [t + 0.0 for t in exp.snapshot_times]  # -0 and 0 are one time: 0
+    snap_files: dict[str, float] = {}  # file name -> time as given, in snapshot_times order
+    for t, given in zip(times, exp.snapshot_times):
+        fname = f"snap_t{t:g}.csv"
         if fname in snap_files:
-            raise ValueError(f"snapshot times {snap_files[fname]!r} and {t!r} both name {fname}")
-        snap_files[fname] = t
+            raise ValueError(f"snapshot times {snap_files[fname]!r} and {given!r} both name {fname}")
+        snap_files[fname] = given
     result = classify_initial_data(sample)
     runs = [
         (kernel, *evolve(u0, kernel, exp.t_end, exp.snapshot_times, exp.stop_on_blowup))
@@ -230,7 +231,7 @@ def run_experiment(exp: Experiment, out_dir) -> ExperimentResult:
         "domain": list(exp.datum.domain),
         "n_cells": exp.n_cells,
         "t_end": exp.t_end,
-        "snapshot_times": list(exp.snapshot_times),
+        "snapshot_times": times,
         "kernels": [str(k) for k in exp.kernels],
     })
 

@@ -109,14 +109,13 @@ def numerical_flux(u_left, u_right, factor, out, work):
     return out
 
 
-def _advance(pad, new, factor, cells: slice, dx: float, dt_max: float, work):
+def _advance(pad, new, factor, cells: slice, t: float, dx: float, t_end: float, work):
     """One CFL step of forward Euler on the cells of pad[1:-1] into new[1:-1].
 
     pad and new hold a state on cells of width dx between two ghost cells.
     The cells' ghosts are their outer neighbours, set here (zero gradient);
     off a domain edge those are vacuum beside vacuum of one factor.  factor
-    is the cells' lagged slow-down factor, dt_max the longest step allowed
-    and work _buffers()'s scratch.
+    is the cells' lagged slow-down factor and work _buffers()'s scratch.
     Returns (dt, speed, boundary_flux), the fluxes being the rightward ones
     through the left edge (inflow) and the right edge (outflow).
     """
@@ -134,7 +133,7 @@ def _advance(pad, new, factor, cells: slice, dx: float, dt_max: float, work):
     np.maximum(c[:-1], c[1:], out=alpha)
     alpha *= fi
     speed = 2.0 * float(alpha.max())
-    dt = min(CFL * dx / max(speed, SPEED_FLOOR), dt_max)
+    dt = min(CFL * dx / max(speed, SPEED_FLOOR), t_end - t)
     numerical_flux(pad[:-1], pad[1:], fi, out=flux, work=alpha)  # alpha is read: scratch
     u_new = new[1:-1]
     np.subtract(flux[1:], flux[:-1], out=u_new)
@@ -272,9 +271,9 @@ def require_runnable(u0: GridFunction, kernel: Kernel, t_end: float,
         )
 
     # _checked_measure keeps u within DENSITY_TOL of [0, 1] and the factor at
-    # most 1 + 1e-10, so no wave speed exceeds 1 + 3e-8, and every step is at
-    # least CFL dx / (1 + 3e-8) long but the last before t_end or a snapshot
-    steps = t_end * (1.0 + 3e-8) / (CFL * dx) + len(times)
+    # most 1 + 1e-10, so no wave speed exceeds 1 + 3e-8 and every step but the
+    # last is at least CFL dx / (1 + 3e-8) long: this bounds the step count
+    steps = t_end * (1.0 + 3e-8) / (CFL * dx)
     if steps > MAX_STEPS:
         raise ValueError(
             f"cells of width dx = {dx:.3g} may take up to {steps:.3g} steps to "
@@ -287,21 +286,21 @@ def evolve(u0: GridFunction, kernel: Kernel, t_end: float, snapshot_times=(),
            stop_on_blowup: bool = True):
     """Run the scheme from u0 on its grid to t_end; returns (snapshots, diagnostics).
 
-    snapshots lists (time, GridFunction) for each of the snapshot_times that
-    the run reaches: the step is clipped to land on each of them, as on
-    t_end, so a snapshot is the state at exactly its time.  Breakdown
-    detection terminates the run unless stop_on_blowup is False, in which
-    case the first detection time is recorded and the run continues to
-    t_end.  require_runnable() is checked before the first step.
+    snapshots lists (requested_time, GridFunction) for each of the
+    snapshot_times that the run reaches, taken at the nearest completed
+    step.  Breakdown detection terminates the run unless stop_on_blowup is
+    False, in which case the first detection time is recorded and the run
+    continues to t_end.  require_runnable() is checked before the first
+    step.
     """
     require_runnable(u0, kernel, t_end, snapshot_times)
     grid, dx = u0.grid, u0.grid.dx
     pad, new, work = _buffers(grid.n_cells)
     pad[1:-1] = u0.values
     cells = _stepped_cells(u0.values, kernel, dx)
-    u = pad[1:-1]
+    u = u_prev = pad[1:-1]
     # dt = 0 marks the initial state, which closes no step and adds no outflow
-    t = dt = speed = f_left = f_right = mass_prev = outflow = 0.0
+    t = t_prev = dt = speed = f_left = f_right = mass_prev = outflow = 0.0
     t_detect = contact_t = None
     grid_scale = BLOWUP_GRADIENT_FACTOR / dx
     pending = [float(s) for s in snapshot_times]
@@ -319,17 +318,18 @@ def evolve(u0: GridFunction, kernel: Kernel, t_end: float, snapshot_times=(),
                 contact_t = t
         if t_detect is None and row[4] >= grid_scale:  # the gradient indicator
             t_detect = t
-        while pending and pending[0] == t:
-            snapshots.append((pending.pop(0), GridFunction(grid, u)))
-        if t == t_end or (t_detect is not None and stop_on_blowup):
+        while pending and pending[0] <= t + 1e-12:
+            tgt = pending.pop(0)
+            pick = u_prev if abs(t_prev - tgt) < abs(t - tgt) else u
+            snapshots.append((tgt, GridFunction(grid, pick)))
+        if t >= t_end - 1e-12 or (t_detect is not None and stop_on_blowup):
             break
-        mass_prev = mass
-        # land on stop exactly: t + dt == stop too once t >= stop / 2 (Sterbenz)
-        stop = pending[0] if pending else t_end
-        dt, speed, (f_left, f_right) = _advance(pad, new, factor, cells, dx, stop - t, work)
+        t_prev, mass_prev = t, mass
+        dt, speed, (f_left, f_right) = _advance(pad, new, factor, cells, t_prev, dx, t_end, work)
+        # the next step overwrites u_prev, after this one has taken its snapshots
         pad, new = new, pad
-        u = pad[1:-1]
-        t = stop if dt == stop - t else t + dt
+        u_prev, u = new[1:-1], pad[1:-1]
+        t = t_prev + dt
         if cells.stop < len(u) and u[cells.stop - 2]:  # keep two vacuum cells ahead
             cells = slice(cells.start, cells.stop + 1)
 

@@ -277,21 +277,22 @@ def reference_evolve(u0, kernel, t_end: float, snapshot_times=()):
     diag.add_row(*row)
     pending = list(snapshot_times)
     snapshots = []
+    t_prev, u_prev = t, u
     while True:
-        while pending and pending[0] == t:
-            snapshots.append((pending.pop(0), u))
-        if t == t_end:
+        while pending and pending[0] <= t + 1e-12:
+            tgt = pending.pop(0)
+            snapshots.append((tgt, u_prev if abs(t_prev - tgt) < abs(t - tgt) else u))
+        if t >= t_end - 1e-12:
             return snapshots, diag
-        stop = pending[0] if pending else t_end  # the step lands on it exactly
         fi = np.concatenate([factor[:1], 0.5 * (factor[:-1] + factor[1:]), factor[-1:]])
         uL = np.concatenate([u[:1], u])
         uR = np.concatenate([u, u[-1:]])
         speed = float((np.maximum(np.abs(1.0 - 2.0 * uL), np.abs(1.0 - 2.0 * uR)) * fi).max())
-        dt = min(CFL * dx / max(speed, 1e-12), stop - t)
+        dt = min(CFL * dx / max(speed, 1e-12), t_end - t)
         flux = godunov_flux(uL, uR, fi)
-        mass_prev = mass
+        t_prev, u_prev, mass_prev = t, u, mass
         u = u - (dt / dx) * (flux[1:] - flux[:-1])
-        t = stop if dt == stop - t else t + dt
+        t = t + dt
         factor, mass, row = _checked_measure(u, slice(None), t, dt, speed, dx, kernel)
         diag.add_row(*row)
         drift = abs(mass - mass_prev + dt * (flux[-1] - flux[0]))

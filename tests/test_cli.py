@@ -89,7 +89,7 @@ def test_non_finite_snapshot_exits_2(tmp_path, capsys):
     pytest.param(snapshots, fname, id=snapshots) for snapshots, fname in [
         ("0.05,0.050000000001", "snap_t0.05.csv"),
         ("0.05,0.05", "snap_t0.05.csv"),
-        ("-0,0", "snap_t0.csv"),  # one time: the CLI reads -0 as 0
+        ("-0,0", "snap_t0.csv"),  # one time, though %g spells -0 apart
     ]
 ])
 def test_colliding_snapshot_names_exit_2(tmp_path, capsys, snapshots, fname):
@@ -99,7 +99,7 @@ def test_colliding_snapshot_names_exit_2(tmp_path, capsys, snapshots, fname):
             f"--snapshots={snapshots}", "--out", str(out)]
     assert main(argv) == 2
     err = capsys.readouterr().err
-    first, second = (float(s) + 0.0 for s in snapshots.split(","))
+    first, second = (float(s) for s in snapshots.split(","))
     assert f"snapshot times {first!r} and {second!r} both name {fname}" in err
     assert not any(p.is_file() for p in out.rglob("*"))
 
