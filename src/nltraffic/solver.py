@@ -52,10 +52,15 @@ The left side is capped by how sharply a monotone scheme captures a shock:
 a full-amplitude jump resolved over a single cell gives exactly 0.5/dx and
 anything smeared over the usual 2-4 cells lands in 0.1-0.35/dx, while
 smooth transport keeps the indicator O(1), independent of dx.  The factor
-0.08 sits inside that gap (measured on the bundled scenarios at
-n = 4000: forming shocks exceed 0.10/dx, the globally smooth run stays
-below 0.06/dx), so refusing to fire means genuinely smooth evolution
-rather than an unreachable threshold.
+0.08 sits inside that gap on the two compare recipes at n = 4000 (forming
+shocks exceed 0.10/dx, the globally smooth run stays below 0.06/dx).
+
+A rule that does not fire does not mean smooth evolution.  A weak shock
+can stay under it: subinit under sk:L=2 on [-200, 260] at n = 16000
+reports smooth to t = 60 with a peak indicator of 0.068/dx, yet its max
+slope doubles as dx halves.  Where the rule fires on subinit it fires
+1.7-5.3 time units after the exact breaking time.  ROADMAP.md item 10
+gives the two-grid slope ratio that is to replace it.
 """
 
 from __future__ import annotations

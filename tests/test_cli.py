@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import nltraffic
-from nltraffic import scenarios
+from nltraffic import scenarios, solver
 from nltraffic.characteristics import PHASE_SAMPLES, ConstantFactor, integrate_characteristic
 from nltraffic.cli import _experiment, main, parse_args
 from nltraffic.kernels import INFINITE, ZERO, Kernel
@@ -25,6 +25,8 @@ from nltraffic.solver import SolverFailure
 
 # what classify, evolve and compare-kernels print for each kernel, after the verdict
 KERNEL_LINE = re.compile(r"[\w.]+: (breakdown at t = \S+|smooth), mass drift \d\.\d{3}e[-+]\d\d")
+# what a bundle run prints on stderr for a kernel detected on its initial state
+T0_WARNING = re.compile(r"warning: kernel \S+: breakdown detected at t = 0: .*; raise --n-cells")
 
 
 def test_parse_defaults():
@@ -205,6 +207,10 @@ def test_bounds_bundle(tmp_path, capsys):
         "t1", "d_minus", "d_plus", "T_star_sharp", "T_star_coarse", "C_star",
     }
     assert data["T_star_sharp"] > data["t1"] > 0
+    # below u0 = 1/4 the slope floor is the margin: no certificate before the blow-up at 118.65
+    assert main(["bounds", "--d0", "0.0485", "--u0", "0.05", "--out", str(tmp_path / "small")]) == 0
+    line = capsys.readouterr().out
+    assert line.startswith("T_star_sharp = ") and float(line.split("=")[1]) > 118.66
 
 
 def test_bounds_rejects_subcritical_seed(tmp_path, capsys):
@@ -261,6 +267,8 @@ def test_compare_kernels_writes_the_recipe_bundle(tmp_path, capsys):
     """compare-kernels --datum subinit is the subcritical-compare recipe at its --n-cells."""
     argv = ["compare-kernels", "--datum", "subinit", "--n-cells", "400"]
     assert main(argv + ["--out", str(tmp_path / "cli")]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 4 and all(T0_WARNING.fullmatch(line) for line in err), err
     run_experiment(customized(RECIPES["subcritical-compare"], n_cells=400), tmp_path / "lib")
     cli, lib = (tmp_path / d / "subcritical-compare" for d in ("cli", "lib"))
     files = sorted(p.relative_to(lib) for p in lib.rglob("*") if p.is_file())
@@ -352,9 +360,9 @@ def test_compare_kernels_reports_right_edge_contact(tmp_path, capsys):
 
 
 def test_compare_kernels_bundle(tmp_path, capsys):
-    """Detection on the initial state is warned about once per kernel (n = 300), else not."""
+    """Detection on the initial state is warned about once per kernel (n = 300, 400), else not."""
     tags = ("zero", "sk", "infinite", "uniform")
-    for n, coarse in (("300", True), ("4000", False)):
+    for n, coarse in (("300", True), ("400", True), ("4000", False)):
         out = tmp_path / f"cmp{n}"
         code = main(
             [
@@ -375,6 +383,7 @@ def test_compare_kernels_bundle(tmp_path, capsys):
             assert [line.split(": the initial")[0] for line in captured.err.splitlines()] == [
                 f"warning: kernel {tag}: breakdown detected at t = 0" for tag in tags
             ]
+            assert all(T0_WARNING.fullmatch(line) for line in captured.err.splitlines())
         else:
             assert not set(lines) & set(at_zero)
             assert captured.err == ""
@@ -382,6 +391,8 @@ def test_compare_kernels_bundle(tmp_path, capsys):
         for tag in tags:
             assert (root / f"kernel_{tag}" / "snap_t0.2.csv").is_file()
             assert (root / f"kernel_{tag}" / "diagnostics.csv").is_file()
+            report = json.loads((root / f"kernel_{tag}" / "blowup.json").read_text())
+            assert set(report) == {"detected", "t_detect", "boundary_contact_t"}
 
 
 def test_phase_portrait_time_mode(tmp_path, capsys):
@@ -522,7 +533,8 @@ def test_hopeless_step_count_exits_2_at_once(tmp_path):
             "--n-cells", "4", "--t-end", "2", "--kernel", "zero"]
     proc = run_python(["-m", "nltraffic.cli", *argv, "--out", str(tmp_path)], timeout=30)
     assert proc.returncode == 2, proc.stderr
-    assert "1.78e+07 steps" in proc.stderr
+    dx = (-0.989999 - -0.99) / 4
+    assert f"{2 * (1.0 + 3e-8) / (solver.CFL * dx):.3g} steps" in proc.stderr  # 1.78e+07
     assert "--x-left/--x-right" in proc.stderr and "--n-cells" in proc.stderr
     assert not (tmp_path / "manifest.json").exists()
     assert not (tmp_path / "evolve-bump").exists()
@@ -553,15 +565,20 @@ def test_subinit_cut_inside_the_quintic_runs(tmp_path, capsys, argv):
     assert main(argv + ["--x-left", "-2.5", "--n-cells", "400", "--out", str(tmp_path)]) == 0
     assert capsys.readouterr().err == ""
     (meta,) = tmp_path.glob("*-subinit/metadata.json")
-    assert json.loads(meta.read_text())["domain"] == [-2.5, 40.0]
+    meta = json.loads(meta.read_text())
+    assert meta["domain"] == [-2.5, 40.0] and "left_tail_mass" not in meta
 
 
 def test_infinite_kernel_right_tail_exits_2_without_output(tmp_path, capsys):
-    """The bump cut at x = 0.5 reaches the right edge: refused before any file is written."""
-    argv = ["evolve", "--kernel", "infinite", "--x-right", "0.5", "--n-cells", "400"]
-    assert main(argv + ["--out", str(tmp_path)]) == 2
+    """The bump cut at x = 0.5 reaches the right edge: refused before any file is written.
+
+    The zero kernel needs nothing past the cut, so it runs there.
+    """
+    argv = ["evolve", "--x-right", "0.5", "--n-cells", "400"]
+    assert main(argv + ["--kernel", "infinite", "--out", str(tmp_path)]) == 2
     assert "tail mass" in capsys.readouterr().err
     assert list(tmp_path.rglob("*")) == []
+    assert main(argv + ["--kernel", "zero", "--t-end", "1", "--out", str(tmp_path / "zero")]) == 0
 
 
 def test_compare_kernels_refused_at_first_lookahead_kernel(tmp_path, capsys, monkeypatch):
@@ -619,40 +636,32 @@ def test_readme_library_example_runs():
 
 
 def test_cli_paths_load_no_scipy(tmp_path):
-    """No subcommand needs scipy: with its import blocked every one still runs.
+    """The commands that load numpy run with scipy's import blocked.
 
     sys.modules["scipy"] = None makes any `import scipy...` raise ImportError,
-    so a scipy import anywhere on these paths fails its command outright.
+    so a scipy import anywhere on these paths fails its command outright.  The
+    other commands load no numpy, and the two no-numpy scripts below block
+    scipy too.
     """
     script = f"""
 import json, sys
 sys.modules["scipy"] = None
-import nltraffic
-nltraffic.default_curve()
 from nltraffic.cli import main
 
 codes = []
 for argv in (
-    ["classify", "--n-cells", "300"],
-    ["bounds", "--d0", "0.4", "--u0", "0.5"],
-    ["threshold-curve", "--samples", "11"],
     ["evolve", "--n-cells", "200", "--t-end", "0.1"],
-    ["phase-portrait", "--d0", "0.4", "--u0", "0.5", "--factor", "1", "--t-end", "30"],
-    ["phase-portrait", "--d0", "0.1", "--u0", "0.5"],
-    ["phase-portrait", "--d0", "0.1", "--u0", "0.5", "--u-end", "1e-300"],
-    ["phase-portrait", "--d0", "0.3", "--u0", "0.5", "--u-end", "1e-300"],
-    ["phase-portrait", "--d0", "0.1", "--u0", "0.5", "--factor", "1", "--t-end", "1e300"],
+    ["evolve", "--kernel", "linear", "--n-cells", "4000", "--t-end", "1", "--run-past-blowup"],
+    ["evolve", "--kernel", "sk:L=2.5", "--n-cells", "4000", "--t-end", "1", "--run-past-blowup"],
+    ["compare-kernels", "--n-cells", "400", "--t-end", "0.1"],
 ):
     codes.append(main(argv + ["--out", {str(tmp_path)!r} + "/" + str(len(codes))]))
 print(json.dumps(codes))
 """
-    proc = run_python(["-c", script], timeout=120)
+    proc = run_python(["-W", "error", "-c", script], timeout=120)
     assert proc.returncode == 0, proc.stderr
     codes = json.loads(proc.stdout.strip().splitlines()[-1])
-    assert codes == [0, 0, 0, 0, 0, 0, 0, 2, 0], proc.stderr
-    # d0 = 0.3 > sigma(0.5) = 0.25: the path blows up before u reaches 1e-300
-    assert "u* = 0.231662, above u_end = 1e-300" in proc.stderr
-    assert "slope blow-up at t = 1.81483" in proc.stdout
+    assert codes == [0, 0, 0, 0], proc.stderr
 
 
 def test_scalar_commands_load_no_numpy(tmp_path):
@@ -660,10 +669,11 @@ def test_scalar_commands_load_no_numpy(tmp_path):
 
     sys.modules["numpy"] = None makes any `import numpy` raise ImportError, which
     main does not catch, so a numpy import anywhere on these paths ends the script.
+    scipy is blocked the same way, and warnings are errors.
     """
     script = f"""
 import json, sys
-sys.modules["numpy"] = None
+sys.modules["numpy"] = sys.modules["scipy"] = None
 import nltraffic
 nltraffic.default_curve()
 from nltraffic.cli import main
@@ -685,7 +695,7 @@ for argv in (
     codes.append(main(argv + ["--out", {str(tmp_path)!r} + "/" + str(len(codes))]))
 print(json.dumps(codes))
 """
-    proc = run_python(["-c", script], timeout=60)
+    proc = run_python(["-W", "error", "-c", script], timeout=60)
     assert proc.returncode == 0, proc.stderr
     codes = json.loads(proc.stdout.strip().splitlines()[-1])
     assert codes == [0, 0, 0, 0, 0, 0, 0, 0, 2, 2, 0], proc.stderr
@@ -699,10 +709,10 @@ print(json.dumps(codes))
 
 
 def test_classify_loads_no_numpy(tmp_path):
-    """classify samples and classifies on floats: with numpy blocked it runs and refuses."""
+    """classify samples and classifies on floats: with numpy and scipy blocked it runs and refuses."""
     script = f"""
 import contextlib, io, json, sys
-sys.modules["numpy"] = None
+sys.modules["numpy"] = sys.modules["scipy"] = None
 from nltraffic.cli import main
 
 results = []
@@ -720,7 +730,7 @@ for argv in (
     results.append((code, out.getvalue(), err.getvalue()))
 print(json.dumps(results))
 """
-    proc = run_python(["-c", script], timeout=60)
+    proc = run_python(["-W", "error", "-c", script], timeout=60)
     assert proc.returncode == 0, proc.stderr
     bump, subinit, far, zero, huge, unknown = json.loads(proc.stdout)
     assert bump == [0, "SUPERCRITICAL\n", ""]

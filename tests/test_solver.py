@@ -332,7 +332,8 @@ def test_stepwise_mass_conservation():
     grid = scenario_grid(400)
     u = GridFunction.from_callable(grid, random_compact_bump(7))
     snaps, diag = evolve(u, ZERO, 1.5, (1.5,), stop_on_blowup=False)
-    assert len(diag.mass) > 60
+    # the vacuum ahead of the data moves at speed 1, so no step exceeds CFL dx
+    assert len(diag.mass) - 1 >= 1.5 / (solver.CFL * grid.dx)
     assert diag.mass[0] == total_mass(u)
     assert max(np.abs(np.diff(diag.mass))) <= 1e-12 * grid.n_cells
     # support must not have reached the outflow boundaries
@@ -681,7 +682,7 @@ def test_diagnostics_columns_are_float64_arrays():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(solver, "_advance", counting)
         _, diag = evolve(u0, SK_UNIT, 2.0, stop_on_blowup=False)
-    assert len(steps) > 100
+    assert len(steps) >= 2.0 / (solver.CFL * u0.grid.dx)  # no step exceeds CFL dx
     for name in Diagnostics.COLUMNS:
         column = getattr(diag, name)
         assert isinstance(column, array) and column.typecode == "d", name
