@@ -39,7 +39,7 @@ if TYPE_CHECKING:
 
 
 def _inject_config(argv: list[str]) -> list[str]:
-    """Expand --config into flags placed before the explicit ones."""
+    """Expand --config's `key = value` lines into `--key value` flags before the explicit ones."""
     path = None
     for i, tok in enumerate(argv):
         if tok == "--config" and i + 1 < len(argv):
@@ -62,11 +62,7 @@ def _inject_config(argv: list[str]) -> list[str]:
         if "=" not in line:
             raise ValueError(f"--config: {path}:{lineno}: expected `key = value`, got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        flag = "--" + key.replace("_", "-")
-        if value.lower() == "true":
-            flags.append(flag)
-        elif value.lower() != "false":
-            flags.extend([flag, value])
+        flags.extend(["--" + key.replace("_", "-"), value])
     return argv[:1] + flags + argv[1:]
 
 
@@ -95,11 +91,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kernel", default="infinite", help="look-ahead kernel")
     p.add_argument("--t-end", type=float, default=4.0)
     p.add_argument("--snapshots", default=None, help="comma list of times")
-    p.add_argument(
-        "--run-past-blowup",
-        action="store_true",
-        help="keep evolving after breakdown detection",
-    )
 
     p = sub.add_parser(
         "compare-kernels", parents=[common], help="all four reference kernels"
@@ -194,8 +185,7 @@ def _experiment(args) -> Experiment:
         except ValueError as exc:
             raise ValueError(f"--snapshots: {exc}") from None
     return Experiment(name=f"evolve-{datum.name}", datum=datum, kernels=(kernel,),
-                      n_cells=args.n_cells, t_end=args.t_end, snapshot_times=snaps,
-                      stop_on_blowup=not args.run_past_blowup)
+                      n_cells=args.n_cells, t_end=args.t_end, snapshot_times=snaps)
 
 
 def _recorded(args) -> dict:
@@ -214,7 +204,6 @@ def run_experiment(exp: Experiment, out_dir) -> ExperimentResult:
 
 def dispatch(args) -> int:
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     files: list[str] = []
 
     if args.subcommand in ("classify", "evolve", "compare-kernels"):
@@ -277,9 +266,6 @@ def dispatch(args) -> int:
         write_json(out / "bounds.json", asdict(bounds))
         files.append("bounds.json")
         print(f"T_star_sharp = {bounds.T_star_sharp:g}")
-
-    else:  # pragma: no cover
-        raise ValueError(f"unknown subcommand {args.subcommand!r}")
 
     write_json(out / "manifest.json", {**_recorded(args), "files": sorted(files)})
     return 0

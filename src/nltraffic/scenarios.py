@@ -104,7 +104,6 @@ class Experiment:
     n_cells: int = 4000
     t_end: float = 4.0
     snapshot_times: tuple = ()
-    stop_on_blowup: bool = False  # bundles keep evolving to t_end for figures
 
 
 def even_snapshots(t_end: float) -> tuple:
@@ -197,15 +196,11 @@ def run_experiment(exp: Experiment, out_dir) -> ExperimentResult:
             raise ValueError(f"snapshot times {snap_files[fname]!r} and {given!r} both name {fname}")
         snap_files[fname] = given
     result = classify_initial_data(sample)
-    runs = [
-        (kernel, *evolve(u0, kernel, exp.t_end, exp.snapshot_times, exp.stop_on_blowup))
-        for kernel in exp.kernels
-    ]
+    runs = [(kernel, *evolve(u0, kernel, exp.t_end, exp.snapshot_times)) for kernel in exp.kernels]
     for kernel, _, diag in runs:
         _warn(kernel.tag, diag, grid.dx)
 
     root = Path(out_dir) / exp.name
-    root.mkdir(parents=True, exist_ok=True)
     files: list[str] = []
 
     def bundle_path(rel: str) -> Path:
@@ -219,8 +214,7 @@ def run_experiment(exp: Experiment, out_dir) -> ExperimentResult:
 
     for kernel, snaps, diag in runs:
         kdir = f"kernel_{kernel.tag}"
-        (root / kdir).mkdir(exist_ok=True)
-        for fname, (_, snap) in zip(snap_files, snaps):  # snaps stops early with the run
+        for fname, (_, snap) in zip(snap_files, snaps, strict=True):
             write_profile_csv(snap, bundle_path(f"{kdir}/{fname}"))
         diag.write_csv(bundle_path(f"{kdir}/diagnostics.csv"))
         write_json(bundle_path(f"{kdir}/blowup.json"), asdict(diag.blowup))

@@ -16,8 +16,8 @@ otherwise.  evolve() allocates its work arrays (two ghost-padded states, the
 interface factors, wave speeds and fluxes) once per call, so a step
 allocates no array of the grid's length; the snapshots it returns are
 copies and never alias them.  Its loop body runs once per state, the
-initial one included: measure and check, record, snapshot, then stop or
-step.  A nan or inf shows in the min and max the density check takes.
+initial one included: measure and check, record, snapshot, then stop at
+t_end or step.  A nan or inf shows in the min and max the density check takes.
 
 evolve() steps only the cells [a, b) that can hold traffic.  Off them the
 state is exactly 0 and the factor that of the nearer end, so each artifact
@@ -114,13 +114,14 @@ def numerical_flux(u_left, u_right, factor, out, work):
     return out
 
 
-def _advance(pad, new, factor, cells: slice, t: float, dx: float, t_end: float, work):
+def _advance(pad, new, factor, cells: slice, dx: float, dt_max: float, work):
     """One CFL step of forward Euler on the cells of pad[1:-1] into new[1:-1].
 
     pad and new hold a state on cells of width dx between two ghost cells.
     The cells' ghosts are their outer neighbours, set here (zero gradient);
     off a domain edge those are vacuum beside vacuum of one factor.  factor
-    is the cells' lagged slow-down factor and work _buffers()'s scratch.
+    is the cells' lagged slow-down factor and work _buffers()'s scratch.  The
+    step is at most dt_max long (evolve passes the time left to t_end).
     Returns (dt, speed, boundary_flux), the fluxes being the rightward ones
     through the left edge (inflow) and the right edge (outflow).
     """
@@ -138,7 +139,7 @@ def _advance(pad, new, factor, cells: slice, t: float, dx: float, t_end: float, 
     np.maximum(c[:-1], c[1:], out=alpha)
     alpha *= fi
     speed = 2.0 * float(alpha.max())
-    dt = min(CFL * dx / max(speed, SPEED_FLOOR), t_end - t)
+    dt = min(CFL * dx / max(speed, SPEED_FLOOR), dt_max)
     numerical_flux(pad[:-1], pad[1:], fi, out=flux, work=alpha)  # alpha is read: scratch
     u_new = new[1:-1]
     np.subtract(flux[1:], flux[:-1], out=u_new)
@@ -287,16 +288,13 @@ def require_runnable(u0: GridFunction, kernel: Kernel, t_end: float,
         )
 
 
-def evolve(u0: GridFunction, kernel: Kernel, t_end: float, snapshot_times=(),
-           stop_on_blowup: bool = True):
+def evolve(u0: GridFunction, kernel: Kernel, t_end: float, snapshot_times=()):
     """Run the scheme from u0 on its grid to t_end; returns (snapshots, diagnostics).
 
     snapshots lists (requested_time, GridFunction) for each of the
-    snapshot_times that the run reaches, taken at the nearest completed
-    step.  Breakdown detection terminates the run unless stop_on_blowup is
-    False, in which case the first detection time is recorded and the run
-    continues to t_end.  require_runnable() is checked before the first
-    step.
+    snapshot_times, taken at the nearest completed step.  Breakdown
+    detection stops nothing: the report records its first time and the run
+    goes on to t_end.  require_runnable() is checked before the first step.
     """
     require_runnable(u0, kernel, t_end, snapshot_times)
     grid, dx = u0.grid, u0.grid.dx
@@ -327,10 +325,10 @@ def evolve(u0: GridFunction, kernel: Kernel, t_end: float, snapshot_times=(),
             tgt = pending.pop(0)
             pick = u_prev if abs(t_prev - tgt) < abs(t - tgt) else u
             snapshots.append((tgt, GridFunction(grid, pick)))
-        if t >= t_end - 1e-12 or (t_detect is not None and stop_on_blowup):
+        if t >= t_end - 1e-12:
             break
         t_prev, mass_prev = t, mass
-        dt, speed, (f_left, f_right) = _advance(pad, new, factor, cells, t_prev, dx, t_end, work)
+        dt, speed, (f_left, f_right) = _advance(pad, new, factor, cells, dx, t_end - t_prev, work)
         # the next step overwrites u_prev, after this one has taken its snapshots
         pad, new = new, pad
         u_prev, u = new[1:-1], pad[1:-1]

@@ -264,7 +264,7 @@ def godunov_flux(u_left, u_right, factor):
 
 
 def reference_evolve(u0, kernel, t_end: float, snapshot_times=()):
-    """evolve() for stop_on_blowup=False, with fresh arrays in every step.
+    """evolve() with fresh arrays in every step.
 
     Returns (snapshots, diagnostics) like evolve() except that the blow-up
     report is left out.  Each state is a new array, so no snapshot can alias

@@ -226,7 +226,7 @@ def test_criterion_8_reduction_limits():
     t_fast = math.exp(-m)
 
     def final_profile(u_init, kernel, t_end):
-        snaps, _ = evolve(u_init, kernel, t_end, (t_end,), stop_on_blowup=False)
+        snaps, _ = evolve(u_init, kernel, t_end, (t_end,))
         return dict(snaps)[t_end]
 
     uni = final_profile(u0, UNIFORM, 1.0)

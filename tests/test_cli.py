@@ -97,8 +97,8 @@ def test_non_finite_snapshot_exits_2(tmp_path, capsys):
 def test_colliding_snapshot_names_exit_2(tmp_path, capsys, snapshots, fname):
     """Two times that print alike would write one file twice: refused before any output."""
     out = tmp_path / "clash"
-    argv = ["evolve", "--n-cells", "200", "--t-end", "0.1", "--run-past-blowup",
-            f"--snapshots={snapshots}", "--out", str(out)]
+    argv = ["evolve", "--n-cells", "200", "--t-end", "0.1", f"--snapshots={snapshots}",
+            "--out", str(out)]
     assert main(argv) == 2
     err = capsys.readouterr().err
     first, second = (float(s) for s in snapshots.split(","))
@@ -108,8 +108,7 @@ def test_colliding_snapshot_names_exit_2(tmp_path, capsys, snapshots, fname):
 
 def test_negative_zero_snapshot_is_named_snap_t0(tmp_path):
     out = tmp_path / "neg0"
-    argv = ["evolve", "--n-cells", "200", "--t-end", "0.1", "--run-past-blowup",
-            "--snapshots=-0", "--out", str(out)]
+    argv = ["evolve", "--n-cells", "200", "--t-end", "0.1", "--snapshots=-0", "--out", str(out)]
     assert main(argv) == 0
     kdir = out / "evolve-bump" / "kernel_infinite"
     assert (kdir / "snap_t0.csv").is_file()
@@ -250,9 +249,9 @@ def test_classify_prints_only_the_verdict(tmp_path, capsys):
 
 
 def test_evolve_and_compare_kernels_print_the_same_kernel_line(tmp_path, capsys):
-    """evolve --kernel sk past breakdown is compare-kernels' sk run, and prints its line."""
+    """evolve --kernel sk is compare-kernels' sk run, and prints its line."""
     grid = ["--n-cells", "400", "--t-end", "1"]
-    argv = ["evolve", "--kernel", "sk", "--run-past-blowup", *grid, "--out", str(tmp_path / "e")]
+    argv = ["evolve", "--kernel", "sk", *grid, "--out", str(tmp_path / "e")]
     assert main(argv) == 0
     evolved = capsys.readouterr().out.splitlines()
     assert main(["compare-kernels", *grid, "--out", str(tmp_path / "c")]) == 0
@@ -284,37 +283,52 @@ def test_evolve_bundle_and_detection(tmp_path, capsys):
         [
             "evolve", "--datum", "bump", "--kernel", "zero",
             "--n-cells", "500", "--t-end", "1.5", "--snapshots", "0,1.5",
-            "--run-past-blowup", "--out", str(out),
+            "--out", str(out),
         ]
     )
     assert code == 0
     verdict, line = capsys.readouterr().out.splitlines()
     kdir = out / "evolve-bump" / "kernel_zero"
-    assert (kdir / "snap_t0.csv").is_file()
-    assert (kdir / "snap_t1.5.csv").is_file()
     report = json.loads((kdir / "blowup.json").read_text())
     assert report["detected"] and 0.0 < report["t_detect"] < 1.5
+    # detection stops nothing: the run reaches t_end and writes both snapshots
+    assert (kdir / "snap_t0.csv").is_file()
+    assert (kdir / "snap_t1.5.csv").is_file()
+    last_t = float((kdir / "diagnostics.csv").read_text().split("\n")[-2].split(",")[0])
+    assert last_t == pytest.approx(1.5, abs=1e-12)
     assert verdict == "SUPERCRITICAL"
     assert KERNEL_LINE.fullmatch(line) and line.startswith(
         f"zero: breakdown at t = {report['t_detect']:g}, mass drift "
     ), line
 
 
-def test_evolve_stops_at_detection_by_default(tmp_path):
-    out = tmp_path / "e2"
-    code = main(
-        [
-            "evolve", "--datum", "bump", "--kernel", "zero",
-            "--n-cells", "500", "--t-end", "1.5", "--snapshots", "0,1.5",
-            "--out", str(out),
-        ]
-    )
-    assert code == 0
-    kdir = out / "evolve-bump" / "kernel_zero"
-    report = json.loads((kdir / "blowup.json").read_text())
-    assert report["detected"]
-    # the run halted early, so the t = 1.5 snapshot was never reached
-    assert not (kdir / "snap_t1.5.csv").exists()
+def test_evolve_defaults_run_to_t_end(tmp_path, capsys):
+    """At n = 400 the bump breaks down at t = 0, and the run still takes all five snapshots."""
+    out = tmp_path / "smoke"
+    assert main(["evolve", "--n-cells", "400", "--t-end", "0.1", "--out", str(out)]) == 0
+    assert "breakdown at t = 0," in capsys.readouterr().out
+    kdir = out / "evolve-bump" / "kernel_infinite"
+    assert sorted(p.name for p in kdir.glob("snap_t*.csv")) == [
+        "snap_t0.025.csv", "snap_t0.05.csv", "snap_t0.075.csv", "snap_t0.1.csv", "snap_t0.csv",
+    ]
+    last_t = float((kdir / "diagnostics.csv").read_text().split("\n")[-2].split(",")[0])
+    assert last_t == pytest.approx(0.1, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bounds", "--d0", "0.1", "--u0", "0.5"],
+        ["compare-kernels", "--n-cells", "400", "--t-end", "1", "--x-right", "0.5"],
+        ["evolve", "--kernel", "infinite", "--x-right", "0.5", "--n-cells", "400"],
+    ],
+    ids=["bounds", "compare-kernels", "evolve"],
+)
+def test_refused_run_creates_no_out_directory(tmp_path, capsys, argv):
+    out = tmp_path / "D"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
 
 
 def test_evolve_reports_right_edge_contact(tmp_path, capsys):
@@ -323,7 +337,7 @@ def test_evolve_reports_right_edge_contact(tmp_path, capsys):
     code = main(
         [
             "evolve", "--kernel", "sk", "--n-cells", "400", "--t-end", "30",
-            "--run-past-blowup", "--out", str(out),
+            "--out", str(out),
         ]
     )
     assert code == 0
@@ -651,8 +665,8 @@ from nltraffic.cli import main
 codes = []
 for argv in (
     ["evolve", "--n-cells", "200", "--t-end", "0.1"],
-    ["evolve", "--kernel", "linear", "--n-cells", "4000", "--t-end", "1", "--run-past-blowup"],
-    ["evolve", "--kernel", "sk:L=2.5", "--n-cells", "4000", "--t-end", "1", "--run-past-blowup"],
+    ["evolve", "--kernel", "linear", "--n-cells", "4000", "--t-end", "1"],
+    ["evolve", "--kernel", "sk:L=2.5", "--n-cells", "4000", "--t-end", "1"],
     ["compare-kernels", "--n-cells", "400", "--t-end", "0.1"],
 ):
     codes.append(main(argv + ["--out", {str(tmp_path)!r} + "/" + str(len(codes))]))
@@ -795,7 +809,7 @@ def test_factor_band_failure_exits_3_with_dump(tmp_path, capsys, monkeypatch):
     cfg = tmp_path / "replay.cfg"
     cfg.write_text("".join(
         f"{key} = {value}\n" for key, value in dump["options"].items()
-        if key not in ("out", "config") and value is not None and value is not False
+        if key not in ("out", "config") and value is not None
     ))
     other = tmp_path / "replay"
     assert main([dump["command"], "--config", str(cfg), "--out", str(other)]) == 3
@@ -841,7 +855,7 @@ def test_determinism_across_runs(tmp_path):
 
 def test_config_file_and_flag_precedence(tmp_path):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("# curve sampling\nsamples = 21\nssp2 = false\n")
+    cfg.write_text("# curve sampling\nsamples = 21\n")
     out1 = tmp_path / "cfgd"
     assert main(["threshold-curve", "--config", str(cfg), "--out", str(out1)]) == 0
     rows = (out1 / "threshold_curve.csv").read_text().strip().split("\n")
@@ -868,12 +882,15 @@ def test_config_equals_spelling(tmp_path):
     assert len((out / "threshold_curve.csv").read_text().strip().split("\n")) == 22
 
 
-def test_config_boolean_true(tmp_path):
+def test_config_value_is_passed_as_written(tmp_path, capsys):
+    """`kernel = false` gives --kernel the value false, which it refuses by name."""
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("run_past_blowup = true\nn_cells = 200\n")
-    args = parse_args(["evolve", "--config", str(cfg)])
-    assert args.run_past_blowup is True
-    assert args.n_cells == 200
+    cfg.write_text("kernel = false\nn_cells = 200\nt_end = 0.1\n")
+    assert parse_args(["evolve", "--config", str(cfg)]).kernel == "false"
+    out = tmp_path / "o"
+    assert main(["evolve", "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: --kernel: ")
+    assert not out.exists()
 
 
 def test_config_rejects_malformed_line(tmp_path, capsys):
@@ -957,9 +974,10 @@ def test_bounds_overflowing_m_exits_2(tmp_path, capsys, m, message):
         ["compare-kernels", "--scheme", "godunov"],
         ["evolve", "--cfl", "0.3"],
         ["compare-kernels", "--cfl", "0.3"],
+        ["evolve", "--run-past-blowup"],
     ],
     ids=["evolve-ssp2", "evolve-scheme", "compare-kernels-scheme", "evolve-cfl",
-         "compare-kernels-cfl"],
+         "compare-kernels-cfl", "evolve-run-past-blowup"],
 )
 def test_removed_options_exit_2(tmp_path, capsys, argv):
     out = tmp_path / "gone"
@@ -969,7 +987,7 @@ def test_removed_options_exit_2(tmp_path, capsys, argv):
 
 
 def test_removed_option_in_config_file_exits_2(tmp_path):
-    for line in ("ssp2 = true", "cfl = 0.3"):
+    for line in ("ssp2 = true", "cfl = 0.3", "run_past_blowup = true"):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"{line}\nn_cells = 200\nt_end = 0.1\n")
         out = tmp_path / "gone"
@@ -1008,8 +1026,6 @@ def command_lines(draw):
     if sub == "evolve":
         argv += ["--kernel", draw(st.sampled_from(KERNELS))]
         option("t-end", T_END)
-        if draw(st.booleans()):
-            argv.append("--run-past-blowup")
     elif sub == "bounds":
         option("d0", NUMBER)
         option("u0", NUMBER)

@@ -157,7 +157,7 @@ def test_evolve_matches_allocating_reference(kernel):
     k = np.searchsorted(t, inner)
     nearer_prev = np.abs(t[k - 1] - inner) < np.abs(t[k] - inner)
     assert nearer_prev.any() and not nearer_prev.all()
-    runs = [evolve(u0, kernel, 2.0, times, stop_on_blowup=False) for _ in range(2)]
+    runs = [evolve(u0, kernel, 2.0, times) for _ in range(2)]
     for snaps, diag in runs:
         assert [s for s, _ in snaps] == [s for s, _ in ref_snaps]
         for (_, snap), (_, ref) in zip(snaps, ref_snaps):
@@ -179,10 +179,10 @@ def test_step_allocates_no_grid_sized_array():
     assert 0 < part.start and part.stop < n
     for cells in (slice(0, n), part):
         factor = np.ones(cells.stop - cells.start)
-        _advance(pad, new, factor, cells, 0.0, grid.dx, 1.0, work)
+        _advance(pad, new, factor, cells, grid.dx, 1.0, work)
         tracemalloc.start()
         try:
-            _advance(pad, new, factor, cells, 0.0, grid.dx, 1.0, work)
+            _advance(pad, new, factor, cells, grid.dx, 1.0, work)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -221,7 +221,7 @@ def _recorded_run(u0, kernel, full_grid):
         mp.setattr(solver, "_checked_measure", recording)
         if full_grid:
             mp.setattr(solver, "_stepped_cells", lambda values, kernel, dx: slice(0, len(values)))
-        _, diag = evolve(u0, kernel, 3.0, stop_on_blowup=False)
+        _, diag = evolve(u0, kernel, 3.0)
     return np.array(states), ranges, diag
 
 
@@ -267,7 +267,7 @@ def test_non_finite_flux_fails_the_step(monkeypatch):
     monkeypatch.setattr(solver, "numerical_flux", flux_with_nan)
     grid = scenario_grid(400)
     with pytest.raises(SolverFailure, match="^non-finite state during update$") as info:
-        evolve(GridFunction.from_callable(grid, bump_init), ZERO, 1.0, stop_on_blowup=False)
+        evolve(GridFunction.from_callable(grid, bump_init), ZERO, 1.0)
     assert len(calls) == 3
     assert set(info.value.dump) == {"t", "dt", "max_speed"}
     assert info.value.dump["dt"] > 0.0 and info.value.dump["max_speed"] > 0.0
@@ -301,7 +301,7 @@ def test_negative_average_fails_the_factor_band(monkeypatch):
 def test_step_count_within_the_budget_bound(datum, kernel, n, t_end):
     """No wave speed exceeds 1 + 3e-8: at most ceil(t_end (1 + 3e-8) / (CFL dx)) steps."""
     u0 = get_datum(datum).sample(n)
-    _, diag = evolve(u0, kernel, t_end, stop_on_blowup=False)
+    _, diag = evolve(u0, kernel, t_end)
     assert len(diag.t) - 1 <= math.ceil(t_end * (1.0 + 3e-8) / (solver.CFL * u0.grid.dx))
 
 
@@ -331,7 +331,7 @@ def test_gradient_indicator_matches_spatial_derivative():
 def test_stepwise_mass_conservation():
     grid = scenario_grid(400)
     u = GridFunction.from_callable(grid, random_compact_bump(7))
-    snaps, diag = evolve(u, ZERO, 1.5, (1.5,), stop_on_blowup=False)
+    snaps, diag = evolve(u, ZERO, 1.5, (1.5,))
     # the vacuum ahead of the data moves at speed 1, so no step exceeds CFL dx
     assert len(diag.mass) - 1 >= 1.5 / (solver.CFL * grid.dx)
     assert diag.mass[0] == total_mass(u)
@@ -345,7 +345,7 @@ def test_stepwise_mass_conservation():
 def test_max_principle_through_shock():
     grid = scenario_grid(800)
     u0 = GridFunction.from_callable(grid, random_compact_bump(3))
-    _, diag = evolve(u0, ZERO, 2.0, stop_on_blowup=False)
+    _, diag = evolve(u0, ZERO, 2.0)
     assert min(diag.min_u) >= -1e-8
     assert max(diag.max_u) <= 1.0 + 1e-8
     assert diag.max_mass_drift <= 1e-12 * grid.n_cells
@@ -362,14 +362,14 @@ def test_factor_band_recorded(grid_bump_run):
 def grid_bump_run():
     grid = scenario_grid(600)
     u0 = GridFunction.from_callable(grid, bump_init)
-    _, diag = evolve(u0, INFINITE, 1.0, stop_on_blowup=False)
+    _, diag = evolve(u0, INFINITE, 1.0)
     return diag, total_mass(u0)
 
 
 def test_infinite_kernel_factor_monotone():
     grid = scenario_grid(600)
     u0 = GridFunction.from_callable(grid, bump_init)
-    snaps, _ = evolve(u0, INFINITE, 0.5, (0.5,), stop_on_blowup=False)
+    snaps, _ = evolve(u0, INFINITE, 0.5, (0.5,))
     factor = np.exp(-nonlocal_field(dict(snaps)[0.5], INFINITE))
     assert np.all(np.diff(factor) >= -1e-14)
 
@@ -379,17 +379,18 @@ def test_infinite_kernel_factor_monotone():
 
 def test_box_detected_immediately():
     grid = scenario_grid(1600)
-    snaps, diag = evolve(box(grid, 0.0, 1.0), ZERO, 1.0, (0.0,))
+    snaps, diag = evolve(box(grid, 0.0, 1.0), ZERO, 1.0, (0.0, 1.0))
     report = diag.blowup
     assert report.detected
     assert report.t_detect == 0.0
-    assert len(diag.t) == 1  # stop_on_blowup halts before the first step
-    assert snaps[0][0] == 0.0
+    # detection stops nothing: the run reaches t_end and takes every snapshot
+    assert diag.t[-1] == pytest.approx(1.0, abs=1e-12)
+    assert [t for t, _ in snaps] == [0.0, 1.0]
 
 
 def test_box_run_past_detection():
     grid = scenario_grid(1600)
-    _, diag = evolve(box(grid, 0.0, 1.0), ZERO, 0.5, stop_on_blowup=False)
+    _, diag = evolve(box(grid, 0.0, 1.0), ZERO, 0.5)
     assert diag.t[-1] == pytest.approx(0.5, abs=1e-12)
     assert diag.blowup.t_detect == 0.0
     # a unit jump over one cell is the sharpest profile the grid can hold
@@ -401,21 +402,17 @@ def test_box_run_past_detection():
     "kernel, t_detect", zip(COMPARE_KERNELS, (0.585, 0.729, 1.0665, 0.912)),
     ids=[k.tag for k in COMPARE_KERNELS],
 )
-def test_stopping_at_detection_truncates_the_full_run(kernel, t_detect):
-    """stop_on_blowup only cuts the run: every row up to t_detect is the full run's."""
+def test_full_run_reports_first_detection(kernel, t_detect):
+    """The run goes on to t_end; t_detect is the first row whose indicator reaches 0.08/dx."""
     grid = scenario_grid(1600)
-    u0 = GridFunction.from_callable(grid, bump_init)
-    stopped, full = (
-        evolve(u0, kernel, 2.0, stop_on_blowup=stop)[1]
-        for stop in (True, False)
-    )
-    k = len(stopped.t)
-    assert 1 < k < len(full.t)
-    for name in Diagnostics.COLUMNS:
-        assert getattr(stopped, name) == getattr(full, name)[:k], name
-    assert stopped.t[-1] == stopped.blowup.t_detect == full.blowup.t_detect
-    assert stopped.blowup.t_detect == pytest.approx(t_detect, abs=1e-3)
-    assert stopped.blowup.detected and full.blowup.detected
+    _, diag = evolve(GridFunction.from_callable(grid, bump_init), kernel, 2.0)
+    assert diag.blowup.detected
+    assert diag.blowup.t_detect == pytest.approx(t_detect, abs=1e-3)
+    k = list(diag.t).index(diag.blowup.t_detect)
+    assert 1 <= k < len(diag.t) - 1
+    assert max(diag.grad_indicator[:k]) < solver.BLOWUP_GRADIENT_FACTOR / grid.dx
+    assert diag.grad_indicator[k] >= solver.BLOWUP_GRADIENT_FACTOR / grid.dx
+    assert diag.t[-1] == pytest.approx(2.0, abs=1e-12)
 
 
 def test_smooth_short_run_not_detected():
@@ -512,7 +509,7 @@ def test_converges_to_the_exact_profile(kernel):
     errors = []
     for n in (1000, 2000, 4000):
         u0 = get_datum("bump").sample(n)
-        snaps, _ = evolve(u0, kernel, 0.5, (0.5,), stop_on_blowup=False)
+        snaps, _ = evolve(u0, kernel, 0.5, (0.5,))
         exact = exact_cell_averages(u0.grid, kernel, 0.5)
         errors.append(u0.grid.dx * float(np.abs(dict(snaps)[0.5].values - exact).sum()))
     assert errors[0] / errors[1] >= 1.8 and errors[1] / errors[2] >= 1.8, errors
@@ -525,7 +522,7 @@ def test_subinit_converges_to_the_exact_profile():
     errors = []
     for n in (2000, 4000, 8000):
         u0 = get_datum("subinit").sample(n)
-        snaps, _ = evolve(u0, INFINITE, 20.0, times, stop_on_blowup=False)
+        snaps, _ = evolve(u0, INFINITE, 20.0, times)
         assert tuple(t for t, _ in snaps) == times
         exact = (exact_cell_averages(u0.grid, INFINITE, t, "subinit") for t in times)
         errors.append([u0.grid.dx * float(np.abs(snap.values - ref).sum())
@@ -548,7 +545,7 @@ def test_converges_to_the_entropy_solution_after_breaking(kernel):
     errors = []
     for n in (1000, 2000, 4000):
         u0 = get_datum("bump").sample(n)
-        snaps, _ = evolve(u0, kernel, 2.0, (2.0,), stop_on_blowup=False)
+        snaps, _ = evolve(u0, kernel, 2.0, (2.0,))
         T = 2.0 * math.exp(-total_mass(u0)) if kernel == UNIFORM else 2.0
         exact = entropy_cell_averages(u0.grid, T)
         errors.append(u0.grid.dx * float(np.abs(dict(snaps)[2.0].values - exact).sum()))
@@ -562,8 +559,8 @@ def test_uniform_kernel_is_time_rescaled_lwr():
     u0 = GridFunction.from_callable(grid, bump_init)
     m = total_mass(u0)
     t_fast = math.exp(-m)
-    snap_u, diag_u = evolve(u0, UNIFORM, 1.0, (1.0,), stop_on_blowup=False)
-    snap_z, _ = evolve(u0, ZERO, t_fast, (t_fast,), stop_on_blowup=False)
+    snap_u, diag_u = evolve(u0, UNIFORM, 1.0, (1.0,))
+    snap_z, _ = evolve(u0, ZERO, t_fast, (t_fast,))
     diff = dict(snap_u)[1.0].values - dict(snap_z)[t_fast].values
     assert float(np.abs(diff).max()) <= 1e-10
     assert diag_u.max_mass_drift <= 1e-12 * grid.n_cells
@@ -575,7 +572,7 @@ def test_short_lookahead_reduces_to_lwr():
     length = 1e-3
     out = {}
     for kernel in (ZERO, Kernel("box", length)):
-        snaps, _ = evolve(u0, kernel, 1.0, (1.0,), stop_on_blowup=False)
+        snaps, _ = evolve(u0, kernel, 1.0, (1.0,))
         out[str(kernel)] = dict(snaps)[1.0].values
     l1 = grid.dx * float(np.abs(out["zero"] - out["sk:L=0.001"]).sum())
     assert l1 <= 10.0 * length
@@ -588,7 +585,7 @@ def test_box_spanning_the_domain_is_the_infinite_kernel():
     u0 = GridFunction.from_callable(scenario_grid(4000), bump_init)
     times = (0.5, 1.0, 1.5, 2.0)
     (snaps, diag), (ref_snaps, ref_diag) = (
-        evolve(u0, parse_kernel(spelling), 2.0, times, stop_on_blowup=False)
+        evolve(u0, parse_kernel(spelling), 2.0, times)
         for spelling in ("sk:L=16", "infinite")
     )
     assert [t for t, _ in snaps] == [t for t, _ in ref_snaps] == list(times)
@@ -652,7 +649,7 @@ def test_snapshots_cover_requested_times():
 def test_diagnostics_csv_layout(tmp_path):
     grid = scenario_grid(300)
     u0 = GridFunction.from_callable(grid, lambda x: 0.1 * bump_init(x))
-    _, diag = evolve(u0, ZERO, 0.1, stop_on_blowup=False)
+    _, diag = evolve(u0, ZERO, 0.1)
     path = tmp_path / "diag.csv"
     diag.write_csv(path)
     lines = path.read_text().strip().split("\n")
@@ -681,7 +678,7 @@ def test_diagnostics_columns_are_float64_arrays():
     u0 = GridFunction.from_callable(scenario_grid(400), bump_init)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(solver, "_advance", counting)
-        _, diag = evolve(u0, SK_UNIT, 2.0, stop_on_blowup=False)
+        _, diag = evolve(u0, SK_UNIT, 2.0)
     assert len(steps) >= 2.0 / (solver.CFL * u0.grid.dx)  # no step exceeds CFL dx
     for name in Diagnostics.COLUMNS:
         column = getattr(diag, name)

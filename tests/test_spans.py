@@ -34,7 +34,7 @@ def test_every_traced_name_installs_and_uninstalls():
     try:
         tracer.install(spans.ALL_LAYERS)
         grid = GridSpec(-6.0, 10.0, 100)
-        evolve(GridFunction.from_callable(grid, bump_init), SK_UNIT, 0.05, stop_on_blowup=False)
+        evolve(GridFunction.from_callable(grid, bump_init), SK_UNIT, 0.05)
     finally:
         tracer.uninstall()
     assert bound() == before
