@@ -48,6 +48,8 @@ def _inject_config(argv: list[str]) -> list[str]:
             path = tok.split("=", 1)[1]
     if path is None:
         return argv
+    if argv[0].startswith("-"):  # the file's flags go after the subcommand, argv[0]
+        raise ValueError("--config: give it after the subcommand")
     if path.startswith("--"):
         raise ValueError(f"--config: expected a file name, got {path!r}")
     try:
@@ -181,7 +183,7 @@ def _experiment(args) -> Experiment:
     snaps = even_snapshots(args.t_end)
     if args.snapshots is not None:
         try:
-            snaps = tuple(sorted(float(s) for s in args.snapshots.split(",") if s))
+            snaps = tuple(float(s) for s in args.snapshots.split(",") if s)
         except ValueError as exc:
             raise ValueError(f"--snapshots: {exc}") from None
     return Experiment(name=f"evolve-{datum.name}", datum=datum, kernels=(kernel,),
@@ -204,6 +206,8 @@ def run_experiment(exp: Experiment, out_dir) -> ExperimentResult:
 
 def dispatch(args) -> int:
     out = Path(args.out)
+    if out.exists() and not out.is_dir():  # refused before any work, not at the first write
+        raise ValueError(f"--out: {out} exists and is not a directory")
     files: list[str] = []
 
     if args.subcommand in ("classify", "evolve", "compare-kernels"):
@@ -274,8 +278,7 @@ def dispatch(args) -> int:
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        args = parse_args(argv)
-        return dispatch(args)
+        return dispatch(parse_args(argv))
     except SystemExit as exc:  # argparse's own errors, -h and --help
         return int(exc.code or 0)
     except (ValueError, OSError) as exc:

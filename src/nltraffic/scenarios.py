@@ -214,8 +214,8 @@ def run_experiment(exp: Experiment, out_dir) -> ExperimentResult:
 
     for kernel, snaps, diag in runs:
         kdir = f"kernel_{kernel.tag}"
-        for fname, (_, snap) in zip(snap_files, snaps, strict=True):
-            write_profile_csv(snap, bundle_path(f"{kdir}/{fname}"))
+        for fname, given in snap_files.items():
+            write_profile_csv(snaps[given], bundle_path(f"{kdir}/{fname}"))
         diag.write_csv(bundle_path(f"{kdir}/diagnostics.csv"))
         write_json(bundle_path(f"{kdir}/blowup.json"), asdict(diag.blowup))
 
@@ -232,7 +232,7 @@ def run_experiment(exp: Experiment, out_dir) -> ExperimentResult:
     return ExperimentResult(
         classification=result,
         diagnostics={kernel.tag: diag for kernel, _, diag in runs},
-        snapshots={kernel.tag: dict(snaps) for kernel, snaps, _ in runs},
+        snapshots={kernel.tag: snaps for kernel, snaps, _ in runs},
         files=files,
     )
 

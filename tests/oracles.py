@@ -266,7 +266,8 @@ def godunov_flux(u_left, u_right, factor):
 def reference_evolve(u0, kernel, t_end: float, snapshot_times=()):
     """evolve() with fresh arrays in every step.
 
-    Returns (snapshots, diagnostics) like evolve() except that the blow-up
+    Returns (snapshots, diagnostics) like evolve(), except that each
+    snapshot is the state's array, not a GridFunction, and the blow-up
     report is left out.  Each state is a new array, so no snapshot can alias
     a later state.
     """
@@ -275,14 +276,14 @@ def reference_evolve(u0, kernel, t_end: float, snapshot_times=()):
     factor, mass, row = _checked_measure(u, slice(None), t, 0.0, 0.0, dx, kernel)
     diag = Diagnostics()
     diag.add_row(*row)
-    pending = list(snapshot_times)
-    snapshots = []
+    pending = sorted(snapshot_times)
+    snapshots = {}
     t_prev, u_prev = t, u
     while True:
-        while pending and pending[0] <= t + 1e-12:
+        while pending and pending[0] <= t:
             tgt = pending.pop(0)
-            snapshots.append((tgt, u_prev if abs(t_prev - tgt) < abs(t - tgt) else u))
-        if t >= t_end - 1e-12:
+            snapshots[tgt] = u_prev if abs(t_prev - tgt) < abs(t - tgt) else u
+        if t == t_end:
             return snapshots, diag
         fi = np.concatenate([factor[:1], 0.5 * (factor[:-1] + factor[1:]), factor[-1:]])
         uL = np.concatenate([u[:1], u])
@@ -292,7 +293,7 @@ def reference_evolve(u0, kernel, t_end: float, snapshot_times=()):
         flux = godunov_flux(uL, uR, fi)
         t_prev, u_prev, mass_prev = t, u, mass
         u = u - (dt / dx) * (flux[1:] - flux[:-1])
-        t = t + dt
+        t = t_end if dt == t_end - t_prev else t_prev + dt
         factor, mass, row = _checked_measure(u, slice(None), t, dt, speed, dx, kernel)
         diag.add_row(*row)
         drift = abs(mass - mass_prev + dt * (flux[-1] - flux[0]))

@@ -227,7 +227,7 @@ def test_criterion_8_reduction_limits():
 
     def final_profile(u_init, kernel, t_end):
         snaps, _ = evolve(u_init, kernel, t_end, (t_end,))
-        return dict(snaps)[t_end]
+        return snaps[t_end]
 
     uni = final_profile(u0, UNIFORM, 1.0)
     zero = final_profile(u0, ZERO, t_fast)

@@ -295,7 +295,7 @@ def test_evolve_bundle_and_detection(tmp_path, capsys):
     assert (kdir / "snap_t0.csv").is_file()
     assert (kdir / "snap_t1.5.csv").is_file()
     last_t = float((kdir / "diagnostics.csv").read_text().split("\n")[-2].split(",")[0])
-    assert last_t == pytest.approx(1.5, abs=1e-12)
+    assert last_t == 1.5
     assert verdict == "SUPERCRITICAL"
     assert KERNEL_LINE.fullmatch(line) and line.startswith(
         f"zero: breakdown at t = {report['t_detect']:g}, mass drift "
@@ -312,7 +312,27 @@ def test_evolve_defaults_run_to_t_end(tmp_path, capsys):
         "snap_t0.025.csv", "snap_t0.05.csv", "snap_t0.075.csv", "snap_t0.1.csv", "snap_t0.csv",
     ]
     last_t = float((kdir / "diagnostics.csv").read_text().split("\n")[-2].split(",")[0])
-    assert last_t == pytest.approx(0.1, abs=1e-12)
+    assert last_t == 0.1
+
+
+def test_evolve_snapshots_in_any_order(tmp_path, capsys):
+    """CI's `--snapshots 0.1,0,0.05` writes the kernel directory that 0,0.05,0.1 writes, byte
+    for byte; metadata.json lists the times as given."""
+    bundles = []
+    for order in ("0,0.05,0.1", "0.1,0,0.05"):
+        out = tmp_path / f"run{len(bundles)}"
+        argv = ["evolve", "--n-cells", "400", "--t-end", "0.1", "--snapshots", order]
+        assert main(argv + ["--out", str(out)]) == 0
+        bundles.append(out / "evolve-bump")
+    kdirs = [b / "kernel_infinite" for b in bundles]
+    names = sorted(p.name for p in kdirs[0].iterdir())
+    assert names == sorted(p.name for p in kdirs[1].iterdir())
+    assert {"snap_t0.csv", "snap_t0.05.csv", "snap_t0.1.csv"} <= set(names)
+    for name in names:
+        assert (kdirs[0] / name).read_bytes() == (kdirs[1] / name).read_bytes(), name
+    meta = [json.loads((b / "metadata.json").read_text()) for b in bundles]
+    assert meta[1]["snapshot_times"] == [0.1, 0.0, 0.05]
+    assert {**meta[1], "snapshot_times": meta[0]["snapshot_times"]} == meta[0]
 
 
 @pytest.mark.parametrize(
@@ -595,6 +615,23 @@ def test_infinite_kernel_right_tail_exits_2_without_output(tmp_path, capsys):
     assert main(argv + ["--kernel", "zero", "--t-end", "1", "--out", str(tmp_path / "zero")]) == 0
 
 
+@pytest.mark.parametrize("argv", [
+    ["compare-kernels", "--n-cells", "4000", "--t-end", "2"],
+    ["bounds", "--d0", "0.4", "--u0", "0.5"],
+], ids=lambda argv: argv[0])
+def test_out_naming_a_file_exits_2_before_any_work(tmp_path, capsys, monkeypatch, argv):
+    """An --out that names an existing file is refused by name before anything runs."""
+    def no_evolve(*args):
+        raise AssertionError("evolve called")
+
+    monkeypatch.setattr(scenarios, "evolve", no_evolve)
+    out = tmp_path / "F"
+    out.write_bytes(b"keep\n")
+    assert main(argv + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: --out: {out} exists and is not a directory\n"
+    assert out.read_bytes() == b"keep\n"
+
+
 def test_compare_kernels_refused_at_first_lookahead_kernel(tmp_path, capsys, monkeypatch):
     """The bump cut at x = 0.5: sk refuses it, and no kernel starts, zero included."""
     ran = []
@@ -645,8 +682,9 @@ def test_readme_library_example_runs():
     assert len(blocks) == 1
     proc = run_python(["-c", blocks[0].split("```")[0]], timeout=60)
     assert proc.returncode == 0, proc.stderr
-    verdict, blowup, _ = proc.stdout.splitlines()
+    verdict, peak, blowup, _ = proc.stdout.splitlines()
     assert verdict == "SUPERCRITICAL" and blowup.startswith("True ")
+    assert peak.startswith("0.31")  # snaps[1.0]'s maximum
 
 
 def test_cli_paths_load_no_scipy(tmp_path):
@@ -900,9 +938,11 @@ def test_config_rejects_malformed_line(tmp_path, capsys):
         parse_args(["threshold-curve", "--config", str(cfg)])
 
 
-@pytest.mark.parametrize("case", ["missing", "directory", "non-utf8", "malformed", "option"])
+@pytest.mark.parametrize("case", ["missing", "directory", "non-utf8", "malformed", "option",
+                                  "before-subcommand"])
 def test_bad_config_exits_2(tmp_path, capsys, case):
-    """A --config that cannot be read as `key = value` lines is refused by name."""
+    """A --config that cannot be read as `key = value` lines, or that comes before the
+    subcommand, is refused by name."""
     cfg = tmp_path / "run.cfg"
     if case == "directory":
         cfg.mkdir()
@@ -910,11 +950,17 @@ def test_bad_config_exits_2(tmp_path, capsys, case):
         cfg.write_bytes(b"n_cells = 5\xff\n")
     elif case == "malformed":
         cfg.write_text("n_cells 5\n")
+    elif case == "before-subcommand":
+        cfg.write_text("datum = subinit\n")
     # "option": `--config --out o` would read --out as the file name
     argv = ["classify", "--config", "--out" if case == "option" else str(cfg)]
+    if case == "before-subcommand":
+        argv = argv[1:] + argv[:1]
     out = tmp_path / "o"
     assert main(argv + ["--out", str(out)]) == 2
-    assert capsys.readouterr().err.startswith("error: --config: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: --config: ")
+    assert case != "before-subcommand" or "after the subcommand" in err
     assert not out.exists()
 
 

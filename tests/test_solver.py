@@ -159,9 +159,9 @@ def test_evolve_matches_allocating_reference(kernel):
     assert nearer_prev.any() and not nearer_prev.all()
     runs = [evolve(u0, kernel, 2.0, times) for _ in range(2)]
     for snaps, diag in runs:
-        assert [s for s, _ in snaps] == [s for s, _ in ref_snaps]
-        for (_, snap), (_, ref) in zip(snaps, ref_snaps):
-            np.testing.assert_array_equal(snap.values, ref)
+        assert list(snaps) == list(ref_snaps) == list(times)
+        for t in times:
+            np.testing.assert_array_equal(snaps[t].values, ref_snaps[t])
         for name in Diagnostics.COLUMNS:
             assert getattr(diag, name) == getattr(ref_diag, name), name
         assert diag.max_mass_drift == ref_diag.max_mass_drift
@@ -308,7 +308,7 @@ def test_step_count_within_the_budget_bound(datum, kernel, n, t_end):
 def test_vacuum_fixed_point_and_cfl_step():
     grid = scenario_grid(200)
     snaps, diag = evolve(GridFunction(grid, np.zeros(200)), ZERO, 1.0, (1.0,))
-    np.testing.assert_array_equal(dict(snaps)[1.0].values, 0.0)
+    np.testing.assert_array_equal(snaps[1.0].values, 0.0)
     # vacuum wave speed is |1 - 0| * 1, so dt is exactly CFL * dx
     assert diag.t[1] == pytest.approx(solver.CFL * grid.dx, rel=1e-14)
 
@@ -317,7 +317,7 @@ def test_jam_fixed_point():
     grid = scenario_grid(200)
     snaps, diag = evolve(GridFunction(grid, np.ones(200)), ZERO, 1.0, (1.0,))
     assert len(diag.t) > 2
-    np.testing.assert_array_equal(dict(snaps)[1.0].values, 1.0)
+    np.testing.assert_array_equal(snaps[1.0].values, 1.0)
 
 
 def test_gradient_indicator_matches_spatial_derivative():
@@ -337,7 +337,7 @@ def test_stepwise_mass_conservation():
     assert diag.mass[0] == total_mass(u)
     assert max(np.abs(np.diff(diag.mass))) <= 1e-12 * grid.n_cells
     # support must not have reached the outflow boundaries
-    final = dict(snaps)[1.5].values
+    final = snaps[1.5].values
     assert final[:5].max() == 0.0
     assert final[-5:].max() == 0.0
 
@@ -370,7 +370,7 @@ def test_infinite_kernel_factor_monotone():
     grid = scenario_grid(600)
     u0 = GridFunction.from_callable(grid, bump_init)
     snaps, _ = evolve(u0, INFINITE, 0.5, (0.5,))
-    factor = np.exp(-nonlocal_field(dict(snaps)[0.5], INFINITE))
+    factor = np.exp(-nonlocal_field(snaps[0.5], INFINITE))
     assert np.all(np.diff(factor) >= -1e-14)
 
 
@@ -384,14 +384,14 @@ def test_box_detected_immediately():
     assert report.detected
     assert report.t_detect == 0.0
     # detection stops nothing: the run reaches t_end and takes every snapshot
-    assert diag.t[-1] == pytest.approx(1.0, abs=1e-12)
-    assert [t for t, _ in snaps] == [0.0, 1.0]
+    assert diag.t[-1] == 1.0
+    assert list(snaps) == [0.0, 1.0]
 
 
 def test_box_run_past_detection():
     grid = scenario_grid(1600)
     _, diag = evolve(box(grid, 0.0, 1.0), ZERO, 0.5)
-    assert diag.t[-1] == pytest.approx(0.5, abs=1e-12)
+    assert diag.t[-1] == 0.5
     assert diag.blowup.t_detect == 0.0
     # a unit jump over one cell is the sharpest profile the grid can hold
     slopes = [gi * max(hi, -lo) for gi, lo, hi in zip(diag.grad_indicator, diag.min_u, diag.max_u)]
@@ -412,7 +412,7 @@ def test_full_run_reports_first_detection(kernel, t_detect):
     assert 1 <= k < len(diag.t) - 1
     assert max(diag.grad_indicator[:k]) < solver.BLOWUP_GRADIENT_FACTOR / grid.dx
     assert diag.grad_indicator[k] >= solver.BLOWUP_GRADIENT_FACTOR / grid.dx
-    assert diag.t[-1] == pytest.approx(2.0, abs=1e-12)
+    assert diag.t[-1] == 2.0
 
 
 def test_smooth_short_run_not_detected():
@@ -421,7 +421,7 @@ def test_smooth_short_run_not_detected():
     _, diag = evolve(u0, ZERO, 0.5)
     assert not diag.blowup.detected
     assert diag.blowup.t_detect is None
-    assert diag.t[-1] == pytest.approx(0.5, abs=1e-12)
+    assert diag.t[-1] == 0.5
 
 
 def test_blowup_report_json(tmp_path):
@@ -495,7 +495,7 @@ def test_first_order_convergence():
     def run(n):
         grid = scenario_grid(n)
         snaps, _ = evolve(GridFunction.from_callable(grid, gentle), ZERO, 0.5, (0.5,))
-        return dict(snaps)[0.5]
+        return snaps[0.5]
 
     ref = run(4800)
     err = [_l1_error(run(n), ref) for n in (600, 1200)]
@@ -511,7 +511,7 @@ def test_converges_to_the_exact_profile(kernel):
         u0 = get_datum("bump").sample(n)
         snaps, _ = evolve(u0, kernel, 0.5, (0.5,))
         exact = exact_cell_averages(u0.grid, kernel, 0.5)
-        errors.append(u0.grid.dx * float(np.abs(dict(snaps)[0.5].values - exact).sum()))
+        errors.append(u0.grid.dx * float(np.abs(snaps[0.5].values - exact).sum()))
     assert errors[0] / errors[1] >= 1.8 and errors[1] / errors[2] >= 1.8, errors
 
 
@@ -523,10 +523,10 @@ def test_subinit_converges_to_the_exact_profile():
     for n in (2000, 4000, 8000):
         u0 = get_datum("subinit").sample(n)
         snaps, _ = evolve(u0, INFINITE, 20.0, times)
-        assert tuple(t for t, _ in snaps) == times
+        assert tuple(snaps) == times
         exact = (exact_cell_averages(u0.grid, INFINITE, t, "subinit") for t in times)
-        errors.append([u0.grid.dx * float(np.abs(snap.values - ref).sum())
-                       for (_, snap), ref in zip(snaps, exact)])
+        errors.append([u0.grid.dx * float(np.abs(snaps[t].values - ref).sum())
+                       for t, ref in zip(times, exact)])
     for coarse, fine in zip(errors, errors[1:]):
         assert all(c / f >= 1.8 for c, f in zip(coarse, fine)), errors
 
@@ -548,7 +548,7 @@ def test_converges_to_the_entropy_solution_after_breaking(kernel):
         snaps, _ = evolve(u0, kernel, 2.0, (2.0,))
         T = 2.0 * math.exp(-total_mass(u0)) if kernel == UNIFORM else 2.0
         exact = entropy_cell_averages(u0.grid, T)
-        errors.append(u0.grid.dx * float(np.abs(dict(snaps)[2.0].values - exact).sum()))
+        errors.append(u0.grid.dx * float(np.abs(snaps[2.0].values - exact).sum()))
     assert errors[0] / errors[1] >= 1.6 and errors[1] / errors[2] >= 1.6, errors
     assert errors[2] <= 2.5e-3, errors
 
@@ -561,7 +561,7 @@ def test_uniform_kernel_is_time_rescaled_lwr():
     t_fast = math.exp(-m)
     snap_u, diag_u = evolve(u0, UNIFORM, 1.0, (1.0,))
     snap_z, _ = evolve(u0, ZERO, t_fast, (t_fast,))
-    diff = dict(snap_u)[1.0].values - dict(snap_z)[t_fast].values
+    diff = snap_u[1.0].values - snap_z[t_fast].values
     assert float(np.abs(diff).max()) <= 1e-10
     assert diag_u.max_mass_drift <= 1e-12 * grid.n_cells
 
@@ -573,7 +573,7 @@ def test_short_lookahead_reduces_to_lwr():
     out = {}
     for kernel in (ZERO, Kernel("box", length)):
         snaps, _ = evolve(u0, kernel, 1.0, (1.0,))
-        out[str(kernel)] = dict(snaps)[1.0].values
+        out[str(kernel)] = snaps[1.0].values
     l1 = grid.dx * float(np.abs(out["zero"] - out["sk:L=0.001"]).sum())
     assert l1 <= 10.0 * length
 
@@ -588,9 +588,9 @@ def test_box_spanning_the_domain_is_the_infinite_kernel():
         evolve(u0, parse_kernel(spelling), 2.0, times)
         for spelling in ("sk:L=16", "infinite")
     )
-    assert [t for t, _ in snaps] == [t for t, _ in ref_snaps] == list(times)
-    for (_, snap), (_, ref) in zip(snaps, ref_snaps):
-        assert snap.values.tobytes() == ref.values.tobytes()
+    assert list(snaps) == list(ref_snaps) == list(times)
+    for t in times:
+        assert snaps[t].values.tobytes() == ref_snaps[t].values.tobytes()
     for name in Diagnostics.COLUMNS:
         assert getattr(diag, name) == getattr(ref_diag, name), name
     assert diag.max_mass_drift == ref_diag.max_mass_drift
@@ -605,8 +605,7 @@ def test_config_validation():
     u0 = GridFunction.from_callable(scenario_grid(100), bump_init)
     with pytest.raises(ValueError):
         require_runnable(u0, ZERO, -1.0)
-    with pytest.raises(ValueError):
-        require_runnable(u0, ZERO, 1.0, (0.5, 0.2))
+    require_runnable(u0, ZERO, 1.0, (0.5, 0.2))  # snapshot times may come in any order
     with pytest.raises(ValueError):
         require_runnable(u0, ZERO, 1.0, (2.0,))
     with pytest.raises(ValueError, match="snapshot"):  # past t_end, however near
@@ -642,8 +641,49 @@ def test_snapshots_cover_requested_times():
     u0 = GridFunction.from_callable(grid, lambda x: 0.1 * bump_init(x))
     times = (0.0, 0.1, 0.2, 0.3)
     snaps, _ = evolve(u0, ZERO, 0.3, times)
-    assert tuple(t for t, _ in snaps) == times
-    np.testing.assert_array_equal(snaps[0][1].values, u0.values)
+    assert tuple(snaps) == times
+    np.testing.assert_array_equal(snaps[0.0].values, u0.values)
+
+
+def test_snapshot_times_in_any_order():
+    """Times given in reverse return the map the sorted times return, the reference's bit for bit."""
+    u0 = GridFunction.from_callable(scenario_grid(400), bump_init)
+    times = (0.0, 0.35, 0.7, 1.05, 1.4)
+    ref, _ = reference_evolve(u0, SK_UNIT, 1.4, times)
+    for order in (times, times[::-1]):
+        snaps, _ = evolve(u0, SK_UNIT, 1.4, order)
+        ref_snaps, _ = reference_evolve(u0, SK_UNIT, 1.4, order)
+        assert snaps.keys() == ref_snaps.keys() == set(times)
+        for t in times:
+            assert snaps[t].values.tobytes() == ref_snaps[t].tobytes() == ref[t].tobytes()
+
+
+@pytest.mark.parametrize("offset", [0.0, -1e-13, 1e-13], ids=["at", "before", "after"])
+def test_snapshot_near_a_step_takes_that_step(offset):
+    """A time at a step's t, or 1e-13 either side of it, gets that step's state."""
+    u0 = GridFunction.from_callable(scenario_grid(400), bump_init)
+    _, diag = reference_evolve(u0, ZERO, 1.0)
+    k = len(diag.t) // 2
+    steps = tuple(diag.t[k - 1 : k + 2])  # states k - 1, k, k + 1, each at its own time
+    tgt = steps[1] + offset
+    snaps, _ = evolve(u0, ZERO, 1.0, (tgt, *steps))
+    ref, _ = reference_evolve(u0, ZERO, 1.0, (tgt, *steps))
+    assert snaps[tgt].values.tobytes() == ref[tgt].tobytes() == ref[steps[1]].tobytes()
+    assert not np.array_equal(ref[steps[0]], ref[steps[1]])
+    assert not np.array_equal(ref[steps[2]], ref[steps[1]])
+
+
+@pytest.mark.parametrize("kernel", [ZERO, SK_UNIT, UNIFORM], ids=lambda k: k.tag)
+def test_run_ends_at_t_end_exactly(kernel):
+    """The last diagnostics row is at t_end exactly, also 5e-13 past a step the run takes."""
+    u0 = GridFunction.from_callable(scenario_grid(400), bump_init)
+    _, full = reference_evolve(u0, kernel, 1.0)
+    for t_end in (1.0, full.t[len(full.t) // 2] + 5e-13):
+        _, diag = evolve(u0, kernel, t_end, (t_end,))
+        _, ref = reference_evolve(u0, kernel, t_end, (t_end,))
+        assert diag.t[-1] == t_end
+        for name in Diagnostics.COLUMNS:
+            assert getattr(diag, name) == getattr(ref, name), name
 
 
 def test_diagnostics_csv_layout(tmp_path):
