@@ -68,6 +68,13 @@ def _inject_config(argv: list[str]) -> list[str]:
     return argv[:1] + flags + argv[1:]
 
 
+def finite(text: str) -> float:
+    """The type of every float option: argparse names the option in "invalid finite value"."""
+    if not math.isfinite(value := float(text)):
+        raise ValueError(text)
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", default="out", help="output directory")
@@ -82,8 +89,8 @@ def build_parser() -> argparse.ArgumentParser:
     def add_grid_opts(p):
         p.add_argument("--datum", default="bump", help="initial profile name")
         p.add_argument("--n-cells", type=int, default=4000)
-        p.add_argument("--x-left", type=float, default=None)
-        p.add_argument("--x-right", type=float, default=None)
+        p.add_argument("--x-left", type=finite, default=None)
+        p.add_argument("--x-right", type=finite, default=None)
 
     p = sub.add_parser("classify", parents=[common], help="threshold verdict for a datum")
     add_grid_opts(p)
@@ -91,23 +98,23 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evolve", parents=[common], help="evolve one kernel")
     add_grid_opts(p)
     p.add_argument("--kernel", default="infinite", help="look-ahead kernel")
-    p.add_argument("--t-end", type=float, default=4.0)
+    p.add_argument("--t-end", type=finite, default=4.0)
     p.add_argument("--snapshots", default=None, help="comma list of times")
 
     p = sub.add_parser(
         "compare-kernels", parents=[common], help="all four reference kernels"
     )
     add_grid_opts(p)
-    p.add_argument("--t-end", type=float, default=None)
+    p.add_argument("--t-end", type=finite, default=None)
 
     p = sub.add_parser(
         "phase-portrait", parents=[common], help="one characteristic trajectory"
     )
-    p.add_argument("--d0", type=float, required=True)
-    p.add_argument("--u0", type=float, required=True)
-    p.add_argument("--u-end", type=float, default=None, help="phase mode: stop density")
-    p.add_argument("--factor", type=float, default=None, help="time mode: constant factor")
-    p.add_argument("--t-end", type=float, default=10.0)
+    p.add_argument("--d0", type=finite, required=True)
+    p.add_argument("--u0", type=finite, required=True)
+    p.add_argument("--u-end", type=finite, default=None, help="phase mode: stop density")
+    p.add_argument("--factor", type=finite, default=None, help="time mode: constant factor")
+    p.add_argument("--t-end", type=finite, default=10.0)
 
     sub.add_parser("phase-sweep", parents=[common], help="25 characteristics straddling sigma")
 
@@ -117,32 +124,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=1001)
 
     p = sub.add_parser("bounds", parents=[common], help="analytic blow-up certificate")
-    p.add_argument("--d0", type=float, required=True)
-    p.add_argument("--u0", type=float, required=True)
-    p.add_argument("--m", type=float, default=0.0)
+    p.add_argument("--d0", type=finite, required=True)
+    p.add_argument("--u0", type=finite, required=True)
+    p.add_argument("--m", type=finite, default=0.0)
 
     return parser
 
 
-def _is_negative_value(token: str) -> bool:
-    try:
-        [float(s) for s in token.split(",") if s]
-    except ValueError:
-        return False
-    return token.startswith("-")
-
-
 def _attach_negative_values(argv: list[str]) -> list[str]:
-    """Join `--opt -inf` and `--opt -0.5,1` into `--opt=-inf` and `--opt=-0.5,1`.
+    """Join `--opt -1e3` and `--opt -0.5,1` into `--opt=-1e3` and `--opt=-0.5,1`.
 
-    argparse takes a token such as -inf, -nan, -1e3 or -0.5,1 for an option of
-    its own, so the option would lose its value and the validation of that
-    value would never run.
+    argparse takes a token such as -inf, -1e3 or -0.5,1 for an option of its
+    own, so the option would lose its value.  Every option but --help takes
+    one value, so a token after one that starts with a single dash is it.
     """
     out: list[str] = []
     for tok in argv:
         prev = out[-1] if out else ""
-        if prev.startswith("--") and "=" not in prev and _is_negative_value(tok):
+        is_value = tok.startswith("-") and not tok.startswith("--") and prev != "--help"
+        if prev.startswith("--") and "=" not in prev and is_value:
             out[-1] = f"{prev}={tok}"
         else:
             out.append(tok)
@@ -192,9 +192,7 @@ def _experiment(args) -> Experiment:
 
 def _recorded(args) -> dict:
     """The command and its options, as manifest.json and failure_dump.json record them."""
-    # an option that a mode ignores may be non-finite; JSON has no nan or inf
-    options = {k: repr(v) if isinstance(v, float) and not math.isfinite(v) else v
-               for k, v in sorted(vars(args).items()) if k != "subcommand"}
+    options = {k: v for k, v in sorted(vars(args).items()) if k != "subcommand"}
     return {"command": args.subcommand, "options": options}
 
 
@@ -206,8 +204,10 @@ def run_experiment(exp: Experiment, out_dir) -> ExperimentResult:
 
 def dispatch(args) -> int:
     out = Path(args.out)
-    if out.exists() and not out.is_dir():  # refused before any work, not at the first write
-        raise ValueError(f"--out: {out} exists and is not a directory")
+    # out, or its nearest ancestor that exists, must be a directory: refused before any work
+    found = next(p for p in (out, *out.parents) if p.exists())
+    if not found.is_dir():
+        raise ValueError(f"--out: {found} exists and is not a directory")
     files: list[str] = []
 
     if args.subcommand in ("classify", "evolve", "compare-kernels"):

@@ -35,10 +35,11 @@ Each ghost cell copies its neighbour (zero gradient), so an edge passes
 g(u) f of its end cell: the right edge lets density out, and the left one
 lets it in.  Data cut where u(x_left) > 0 take in g(u(x_left)) f per unit
 time, as if the cut state went on to the left, and no report names this
-inflow.  Time stepping is forward Euler under
-dt = CFL dx / max wave speed, which makes the scheme monotone, hence
-mass-conservative up to boundary flux and maximum-principle preserving to
-roundoff.
+inflow.  Time stepping is forward Euler under dt <= CFL dx / max wave
+speed, which makes the scheme monotone, hence mass-conservative up to
+boundary flux and maximum-principle preserving to roundoff.  A step is the
+time left to the next stop (a snapshot time or t_end) over the fewest whole
+steps that keep that bound, so a step ends on every stop exactly.
 
 Smooth solutions of this model can still lose regularity: the slope blows
 up in finite time while u stays bounded.  A shock-capturing scheme never
@@ -120,8 +121,9 @@ def _advance(pad, new, factor, cells: slice, dx: float, dt_max: float, work):
     pad and new hold a state on cells of width dx between two ghost cells.
     The cells' ghosts are their outer neighbours, set here (zero gradient);
     off a domain edge those are vacuum beside vacuum of one factor.  factor
-    is the cells' lagged slow-down factor and work _buffers()'s scratch.  The
-    step is at most dt_max long (evolve passes the time left to t_end).
+    is the cells' lagged slow-down factor and work _buffers()'s scratch.  dt
+    is dt_max over the fewest whole steps that keep CFL, and at least one:
+    the ratio may underflow to 0 (evolve passes the time left to its stop).
     Returns (dt, speed, boundary_flux), the fluxes being the rightward ones
     through the left edge (inflow) and the right edge (outflow).
     """
@@ -139,7 +141,7 @@ def _advance(pad, new, factor, cells: slice, dx: float, dt_max: float, work):
     np.maximum(c[:-1], c[1:], out=alpha)
     alpha *= fi
     speed = 2.0 * float(alpha.max())
-    dt = min(CFL * dx / max(speed, SPEED_FLOOR), dt_max)
+    dt = dt_max / max(1, math.ceil(dt_max / (CFL * dx / max(speed, SPEED_FLOOR))))
     numerical_flux(pad[:-1], pad[1:], fi, out=flux, work=alpha)  # alpha is read: scratch
     u_new = new[1:-1]
     np.subtract(flux[1:], flux[:-1], out=u_new)
@@ -275,9 +277,9 @@ def require_runnable(u0: GridFunction, kernel: Kernel, t_end: float,
         )
 
     # _checked_measure keeps u within DENSITY_TOL of [0, 1] and the factor at
-    # most 1 + 1e-10, so no wave speed exceeds 1 + 3e-8 and every step but the
-    # last is at least CFL dx / (1 + 3e-8) long: this bounds the step count
-    steps = t_end * (1.0 + 3e-8) / (CFL * dx)
+    # most 1 + 1e-10, so no wave speed exceeds 1 + 3e-8: a stretch of length R
+    # between two stops takes at most ceil(R / dt_min), dt_min = CFL dx / (1 + 3e-8)
+    steps = t_end * (1.0 + 3e-8) / (CFL * dx) + len(times)
     if steps > MAX_STEPS:
         raise ValueError(
             f"cells of width dx = {dx:.3g} may take up to {steps:.3g} steps to "
@@ -290,7 +292,7 @@ def evolve(u0: GridFunction, kernel: Kernel, t_end: float, snapshot_times=()):
     """Run the scheme from u0 on its grid to t_end; returns (snapshots, diagnostics).
 
     snapshots maps each of the snapshot_times, in any order, to the state
-    of the nearest completed step, and the last step ends at t_end exactly.
+    at exactly that time: a step ends on each of them and on t_end.
     Breakdown detection stops nothing: the run goes on to t_end.
     require_runnable() is checked before the first step.
     """
@@ -299,9 +301,9 @@ def evolve(u0: GridFunction, kernel: Kernel, t_end: float, snapshot_times=()):
     pad, new, work = _buffers(grid.n_cells)
     pad[1:-1] = u0.values
     cells = _stepped_cells(u0.values, kernel, dx)
-    u = u_prev = pad[1:-1]
+    u = pad[1:-1]
     # dt = 0 marks the initial state, which closes no step and adds no outflow
-    t = t_prev = dt = speed = f_left = f_right = mass_prev = outflow = 0.0
+    t = dt = speed = f_left = f_right = mass_prev = outflow = 0.0
     t_detect = contact_t = None
     grid_scale = BLOWUP_GRADIENT_FACTOR / dx
     pending = sorted(float(s) for s in snapshot_times)
@@ -319,17 +321,15 @@ def evolve(u0: GridFunction, kernel: Kernel, t_end: float, snapshot_times=()):
                 contact_t = t
         if t_detect is None and row[4] >= grid_scale:  # the gradient indicator
             t_detect = t
-        while pending and pending[0] <= t:
-            tgt = pending.pop(0)
-            snapshots[tgt] = GridFunction(grid, u_prev if abs(t_prev - tgt) < abs(t - tgt) else u)
+        while pending and pending[0] == t:
+            snapshots[pending.pop(0)] = GridFunction(grid, u)
         if t == t_end:
             break
-        t_prev, mass_prev = t, mass
-        dt, speed, (f_left, f_right) = _advance(pad, new, factor, cells, dx, t_end - t_prev, work)
-        # the next step overwrites u_prev, after this one has taken its snapshots
+        stop, mass_prev = pending[0] if pending else t_end, mass
+        dt, speed, (f_left, f_right) = _advance(pad, new, factor, cells, dx, stop - t, work)
         pad, new = new, pad
-        u_prev, u = new[1:-1], pad[1:-1]
-        t = t_end if dt == t_end - t_prev else t_prev + dt
+        u = pad[1:-1]
+        t = stop if dt == stop - t else t + dt
         if cells.stop < len(u) and u[cells.stop - 2]:  # keep two vacuum cells ahead
             cells = slice(cells.start, cells.stop + 1)
 

@@ -278,22 +278,21 @@ def reference_evolve(u0, kernel, t_end: float, snapshot_times=()):
     diag.add_row(*row)
     pending = sorted(snapshot_times)
     snapshots = {}
-    t_prev, u_prev = t, u
     while True:
-        while pending and pending[0] <= t:
-            tgt = pending.pop(0)
-            snapshots[tgt] = u_prev if abs(t_prev - tgt) < abs(t - tgt) else u
+        while pending and pending[0] == t:
+            snapshots[pending.pop(0)] = u
         if t == t_end:
             return snapshots, diag
+        stop = pending[0] if pending else t_end
         fi = np.concatenate([factor[:1], 0.5 * (factor[:-1] + factor[1:]), factor[-1:]])
         uL = np.concatenate([u[:1], u])
         uR = np.concatenate([u, u[-1:]])
         speed = float((np.maximum(np.abs(1.0 - 2.0 * uL), np.abs(1.0 - 2.0 * uR)) * fi).max())
-        dt = min(CFL * dx / max(speed, 1e-12), t_end - t)
+        dt = (stop - t) / max(1, math.ceil((stop - t) / (CFL * dx / max(speed, 1e-12))))
         flux = godunov_flux(uL, uR, fi)
-        t_prev, u_prev, mass_prev = t, u, mass
+        mass_prev = mass
         u = u - (dt / dx) * (flux[1:] - flux[:-1])
-        t = t_end if dt == t_end - t_prev else t_prev + dt
+        t = stop if dt == stop - t else t + dt
         factor, mass, row = _checked_measure(u, slice(None), t, dt, speed, dx, kernel)
         diag.add_row(*row)
         drift = abs(mass - mass_prev + dt * (flux[-1] - flux[0]))

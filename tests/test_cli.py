@@ -70,7 +70,7 @@ def test_non_finite_t_end_exits_2(tmp_path, capsys, subcommand, t_end):
     out = tmp_path / "bad"
     code = main([subcommand, "--n-cells", "200", "--t-end", t_end, "--out", str(out)])
     assert code == 2
-    assert "t_end" in capsys.readouterr().err
+    assert "error: argument --t-end: invalid finite value" in capsys.readouterr().err
     assert not any(p.is_file() for p in out.rglob("*"))  # nothing written
 
 
@@ -227,7 +227,7 @@ def test_bounds_non_finite_exits_2(tmp_path, capsys, option, value):
     argv = ["bounds", "--d0", "0.4", "--u0", "0.5", "--m", "0"]
     code = main(argv + [f"--{option}", value, "--out", str(tmp_path)])
     assert code == 2
-    assert f"error: {option} must be finite" in capsys.readouterr().err
+    assert f"error: argument --{option}: invalid finite value" in capsys.readouterr().err
 
 
 def test_classify_prints_verdict(tmp_path, capsys):
@@ -330,6 +330,9 @@ def test_evolve_snapshots_in_any_order(tmp_path, capsys):
     assert {"snap_t0.csv", "snap_t0.05.csv", "snap_t0.1.csv"} <= set(names)
     for name in names:
         assert (kdirs[0] / name).read_bytes() == (kdirs[1] / name).read_bytes(), name
+    # each snapshot is the state at its own time: a diagnostics row holds t = 0.05 exactly
+    rows = (kdirs[0] / "diagnostics.csv").read_text().splitlines()[1:]
+    assert 0.05 in [float(row.split(",")[0]) for row in rows]
     meta = [json.loads((b / "metadata.json").read_text()) for b in bundles]
     assert meta[1]["snapshot_times"] == [0.1, 0.0, 0.05]
     assert {**meta[1], "snapshot_times": meta[0]["snapshot_times"]} == meta[0]
@@ -363,14 +366,14 @@ def test_evolve_reports_right_edge_contact(tmp_path, capsys):
     assert code == 0
     kdir = out / "evolve-bump" / "kernel_sk"
     report = json.loads((kdir / "blowup.json").read_text())
-    assert report["boundary_contact_t"] == pytest.approx(7.326, abs=1e-3)
+    assert report["boundary_contact_t"] == pytest.approx(7.320, abs=1e-3)
     last_mass = float((kdir / "diagnostics.csv").read_text().split("\n")[-2].split(",")[1])
     assert last_mass < 1e-100
     # at n = 400 the bump's initial gradient indicator already reaches 0.08/dx
     assert capsys.readouterr().err == (
         "warning: kernel sk: breakdown detected at t = 0: the initial gradient indicator "
         "2.14 reaches 0.08/dx = 2; raise --n-cells\n"
-        "warning: kernel sk: density leaves through the right edge from t = 7.326\n"
+        "warning: kernel sk: density leaves through the right edge from t = 7.32014\n"
     )
 
 
@@ -542,22 +545,26 @@ def run_python(args, timeout):
 
 
 @pytest.mark.parametrize(
-    "extra, message",
+    "extra, option",
     [
-        pytest.param(["--factor", "1", "--t-end", "nan"], "t_end must be", id="t_end-nan"),
-        pytest.param(["--factor", "1", "--t-end", "inf"], "t_end must be", id="t_end-inf"),
-        pytest.param(["--factor", "1", "--t-end", "-inf"], "t_end must be", id="t_end--inf"),
-        pytest.param(["--factor", "1", "--d0", "nan"], "d0 must be", id="time-d0-nan"),
-        pytest.param(["--factor", "1", "--u0", "nan"], "u0 must be", id="time-u0-nan"),
-        pytest.param(["--d0", "nan"], "d0 must be", id="phase-d0-nan"),
+        pytest.param(["--factor", "1", "--t-end", "nan"], "--t-end", id="t_end-nan"),
+        pytest.param(["--factor", "1", "--t-end", "inf"], "--t-end", id="t_end-inf"),
+        pytest.param(["--factor", "1", "--t-end", "-inf"], "--t-end", id="t_end--inf"),
+        pytest.param(["--factor", "1", "--d0", "nan"], "--d0", id="time-d0-nan"),
+        pytest.param(["--factor", "1", "--u0", "nan"], "--u0", id="time-u0-nan"),
+        pytest.param(["--d0", "nan"], "--d0", id="phase-d0-nan"),
+        # an option that the mode ignores is refused too
+        pytest.param(["--t-end", "nan"], "--t-end", id="phase-t_end-nan"),
+        pytest.param(["--factor", "1", "--u-end", "inf"], "--u-end", id="time-u_end-inf"),
     ],
 )
-def test_phase_portrait_non_finite_exits_2(tmp_path, extra, message):
-    """Rejected by name in a process that is killed if it hangs."""
+def test_phase_portrait_non_finite_exits_2(tmp_path, extra, option):
+    """Rejected by name in a process that is killed if it hangs, with no manifest."""
     argv = ["phase-portrait", "--d0", "0.4", "--u0", "0.5", *extra]
     proc = run_python(["-m", "nltraffic.cli", *argv, "--out", str(tmp_path)], timeout=60)
     assert proc.returncode == 2
-    assert f"error: {message} finite" in proc.stderr
+    assert f"error: argument {option}: invalid finite value" in proc.stderr
+    assert not (tmp_path / "manifest.json").exists()
 
 
 def test_hopeless_step_count_exits_2_at_once(tmp_path):
@@ -568,7 +575,9 @@ def test_hopeless_step_count_exits_2_at_once(tmp_path):
     proc = run_python(["-m", "nltraffic.cli", *argv, "--out", str(tmp_path)], timeout=30)
     assert proc.returncode == 2, proc.stderr
     dx = (-0.989999 - -0.99) / 4
-    assert f"{2 * (1.0 + 3e-8) / (solver.CFL * dx):.3g} steps" in proc.stderr  # 1.78e+07
+    # one step more per snapshot time: the five default ones end a stretch each
+    steps = 2 * (1.0 + 3e-8) / (solver.CFL * dx) + len(scenarios.even_snapshots(2.0))
+    assert f"{steps:.3g} steps" in proc.stderr  # 1.78e+07
     assert "--x-left/--x-right" in proc.stderr and "--n-cells" in proc.stderr
     assert not (tmp_path / "manifest.json").exists()
     assert not (tmp_path / "evolve-bump").exists()
@@ -615,19 +624,22 @@ def test_infinite_kernel_right_tail_exits_2_without_output(tmp_path, capsys):
     assert main(argv + ["--kernel", "zero", "--t-end", "1", "--out", str(tmp_path / "zero")]) == 0
 
 
-@pytest.mark.parametrize("argv", [
-    ["compare-kernels", "--n-cells", "4000", "--t-end", "2"],
-    ["bounds", "--d0", "0.4", "--u0", "0.5"],
-], ids=lambda argv: argv[0])
-def test_out_naming_a_file_exits_2_before_any_work(tmp_path, capsys, monkeypatch, argv):
-    """An --out that names an existing file is refused by name before anything runs."""
+@pytest.mark.parametrize("argv, sub", [
+    pytest.param(["compare-kernels", "--n-cells", "4000", "--t-end", "2"], "", id="compare-kernels"),
+    pytest.param(["bounds", "--d0", "0.4", "--u0", "0.5"], "", id="bounds"),
+    pytest.param(["compare-kernels", "--n-cells", "400", "--t-end", "0.1"], "sub",
+                 id="compare-kernels-under-a-file"),
+])
+def test_out_naming_a_file_exits_2_before_any_work(tmp_path, capsys, monkeypatch, argv, sub):
+    """An --out that names an existing file, or a path under one, is refused by name
+    before anything runs."""
     def no_evolve(*args):
         raise AssertionError("evolve called")
 
     monkeypatch.setattr(scenarios, "evolve", no_evolve)
     out = tmp_path / "F"
     out.write_bytes(b"keep\n")
-    assert main(argv + ["--out", str(out)]) == 2
+    assert main(argv + ["--out", str(out / sub)]) == 2
     assert capsys.readouterr().err == f"error: --out: {out} exists and is not a directory\n"
     assert out.read_bytes() == b"keep\n"
 
@@ -815,19 +827,19 @@ def test_solver_failure_writes_dump(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr("nltraffic.cli.run_experiment", boom)
     out = tmp_path / "sf"
-    argv = ["evolve", "--n-cells", "300", "--x-left", "nan", "--x-right", "4", "--out", str(out)]
+    argv = ["evolve", "--n-cells", "300", "--x-left", "-5", "--x-right", "4", "--out", str(out)]
     code = main(argv)
     assert code == 3
     dump = json.loads((out / "failure_dump.json").read_text())
     assert dump["error"] == "synthetic failure"
     assert dump["t"] == 0.5
-    assert dump["command"] == "evolve" and dump["options"]["x_left"] == "nan"
+    assert dump["command"] == "evolve" and dump["options"]["x_left"] == -5.0
     monkeypatch.undo()
-    argv[argv.index("nan")] = "-6"
+    argv[argv.index("-5")] = "-6"
     assert main(argv) == 0
     manifest = json.loads((out / "manifest.json").read_text())
     assert dump["command"] == manifest["command"]
-    assert dump["options"] == {**manifest["options"], "x_left": "nan"}
+    assert dump["options"] == {**manifest["options"], "x_left": -5.0}
 
 
 def test_factor_band_failure_exits_3_with_dump(tmp_path, capsys, monkeypatch):
@@ -980,21 +992,23 @@ def test_manifest_records_options_and_files(tmp_path):
 @pytest.mark.parametrize(
     "argv, name",
     [
-        pytest.param(["classify", "--x-right", "inf"], "x_right", id="argv0-x_right"),
-        pytest.param(["evolve", "--x-left", "-inf", "--t-end", "0.5"], "x_left",
+        pytest.param(["classify", "--x-right", "inf"], "--x-right", id="argv0-x_right"),
+        pytest.param(["evolve", "--x-left", "-inf", "--t-end", "0.5"], "--x-left",
                      id="argv1-x_left"),
         pytest.param(["classify", "--x-left", "-1e308", "--x-right", "1e308"], "x_left, x_right",
                      id="argv2-x_left, x_right"),
     ],
 )
 def test_non_finite_domain_exits_2(tmp_path, capsys, argv, name):
-    """The message names the non-finite end alone, and both ends when their distance overflows."""
+    """The error names the non-finite end's option alone, and both ends when their
+    distance overflows."""
     out = tmp_path / "bad"
     assert main(argv + ["--n-cells", "200", "--out", str(out)]) == 2
-    err = capsys.readouterr().err
+    err = capsys.readouterr().err.splitlines()[-1]  # argparse prints its usage first
     assert name in err
     for end in ("x_left", "x_right"):
-        assert (end in err) == (end in name), err
+        named = end in err or end.replace("_", "-") in err
+        assert named == (end in name.replace("-", "_")), err
     assert not any(p.is_file() for p in out.rglob("*"))
 
 

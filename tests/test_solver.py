@@ -21,7 +21,7 @@ from nltraffic.grid import (
 from nltraffic.kernels import (
     INFINITE, LINEAR, SK_UNIT, UNIFORM, ZERO, Kernel, nonlocal_field, parse_kernel,
 )
-from nltraffic.scenarios import COMPARE_KERNELS, bump_init, get_datum
+from nltraffic.scenarios import COMPARE_KERNELS, bump_init, even_snapshots, get_datum
 from nltraffic.solver import (
     Diagnostics,
     SolverFailure,
@@ -151,12 +151,6 @@ def test_evolve_matches_allocating_reference(kernel):
     before = u0.values.copy()
     times = tuple(np.linspace(0.0, 2.0, 41))
     ref_snaps, ref_diag = reference_evolve(u0, kernel, 2.0, times)
-    t = np.array(ref_diag.t)
-    # snapshot times fall both nearer the step before and nearer the step after
-    inner = np.array(times[1:-1])
-    k = np.searchsorted(t, inner)
-    nearer_prev = np.abs(t[k - 1] - inner) < np.abs(t[k] - inner)
-    assert nearer_prev.any() and not nearer_prev.all()
     runs = [evolve(u0, kernel, 2.0, times) for _ in range(2)]
     for snaps, diag in runs:
         assert list(snaps) == list(ref_snaps) == list(times)
@@ -299,18 +293,23 @@ def test_negative_average_fails_the_factor_band(monkeypatch):
 @given(n=st.integers(min_value=100, max_value=300), t_end=st.floats(min_value=0.05, max_value=40.0))
 @settings(max_examples=5, deadline=None)
 def test_step_count_within_the_budget_bound(datum, kernel, n, t_end):
-    """No wave speed exceeds 1 + 3e-8: at most ceil(t_end (1 + 3e-8) / (CFL dx)) steps."""
+    """No wave speed exceeds 1 + 3e-8: at most ceil(t_end (1 + 3e-8) / (CFL dx)) steps,
+    and one more per snapshot time, the count that require_runnable budgets."""
     u0 = get_datum(datum).sample(n)
+    bound = t_end * (1.0 + 3e-8) / (solver.CFL * u0.grid.dx)
     _, diag = evolve(u0, kernel, t_end)
-    assert len(diag.t) - 1 <= math.ceil(t_end * (1.0 + 3e-8) / (solver.CFL * u0.grid.dx))
+    assert len(diag.t) - 1 <= math.ceil(bound)
+    times = even_snapshots(t_end)
+    _, diag = evolve(u0, kernel, t_end, times)
+    assert len(diag.t) - 1 <= bound + len(times)
 
 
 def test_vacuum_fixed_point_and_cfl_step():
     grid = scenario_grid(200)
     snaps, diag = evolve(GridFunction(grid, np.zeros(200)), ZERO, 1.0, (1.0,))
     np.testing.assert_array_equal(snaps[1.0].values, 0.0)
-    # vacuum wave speed is |1 - 0| * 1, so dt is exactly CFL * dx
-    assert diag.t[1] == pytest.approx(solver.CFL * grid.dx, rel=1e-14)
+    # vacuum wave speed is |1 - 0| * 1: t_end = 1 in the fewest equal steps of at most CFL * dx
+    assert diag.t[1] == pytest.approx(1.0 / math.ceil(1.0 / (solver.CFL * grid.dx)), rel=1e-14)
 
 
 def test_jam_fixed_point():
@@ -399,7 +398,7 @@ def test_box_run_past_detection():
 
 
 @pytest.mark.parametrize(
-    "kernel, t_detect", zip(COMPARE_KERNELS, (0.585, 0.729, 1.0665, 0.912)),
+    "kernel, t_detect", zip(COMPARE_KERNELS, (0.5843, 0.7326, 1.0697, 0.9091)),
     ids=[k.tag for k in COMPARE_KERNELS],
 )
 def test_full_run_reports_first_detection(kernel, t_detect):
@@ -595,7 +594,7 @@ def test_box_spanning_the_domain_is_the_infinite_kernel():
         assert getattr(diag, name) == getattr(ref_diag, name), name
     assert diag.max_mass_drift == ref_diag.max_mass_drift
     assert diag.blowup == ref_diag.blowup
-    assert diag.blowup.t_detect == pytest.approx(1.2384, abs=1e-4)
+    assert diag.blowup.t_detect == pytest.approx(1.2392, abs=1e-4)
 
 
 # ------------------------------------------------------------- validation
@@ -640,8 +639,9 @@ def test_snapshots_cover_requested_times():
     grid = scenario_grid(500)
     u0 = GridFunction.from_callable(grid, lambda x: 0.1 * bump_init(x))
     times = (0.0, 0.1, 0.2, 0.3)
-    snaps, _ = evolve(u0, ZERO, 0.3, times)
+    snaps, diag = evolve(u0, ZERO, 0.3, times)
     assert tuple(snaps) == times
+    assert set(times) <= set(diag.t)  # a step ends on each time
     np.testing.assert_array_equal(snaps[0.0].values, u0.values)
 
 
@@ -658,19 +658,59 @@ def test_snapshot_times_in_any_order():
             assert snaps[t].values.tobytes() == ref_snaps[t].tobytes() == ref[t].tobytes()
 
 
-@pytest.mark.parametrize("offset", [0.0, -1e-13, 1e-13], ids=["at", "before", "after"])
-def test_snapshot_near_a_step_takes_that_step(offset):
-    """A time at a step's t, or 1e-13 either side of it, gets that step's state."""
+def test_snapshots_near_a_step_get_states_of_their_own():
+    """A step's t and the times 1e-13 either side of it each get the state at that time."""
     u0 = GridFunction.from_callable(scenario_grid(400), bump_init)
     _, diag = reference_evolve(u0, ZERO, 1.0)
-    k = len(diag.t) // 2
-    steps = tuple(diag.t[k - 1 : k + 2])  # states k - 1, k, k + 1, each at its own time
-    tgt = steps[1] + offset
-    snaps, _ = evolve(u0, ZERO, 1.0, (tgt, *steps))
-    ref, _ = reference_evolve(u0, ZERO, 1.0, (tgt, *steps))
-    assert snaps[tgt].values.tobytes() == ref[tgt].tobytes() == ref[steps[1]].tobytes()
-    assert not np.array_equal(ref[steps[0]], ref[steps[1]])
-    assert not np.array_equal(ref[steps[2]], ref[steps[1]])
+    mid = diag.t[len(diag.t) // 2]
+    times = (mid - 1e-13, mid, mid + 1e-13)
+    snaps, diag = evolve(u0, ZERO, 1.0, times)
+    ref, _ = reference_evolve(u0, ZERO, 1.0, times)
+    assert set(times) <= set(diag.t)
+    states = [snaps[t].values.tobytes() for t in times]
+    assert states == [ref[t].tobytes() for t in times]
+    assert len(set(states)) == 3
+
+
+@pytest.mark.parametrize("kernel", COMPARE_KERNELS, ids=lambda k: k.tag)
+def test_snapshot_is_the_end_of_a_run_to_its_time(kernel):
+    """snaps[t] is, bit for bit, the final state of the same run with t_end = t."""
+    u0 = GridFunction.from_callable(scenario_grid(400), bump_init)
+    times = (0.0, 0.35, 0.7, 1.05, 1.4)
+    snaps, diag = evolve(u0, kernel, 1.4, times)
+    for t in times[1:]:
+        part, short = evolve(u0, kernel, t, [s for s in times if s <= t])
+        assert part[t].values.tobytes() == snaps[t].values.tobytes()
+        assert short.t[-1] == t
+        rows = len(short.t)
+        for name in Diagnostics.COLUMNS:
+            assert getattr(short, name) == getattr(diag, name)[:rows], name
+
+
+@pytest.mark.parametrize("kernel", COMPARE_KERNELS, ids=lambda k: k.tag)
+def test_steps_between_two_stops_are_equal(kernel):
+    """The bump keeps vacuum ahead, so the wave speed stays the factor there: each
+    stretch between two stops is the fewest CFL steps, all equal to roundoff."""
+    grid = scenario_grid(400)
+    u0 = GridFunction.from_callable(grid, bump_init)
+    stops = (0.0, 0.3, 0.35, 1.4)
+    _, diag = evolve(u0, kernel, 1.4, stops[1:-1])
+    (speed,) = set(diag.max_speed[1:])
+    cfl_step = solver.CFL * grid.dx / speed
+    t, dt = np.array(diag.t), np.array(diag.dt)
+    for a, b in zip(stops, stops[1:]):
+        stretch = dt[(a < t) & (t <= b)]
+        assert len(stretch) == math.ceil((b - a) / cfl_step)
+        assert stretch.max() / stretch.min() - 1.0 < 1e-13
+        assert stretch.max() <= cfl_step
+
+
+def test_step_ratio_underflow_takes_one_step():
+    """dt_max / (CFL dx / speed) underflows to 0 on a huge cell: one step of dt_max."""
+    u0 = GridFunction(GridSpec(-1e20, 1e20, 4), [0.5] * 4)
+    snaps, diag = evolve(u0, ZERO, 5e-324, (5e-324,))
+    assert list(diag.t) == [0.0, 5e-324]
+    np.testing.assert_array_equal(snaps[5e-324].values, 0.5)
 
 
 @pytest.mark.parametrize("kernel", [ZERO, SK_UNIT, UNIFORM], ids=lambda k: k.tag)
@@ -689,7 +729,7 @@ def test_run_ends_at_t_end_exactly(kernel):
 def test_diagnostics_csv_layout(tmp_path):
     grid = scenario_grid(300)
     u0 = GridFunction.from_callable(grid, lambda x: 0.1 * bump_init(x))
-    _, diag = evolve(u0, ZERO, 0.1)
+    _, diag = evolve(u0, ZERO, 0.1, (0.03, 0.05))  # stops between CFL steps
     path = tmp_path / "diag.csv"
     diag.write_csv(path)
     lines = path.read_text().strip().split("\n")
