@@ -658,18 +658,23 @@ def test_snapshot_times_in_any_order():
             assert snaps[t].values.tobytes() == ref_snaps[t].tobytes() == ref[t].tobytes()
 
 
-def test_snapshots_near_a_step_get_states_of_their_own():
-    """A step's t and the times 1e-13 either side of it each get the state at that time."""
+@pytest.mark.parametrize("offset", [0.0, -1e-13, 1e-13], ids=["at", "before", "after"])
+def test_snapshot_near_a_step_takes_that_step(offset):
+    """A time at a step's t, or 1e-13 either side of it, ends a step and gets the state
+    at that time: a state of its own, not its neighbour's."""
     u0 = GridFunction.from_callable(scenario_grid(400), bump_init)
     _, diag = reference_evolve(u0, ZERO, 1.0)
-    mid = diag.t[len(diag.t) // 2]
-    times = (mid - 1e-13, mid, mid + 1e-13)
-    snaps, diag = evolve(u0, ZERO, 1.0, times)
-    ref, _ = reference_evolve(u0, ZERO, 1.0, times)
-    assert set(times) <= set(diag.t)
-    states = [snaps[t].values.tobytes() for t in times]
-    assert states == [ref[t].tobytes() for t in times]
-    assert len(set(states)) == 3
+    k = len(diag.t) // 2
+    steps = tuple(diag.t[k - 1 : k + 2])
+    tgt = steps[1] + offset
+    snaps, diag = evolve(u0, ZERO, 1.0, (tgt, *steps))
+    ref, _ = reference_evolve(u0, ZERO, 1.0, (tgt, *steps))
+    assert {tgt, *steps} <= set(diag.t)
+    for t in (tgt, *steps):
+        assert snaps[t].values.tobytes() == ref[t].tobytes()
+    states = {snaps[t].values.tobytes() for t in steps}
+    assert len(states) == 3
+    assert (snaps[tgt].values.tobytes() in states) == (offset == 0.0)
 
 
 @pytest.mark.parametrize("kernel", COMPARE_KERNELS, ids=lambda k: k.tag)
